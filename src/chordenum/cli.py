@@ -1,6 +1,7 @@
 """Command-line interface: sequence emission, verification sweeps, regressions.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error (including an
+output path that cannot be written).
 """
 
 from __future__ import annotations
@@ -89,8 +90,11 @@ def _emit(text: str, out_path):
     if out_path is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w") as handle:
-            handle.write(text)
+        try:
+            with open(out_path, "w") as handle:
+                handle.write(text)
+        except OSError as exc:  # a bad --out is a usage error, not a failed check
+            raise ValueError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
 
 
 def cmd_seq(args) -> int:
@@ -127,6 +131,8 @@ def cmd_series(args) -> int:
 
 
 def cmd_triangle(args) -> int:
+    if args.max < 0:
+        raise ValueError("--max must be at least 0")
     if args.name == "a_nk":
         table = labelled.loop_triangle(args.max)
         chord_offset = 0
@@ -326,6 +332,8 @@ def _bfile_check(path: str, family: str | None):
 
 
 def cmd_verify(args) -> int:
+    if args.max < 0:
+        raise ValueError("--max must be at least 0")
     entries = []
     if not args.tables:
         for n in range(1, args.max + 1):

@@ -9,19 +9,31 @@ need the mirror-symmetric table built here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .labelled import SequenceTable
 from .symmetry import (
     RecurrenceValidationError,
-    loopless_rotation_fixed,
+    loopless_fixed_chain,
     loopless_sector_counts,
-    simple_rotation_fixed,
-    totient,
+    rotation_totals,
+    simple_fixed_chain,
+    simple_rotation_fixed,  # noqa: F401  perfbench's tracer test checks this from-import binding
 )
 
 
 # ---------------------------------------------------------------------------
 # Loopless family
+
+
+def _loopless_axes(col, n_max: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Vertex- and edge-axis counts for n = 0..n_max from the 2-sector column."""
+    vertex = [0, 0]
+    edge = [0, 0]
+    for n in range(2, n_max + 1):
+        vertex.append(col[n - 1])
+        edge.append(col[n] - 2 * col[n - 1] + col[n - 2])
+    return tuple(vertex[: n_max + 1]), tuple(edge[: n_max + 1])
 
 
 def loopless_vertex_axis(n_max: int) -> tuple[int, ...]:
@@ -31,11 +43,7 @@ def loopless_vertex_axis(n_max: int) -> tuple[int, ...]:
     removed and the halves unfold.  On 2 points the axis chord is itself
     a loop, so the n = 1 value is 0 rather than the unfolded 1.
     """
-    col = loopless_sector_counts(2, max(n_max - 1, 0))
-    values = [0, 0]
-    for n in range(2, n_max + 1):
-        values.append(col[n - 1])
-    return tuple(values[: n_max + 1])
+    return _loopless_axes(loopless_sector_counts(2, n_max), n_max)[0]
 
 
 def loopless_edge_axis(n_max: int) -> tuple[int, ...]:
@@ -46,11 +54,7 @@ def loopless_edge_axis(n_max: int) -> tuple[int, ...]:
     of 0 there fail both exhaustive enumeration and the dihedral average
     at n = 2 -- see docs/ERRATA.md.
     """
-    col = loopless_sector_counts(2, n_max)
-    values = [0, 0]
-    for n in range(2, n_max + 1):
-        values.append(col[n] - 2 * col[n - 1] + col[n - 2])
-    return tuple(values[: n_max + 1])
+    return _loopless_axes(loopless_sector_counts(2, n_max), n_max)[1]
 
 
 def loopless_dihedral(n_max: int) -> SequenceTable:
@@ -60,27 +64,27 @@ def loopless_dihedral(n_max: int) -> SequenceTable:
     the explicit group average; the two must agree and be integral.
     """
     col = loopless_sector_counts(2, n_max)
-    vertex = loopless_vertex_axis(n_max)
-    edge = loopless_edge_axis(n_max)
-    values = [1]
-    for n in range(1, n_max + 1):
-        fixed = loopless_rotation_fixed(n)
-        rotation_total = sum(totient(d) * fixed[d] for d in fixed)
-        group_total = rotation_total + n * vertex[n] + n * edge[n]
-        if group_total % (4 * n):
+    rotation = rotation_totals(loopless_fixed_chain, n_max)
+    table = _dihedral_average("loopless-dihedral", rotation, *_loopless_axes(col, n_max))
+    for n in range(2, n_max + 1):
+        closed_numerator = 2 * rotation[n] // (2 * n) + col[n] - col[n - 1] + col[n - 2]
+        if closed_numerator % 4 or closed_numerator // 4 != table[n]:
             raise ArithmeticError(
-                f"dihedral average is not integral at n={n}: {group_total}/{4 * n}"
+                f"closed dihedral form disagrees at n={n}: "
+                f"{closed_numerator}/4 vs {table[n]}"
             )
-        burnside = group_total // (4 * n)
-        if n >= 2:
-            closed_numerator = 2 * rotation_total // (2 * n) + col[n] - col[n - 1] + col[n - 2]
-            if closed_numerator % 4 or closed_numerator // 4 != burnside:
-                raise ArithmeticError(
-                    f"closed dihedral form disagrees at n={n}: "
-                    f"{closed_numerator}/4 vs {burnside}"
-                )
-        values.append(burnside)
-    return SequenceTable("loopless-dihedral", tuple(values))
+    return table
+
+
+def _dihedral_average(name: str, rotation, vertex, edge) -> SequenceTable:
+    """Burnside average over the 4n symmetries: 2n rotations, n reflections per axis type."""
+    values = [1]
+    for n in range(1, len(rotation)):
+        total = rotation[n] + n * vertex[n] + n * edge[n]
+        if total % (4 * n):
+            raise ArithmeticError(f"dihedral average is not integral at n={n}: {total}/{4 * n}")
+        values.append(total // (4 * n))
+    return SequenceTable(name, tuple(values))
 
 
 # ---------------------------------------------------------------------------
@@ -127,10 +131,26 @@ class MirrorTables:
     end_chord: dict
 
     def row_total(self, n: int) -> int:
-        return sum(v for (nn, _), v in self.counts.items() if nn == n)
+        return self._row_totals.get(n, 0)
 
     def end_chord_total(self, n: int) -> int:
-        return sum(v for (nn, _), v in self.end_chord.items() if nn == n)
+        return self._end_chord_totals.get(n, 0)
+
+    # Each totals map is summed in one pass over its table on first use.
+    @cached_property
+    def _row_totals(self) -> dict[int, int]:
+        return _sum_by_row(self.counts)
+
+    @cached_property
+    def _end_chord_totals(self) -> dict[int, int]:
+        return _sum_by_row(self.end_chord)
+
+
+def _sum_by_row(cells: dict) -> dict[int, int]:
+    totals: dict[int, int] = {}
+    for (n, _), value in cells.items():
+        totals[n] = totals.get(n, 0) + value
+    return totals
 
 
 def _predicted_mirror_cell(r, s, n, k, terms=MIRROR_TERMS) -> int:
@@ -181,45 +201,37 @@ def build_mirror_tables(n_max: int, terms=MIRROR_TERMS) -> MirrorTables:
     return MirrorTables(counts=r, end_chord=s)
 
 
-def simple_vertex_axis(n_max: int) -> tuple[int, ...]:
-    """Simple diagrams fixed by a point-through-point reflection."""
-    tables = build_mirror_tables(max(n_max - 1, 0))
-    values = [0, 0]
-    for n in range(2, n_max + 1):
-        values.append(tables.row_total(n - 1) - values[n - 2])
-    return tuple(values[: n_max + 1])
+def _simple_axes(tables: MirrorTables, n_max: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Vertex- and edge-axis counts for n = 0..n_max from mirror tables built to n_max.
 
-
-def simple_edge_axis(n_max: int) -> tuple[int, ...]:
-    """Simple diagrams fixed by a gap-through-gap reflection.
-
-    Obtained from the mirror diagrams that stay simple after gluing both
-    seams: strip those with an end chord on either seam, then remove the
-    ones that would turn a mirrored chord pair into a parallel pair.
+    The edge axis takes the mirror diagrams that stay simple after gluing
+    both seams: strip those with an end chord on either seam, then remove
+    the ones that would turn a mirrored chord pair into a parallel pair.
     """
-    tables = build_mirror_tables(n_max)
-    vertex = simple_vertex_axis(max(n_max - 1, 0))
+    vertex = [0, 0]
     loopless_glued = [0, 0]
     for n in range(2, n_max + 1):
+        vertex.append(tables.row_total(n - 1) - vertex[n - 2])
         loopless_glued.append(
             tables.row_total(n) - 2 * tables.end_chord_total(n) + loopless_glued[n - 2]
         )
-    values = [0]
-    for n in range(1, n_max + 1):
-        values.append(loopless_glued[n] - vertex[n - 1])
-    return tuple(values[: n_max + 1])
+    edge = [0] + [loopless_glued[n] - vertex[n - 1] for n in range(1, n_max + 1)]
+    return tuple(vertex[: n_max + 1]), tuple(edge)
+
+
+def simple_vertex_axis(n_max: int) -> tuple[int, ...]:
+    """Simple diagrams fixed by a point-through-point reflection."""
+    return _simple_axes(build_mirror_tables(n_max), n_max)[0]
+
+
+def simple_edge_axis(n_max: int) -> tuple[int, ...]:
+    """Simple diagrams fixed by a gap-through-gap reflection."""
+    return _simple_axes(build_mirror_tables(n_max), n_max)[1]
 
 
 def simple_dihedral(n_max: int) -> SequenceTable:
     """Simple chord diagrams up to rotation and reflection."""
-    vertex = simple_vertex_axis(n_max)
-    edge = simple_edge_axis(n_max)
-    values = [1]
-    for n in range(1, n_max + 1):
-        fixed = simple_rotation_fixed(n)
-        total = sum(totient(d) * fixed[d] for d in fixed)
-        total += n * vertex[n] + n * edge[n]
-        if total % (4 * n):
-            raise ArithmeticError(f"dihedral average is not integral at n={n}: {total}/{4 * n}")
-        values.append(total // (4 * n))
-    return SequenceTable("simple-dihedral", tuple(values))
+    rotation = rotation_totals(simple_fixed_chain, n_max)
+    return _dihedral_average(
+        "simple-dihedral", rotation, *_simple_axes(build_mirror_tables(n_max), n_max)
+    )

@@ -2,15 +2,17 @@
 
 A d-fold symmetric sectored diagram lives on m*d points cut into d sectors;
 ``loopless_sector_counts`` and ``simple_sector_counts`` tabulate them by m.
-``*_rotation_fixed`` turn the columns into chord-diagram fixed counts per
-divisor, and the ``*_cyclic`` functions average them into orbit counts.
+``*_fixed_chain`` turn one column into the counts of chord diagrams fixed by
+a rotation of order d, for every size at once; ``*_rotation_fixed`` read
+them per divisor, and ``rotation_totals`` sums them over the divisors, one
+chain per d, for the ``*_cyclic`` orbit averages.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .labelled import SequenceTable, loopless_linear, simple_chord
+from .labelled import SequenceTable, simple_chord
 
 
 class RecurrenceValidationError(AssertionError):
@@ -71,31 +73,70 @@ def loopless_sector_presubtraction(d: int, m: int, counts) -> int:
     return value
 
 
+def loopless_fixed_chain(d: int, m_max: int) -> tuple[int, ...]:
+    """Loopless chord diagrams on m*d points fixed by a rotation of order d.
+
+    Entry m holds the count for m = 0..m_max, from one sector column;
+    entries with m*d odd describe no chord diagram and are never read.
+    """
+    counts = loopless_sector_counts(d, m_max)
+    values = []
+    for m in range(m_max + 1):
+        if d * m == 2:
+            values.append(0)  # a single chord is always a loop
+        else:
+            values.append(counts[m] - (counts[m - 2] if m >= 2 else 0))
+    return tuple(values)
+
+
 def loopless_rotation_fixed(n: int) -> dict[int, int]:
     """Loopless chord diagrams fixed by each rotation order d | 2n."""
-    if n < 1:
-        raise ValueError(f"chord count must be positive, got {n}")
-    out = {}
-    for d in divisors(2 * n):
-        m = 2 * n // d
-        if 2 * n == 2:
-            out[d] = 0  # a single chord is always a loop
-            continue
-        counts = loopless_sector_counts(d, m)
-        out[d] = counts[m] - (counts[m - 2] if m >= 2 else 0)
-    return out
+    return _fixed_by_divisor(loopless_fixed_chain, n)
 
 
 def loopless_cyclic(n_max: int) -> SequenceTable:
     """Loopless chord diagrams up to rotation, by the divisor average."""
+    return _rotation_average("loopless-cyclic", rotation_totals(loopless_fixed_chain, n_max))
+
+
+# ---------------------------------------------------------------------------
+# Both families: Burnside sums over the rotations
+
+
+def _fixed_by_divisor(fixed_chain, n: int) -> dict[int, int]:
+    if n < 1:
+        raise ValueError(f"chord count must be positive, got {n}")
+    return {d: fixed_chain(d, 2 * n // d)[2 * n // d] for d in divisors(2 * n)}
+
+
+def rotation_totals(fixed_chain, n_max: int) -> list[int]:
+    """Burnside sums over the rotations, sum of phi(d) fix_d(n) over d | 2n.
+
+    Entry n holds the sum for n = 0..n_max.  ``fixed_chain(d, m_max)`` is
+    ``loopless_fixed_chain`` or ``simple_fixed_chain``; it is called once
+    per d, so each sector column is built once for every n, and the whole
+    sum costs O(n_max^2) table cells.
+    """
+    totals = [0] * (n_max + 1)
+    for d in range(1, 2 * n_max + 1):
+        m_max = 2 * n_max // d
+        step = 1 if d % 2 == 0 else 2  # m*d = 2n is even
+        if m_max < step:
+            continue
+        chain = fixed_chain(d, m_max)
+        phi = totient(d)
+        for m in range(step, m_max + 1, step):
+            totals[d * m // 2] += phi * chain[m]
+    return totals
+
+
+def _rotation_average(name: str, totals: list[int]) -> SequenceTable:
     values = [1]
-    for n in range(1, n_max + 1):
-        fixed = loopless_rotation_fixed(n)
-        total = sum(totient(d) * fixed[d] for d in fixed)
-        if total % (2 * n):
-            raise ArithmeticError(f"rotation average is not integral at n={n}: {total}/{2 * n}")
-        values.append(total // (2 * n))
-    return SequenceTable("loopless-cyclic", tuple(values))
+    for n in range(1, len(totals)):
+        if totals[n] % (2 * n):
+            raise ArithmeticError(f"rotation average is not integral at n={n}: {totals[n]}/{2 * n}")
+        values.append(totals[n] // (2 * n))
+    return SequenceTable(name, tuple(values))
 
 
 # ---------------------------------------------------------------------------
@@ -260,43 +301,32 @@ def _half_turn_fixed_chain(m_max: int) -> tuple[int, ...]:
     return tuple(f)
 
 
+def simple_fixed_chain(d: int, m_max: int) -> tuple[int, ...]:
+    """Simple chord diagrams on m*d points fixed by a rotation of order d.
+
+    Entry m holds the count for m = 0..m_max, from one sector column;
+    entries with m*d odd describe no chord diagram and are never read.
+    """
+    if d == 1:
+        chord = simple_chord(m_max // 2)
+        return tuple(0 if m % 2 else chord[m // 2] for m in range(m_max + 1))
+    if d == 2:
+        return _half_turn_fixed_chain(m_max)
+    q = simple_sector_glueable(d, m_max)
+    get_q = lambda i: q[i] if i >= 0 else 0
+    f = [0] * (m_max + 1)
+    for m in range(1, m_max + 1):
+        f[m] = get_q(m) - (f[m - 2] if m >= 2 else 0)
+        if d % 2 == 0:
+            f[m] -= get_q(m - 2) + get_q(m - 3)
+    return tuple(f)
+
+
 def simple_rotation_fixed(n: int) -> dict[int, int]:
     """Simple chord diagrams fixed by each rotation order d | 2n."""
-    if n < 1:
-        raise ValueError(f"chord count must be positive, got {n}")
-    out = {}
-    for d in divisors(2 * n):
-        m = 2 * n // d
-        if d == 1:
-            out[d] = simple_chord(n)[n]
-        elif d == 2:
-            out[d] = _half_turn_fixed_chain(m)[m]
-        else:
-            q = simple_sector_glueable(d, m)
-            get_q = lambda i: q[i] if i >= 0 else 0
-            f = [0] * (m + 1)
-            for mm in range(1, m + 1):
-                f[mm] = get_q(mm) - (f[mm - 2] if mm >= 2 else 0)
-                if d % 2 == 0:
-                    f[mm] -= get_q(mm - 2) + get_q(mm - 3)
-            out[d] = f[m]
-    return out
+    return _fixed_by_divisor(simple_fixed_chain, n)
 
 
 def simple_cyclic(n_max: int) -> SequenceTable:
     """Simple chord diagrams up to rotation, by the divisor average."""
-    values = [1]
-    for n in range(1, n_max + 1):
-        fixed = simple_rotation_fixed(n)
-        total = sum(totient(d) * fixed[d] for d in fixed)
-        if total % (2 * n):
-            raise ArithmeticError(f"rotation average is not integral at n={n}: {total}/{2 * n}")
-        values.append(total // (2 * n))
-    return SequenceTable("simple-cyclic", tuple(values))
-
-
-def loopless_linear_identity_range(c_max: int) -> bool:
-    """Sector column at d = 1 reproduces the labelled linear counts."""
-    counts = loopless_sector_counts(1, 2 * c_max)
-    labelled = loopless_linear(c_max)
-    return all(counts[2 * c] == labelled[c] for c in range(c_max + 1))
+    return _rotation_average("simple-cyclic", rotation_totals(simple_fixed_chain, n_max))

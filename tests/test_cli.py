@@ -196,3 +196,26 @@ def test_render_sequence_formats():
     assert render_sequence("x", values, "bfile") == "1 0\n2 1\n3 4\n"
     assert render_sequence("x", values, "csv") == "n,value\n1,0\n2,1\n3,4\n"
     assert "values" in json.loads(render_sequence("x", values, "json"))
+
+
+def test_out_into_missing_directory_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "seq.txt"
+    code = main(["seq", "simple-cyclic", "--max", "3", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write ")
+    assert not target.exists()
+
+
+def test_negative_max_is_refused(capsys):
+    for argv in (
+        ["triangle", "a_nk", "--max", "-1"],
+        ["triangle", "a_nkl", "--max", "-1", "--format", "csv"],
+        ["verify", "--max", "-3"],
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.out == "", argv
+        assert captured.err == "error: --max must be at least 0\n", argv

@@ -1,5 +1,6 @@
 import pytest
 
+from chordenum import reflection
 from chordenum.diagram import (
     classify_pairing,
     edge_reflection,
@@ -22,7 +23,10 @@ from chordenum.reflection import (
 from chordenum.symmetry import (
     RecurrenceValidationError,
     loopless_cyclic,
+    loopless_rotation_fixed,
     simple_cyclic,
+    simple_rotation_fixed,
+    totient,
 )
 
 
@@ -100,6 +104,15 @@ def test_mirror_tables_validate_and_match_reference():
     # end-chord counts never exceed the full mirror counts
     for key, value in tables.end_chord.items():
         assert value <= tables.counts.get(key, 0)
+
+
+def test_mirror_row_totals_equal_a_scan_over_the_cells():
+    tables = build_mirror_tables(30)
+    for n in range(32):
+        assert tables.row_total(n) == sum(v for (nn, _), v in tables.counts.items() if nn == n)
+        assert tables.end_chord_total(n) == sum(
+            v for (nn, _), v in tables.end_chord.items() if nn == n
+        )
 
 
 def test_mirror_recurrence_rejects_wrong_coefficients():
@@ -187,3 +200,35 @@ def test_reflections_at_most_halve_orbit_counts():
     dihedral = simple_dihedral(40)
     for n in range(2, 41):
         assert dihedral[n] <= cyclic[n] <= 2 * dihedral[n]
+
+
+# ---------------------------------------------------------------------------
+# one build per table
+
+
+def test_shared_builds_match_per_n_burnside_sums():
+    for family, rotation_fixed, vertex_axis, edge_axis, dihedral in (
+        ("loopless", loopless_rotation_fixed, loopless_vertex_axis, loopless_edge_axis, loopless_dihedral),
+        ("simple", simple_rotation_fixed, simple_vertex_axis, simple_edge_axis, simple_dihedral),
+    ):
+        vertex = vertex_axis(60)
+        edge = edge_axis(60)
+        table = dihedral(60)
+        for n in range(1, 61):
+            fixed = rotation_fixed(n)
+            total = sum(totient(d) * fixed[d] for d in fixed) + n * vertex[n] + n * edge[n]
+            assert total % (4 * n) == 0, (family, n)
+            assert table[n] == total // (4 * n), (family, n)
+
+
+def test_simple_dihedral_builds_the_mirror_tables_once(monkeypatch):
+    built = []
+    original = reflection.build_mirror_tables
+
+    def counting(n_max, *args, **kwargs):
+        built.append(n_max)
+        return original(n_max, *args, **kwargs)
+
+    monkeypatch.setattr(reflection, "build_mirror_tables", counting)
+    simple_dihedral(40)
+    assert built == [40]

@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+from chordenum import symmetry
 from chordenum.diagram import (
     classify_pairing,
     enumerate_invariant_pairings,
@@ -15,10 +18,13 @@ from chordenum.symmetry import (
     EVEN_SECTOR_TERMS_PRINTED,
     RecurrenceValidationError,
     loopless_cyclic,
+    loopless_fixed_chain,
     loopless_rotation_fixed,
     loopless_sector_counts,
     loopless_sector_presubtraction,
+    rotation_totals,
     simple_cyclic,
+    simple_fixed_chain,
     simple_rotation_fixed,
     simple_sector_counts,
     simple_sector_glueable,
@@ -239,3 +245,35 @@ def test_burnside_sums_divisible_up_to_40():
         simple = simple_rotation_fixed(n)
         total = sum(totient(d) * simple[d] for d in simple)
         assert total % (2 * n) == 0
+
+
+# ---------------------------------------------------------------------------
+# one build per sector column
+
+
+def test_shared_builds_match_per_n_burnside_sums():
+    for family, fixed_chain, rotation_fixed, cyclic in (
+        ("loopless", loopless_fixed_chain, loopless_rotation_fixed, loopless_cyclic),
+        ("simple", simple_fixed_chain, simple_rotation_fixed, simple_cyclic),
+    ):
+        totals = rotation_totals(fixed_chain, 60)
+        table = cyclic(60)
+        for n in range(1, 61):
+            fixed = rotation_fixed(n)
+            total = sum(totient(d) * fixed[d] for d in fixed)
+            assert totals[n] == total, (family, n)
+            assert table[n] == total // (2 * n), (family, n)
+
+
+def test_simple_cyclic_builds_each_sector_column_once(monkeypatch):
+    built = Counter()
+    original = symmetry.simple_sector_counts
+
+    def counting(d, m_max, *args, **kwargs):
+        built[d] += 1
+        return original(d, m_max, *args, **kwargs)
+
+    monkeypatch.setattr(symmetry, "simple_sector_counts", counting)
+    simple_cyclic(60)
+    assert built[2] == 1
+    assert max(built.values()) == 1
