@@ -131,26 +131,19 @@ class MirrorTables:
     end_chord: dict
 
     def row_total(self, n: int) -> int:
-        return self._row_totals.get(n, 0)
+        return self._totals[0].get(n, 0)
 
     def end_chord_total(self, n: int) -> int:
-        return self._end_chord_totals.get(n, 0)
-
-    # Each totals map is summed in one pass over its table on first use.
-    @cached_property
-    def _row_totals(self) -> dict[int, int]:
-        return _sum_by_row(self.counts)
+        return self._totals[1].get(n, 0)
 
     @cached_property
-    def _end_chord_totals(self) -> dict[int, int]:
-        return _sum_by_row(self.end_chord)
-
-
-def _sum_by_row(cells: dict) -> dict[int, int]:
-    totals: dict[int, int] = {}
-    for (n, _), value in cells.items():
-        totals[n] = totals.get(n, 0) + value
-    return totals
+    def _totals(self) -> tuple[dict[int, int], dict[int, int]]:
+        """Row sums of ``counts`` and ``end_chord``, one pass over each on first use."""
+        totals: tuple[dict[int, int], dict[int, int]] = ({}, {})
+        for cells, by_row in zip((self.counts, self.end_chord), totals):
+            for (n, _), value in cells.items():
+                by_row[n] = by_row.get(n, 0) + value
+        return totals
 
 
 def _predicted_mirror_cell(r, s, n, k, terms=MIRROR_TERMS) -> int:
