@@ -15,50 +15,33 @@ from .diagram import CYCLIC, DIHEDRAL, format_diagram
 from .labelled import double_factorial
 from .series import MARKER_SERIES, SERIES_NAMES, SeriesError, integer_coeffs, named_series
 
-SEQ_FAMILIES = (
-    "loopless-linear",
-    "loopless-chord",
-    "loopless-cyclic",
-    "loopless-dihedral",
-    "simple-linear",
-    "simple-chord",
-    "simple-cyclic",
-    "simple-dihedral",
-    "all",
-)
+# family -> (builder to n_max, index offset): the builder's table holds the
+# count for n chords at entry n - offset.  Each builder looks its function up
+# on the module at call time, so a wrapper installed there (perfbench's
+# tracer) sees the call.
+SEQ_BUILDERS = {
+    "loopless-linear": (lambda n_max: labelled.loopless_linear(n_max), 0),
+    "loopless-chord": (lambda n_max: labelled.loopless_chord(n_max), 0),
+    "loopless-cyclic": (lambda n_max: symmetry.loopless_cyclic(n_max), 0),
+    "loopless-dihedral": (lambda n_max: reflection.loopless_dihedral(n_max), 0),
+    "simple-linear": (lambda n_max: labelled.simple_linear(n_max), 1),
+    "simple-chord": (lambda n_max: labelled.simple_chord(n_max), 0),
+    "simple-cyclic": (lambda n_max: symmetry.simple_cyclic(n_max), 0),
+    "simple-dihedral": (lambda n_max: reflection.simple_dihedral(n_max), 0),
+    "all": (lambda n_max: [double_factorial(2 * n - 1) for n in range(n_max + 1)], 0),
+}
+SEQ_FAMILIES = tuple(SEQ_BUILDERS)
 
 TRIANGLE_NAMES = ("a_nk", "a_nkl", "ahat_nl")
 
 
 def family_values(family: str, n_max: int) -> list[int]:
     """Values for chord counts 1..n_max."""
-    if family == "loopless-linear":
-        table = labelled.loopless_linear(n_max)
-        return [table[n] for n in range(1, n_max + 1)]
-    if family == "loopless-chord":
-        table = labelled.loopless_chord(n_max)
-        return [table[n] for n in range(1, n_max + 1)]
-    if family == "loopless-cyclic":
-        table = symmetry.loopless_cyclic(n_max)
-        return [table[n] for n in range(1, n_max + 1)]
-    if family == "loopless-dihedral":
-        table = reflection.loopless_dihedral(n_max)
-        return [table[n] for n in range(1, n_max + 1)]
-    if family == "simple-linear":
-        table = labelled.simple_linear(n_max)
-        return [table[n - 1] for n in range(1, n_max + 1)]
-    if family == "simple-chord":
-        table = labelled.simple_chord(n_max)
-        return [table[n] for n in range(1, n_max + 1)]
-    if family == "simple-cyclic":
-        table = symmetry.simple_cyclic(n_max)
-        return [table[n] for n in range(1, n_max + 1)]
-    if family == "simple-dihedral":
-        table = reflection.simple_dihedral(n_max)
-        return [table[n] for n in range(1, n_max + 1)]
-    if family == "all":
-        return [double_factorial(2 * n - 1) for n in range(1, n_max + 1)]
-    raise ValueError(f"unknown family {family!r}")
+    if family not in SEQ_BUILDERS:
+        raise ValueError(f"unknown family {family!r}")
+    build, offset = SEQ_BUILDERS[family]
+    table = build(n_max)
+    return [table[n - offset] for n in range(1, n_max + 1)]
 
 
 def render_sequence(family: str, values: list[int], fmt: str) -> str:
@@ -261,33 +244,19 @@ def _sweep_checks(n: int, cap: int):
     return checks
 
 
-def _table_checks():
-    computed_loopless = {}
-    computed_simple = {}
-    n_max = 20
-    a = labelled.loopless_linear(n_max)
-    b = labelled.loopless_chord(n_max)
-    bt = symmetry.loopless_cyclic(n_max)
-    ct = reflection.loopless_dihedral(n_max)
-    chain = labelled.simple_chain(n_max)
-    st = symmetry.simple_cyclic(n_max)
-    sd = reflection.simple_dihedral(n_max)
-    for n in range(1, n_max + 1):
-        computed_loopless[n] = (a[n], b[n], bt[n], ct[n])
-        computed_simple[n] = (chain.linear[n - 1], chain.chord[n], st[n], sd[n])
+# golden.COLUMNS in order, as the family suffix of each column
+GOLDEN_VIEWS = ("linear", "chord", "cyclic", "dihedral")
 
+
+def _table_checks():
+    n_max = 20
     entries = []
-    for label, computed, reference in (
-        ("loopless", computed_loopless, golden.LOOPLESS_TABLE),
-        ("simple", computed_simple, golden.SIMPLE_TABLE),
-    ):
-        for col, col_name in enumerate(golden.COLUMNS):
-            bad = [n for n in range(1, n_max + 1) if computed[n][col] != reference[n][col]]
-            if bad:
-                n = bad[0]
-                entries.append((f"golden-{label}-{col_name}", n, reference[n][col], computed[n][col]))
-            else:
-                entries.append((f"golden-{label}-{col_name}", n_max, reference[n_max][col], computed[n_max][col]))
+    for label, reference in (("loopless", golden.LOOPLESS_TABLE), ("simple", golden.SIMPLE_TABLE)):
+        for col, (col_name, view) in enumerate(zip(golden.COLUMNS, GOLDEN_VIEWS)):
+            computed = family_values(f"{label}-{view}", n_max)
+            bad = [n for n in range(1, n_max + 1) if computed[n - 1] != reference[n][col]]
+            n = bad[0] if bad else n_max
+            entries.append((f"golden-{label}-{col_name}", n, reference[n][col], computed[n - 1]))
     return entries
 
 
@@ -319,7 +288,10 @@ def _bfile_check(path: str, family: str | None):
         raise ValueError(
             "cannot infer the sequence family from the file name; pass --bfile-family"
         )
-    reference = parse_bfile(path)
+    try:
+        reference = parse_bfile(path)
+    except OSError as exc:  # a missing or unreadable b-file is a usage error
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from exc
     indices = sorted(i for i in reference if 1 <= i <= BFILE_COMPARE_LIMIT)
     if not indices:
         raise ValueError(f"{path} holds no comparable indices (1..{BFILE_COMPARE_LIMIT})")
@@ -334,17 +306,16 @@ def _bfile_check(path: str, family: str | None):
 def cmd_verify(args) -> int:
     if args.max < 0:
         raise ValueError("--max must be at least 0")
+    if not args.tables:
+        oracle.check_cap(args.max, args.oracle_cap)  # refuse before any sweep runs
+    bfile_entry = _bfile_check(args.bfile, args.bfile_family) if args.bfile else None
     entries = []
     if not args.tables:
         for n in range(1, args.max + 1):
             entries.extend((name, n, expected, got) for name, expected, got in _sweep_checks(n, args.oracle_cap))
     entries.extend(_table_checks())
-    if args.bfile:
-        try:
-            entries.append(_bfile_check(args.bfile, args.bfile_family))
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    if bfile_entry:
+        entries.append(bfile_entry)
 
     all_ok = True
     lines = []

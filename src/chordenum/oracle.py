@@ -1,25 +1,32 @@
 """Brute-force ground truth by exhaustive matching enumeration.
 
-Everything here enumerates all (2n-1)!! matchings and filters; no
-symmetry shortcuts, no caching.  The recurrence modules are validated
-against these counts before their tables are trusted.
+``full_sweep`` enumerates all (2n-1)!! matchings once.  Each matching is
+classified on the circle and on the line, gets its cyclic and dihedral
+canonical codes, and is tested against one representative per conjugacy
+class of the symmetry group: one rotation per order d | 2n (the rotations
+of one order generate the same subgroup, so they fix the same matchings),
+one axis through opposite points and one through opposite gaps.  Class
+sizes come from counting element orders here, not from the recurrence
+modules, which are validated against these counts before their tables are
+trusted.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .diagram import (
     CIRCULAR,
     CYCLIC,
     DIHEDRAL,
+    LINEAR,
     canonical_pairing_code,
     classify_pairing,
     edge_reflection,
     enumerate_pairings,
     gap_flags,
-    group_elements,
     rotation,
     vertex_reflection,
 )
@@ -33,7 +40,8 @@ class OracleCapError(ValueError):
     """Raised when a request would enumerate more matchings than the cap allows."""
 
 
-def _check_cap(n: int, cap: int):
+def check_cap(n: int, cap: int):
+    """Refuse a chord count that is negative or above the enumeration cap."""
     if n < 0:
         raise ValueError(f"chord count must be nonnegative, got {n}")
     if n > cap:
@@ -57,74 +65,32 @@ def _is_fixed(pairing, element) -> bool:
     return True
 
 
-def count_labelled(n: int, topology, family: str, cap: int = DEFAULT_CAP) -> int:
-    """Number of n-chord matchings in the family under the topology."""
-    _check_cap(n, cap)
-    flags = gap_flags(2 * n, topology)
-    total = 0
-    for p in enumerate_pairings(2 * n):
-        loops, parallels = classify_pairing(p, flags)
-        if in_family(family, loops, parallels):
-            total += 1
-    return total
+def _classes(n: int) -> dict:
+    """Class label -> (representative element, class size) on 2n points.
 
-
-def classify_table(c: int, topology, cap: int = DEFAULT_CAP) -> dict[tuple[int, int], int]:
-    """Distribution of (loop count, parallel pair count) over all c-chord matchings."""
-    _check_cap(c, cap)
-    flags = gap_flags(2 * c, topology)
-    table: dict[tuple[int, int], int] = {}
-    for p in enumerate_pairings(2 * c):
-        key = classify_pairing(p, flags)
-        table[key] = table.get(key, 0) + 1
-    return table
-
-
-def count_rotation_fixed(n: int, d: int, family: str, cap: int = DEFAULT_CAP) -> int:
-    """Circular family diagrams fixed by the rotation of order d."""
-    _check_cap(n, cap)
-    if n == 0:
-        return 1 if d == 1 else 0
-    if (2 * n) % d != 0:
-        raise ValueError(f"order {d} does not divide {2 * n} points")
-    element = rotation(2 * n, 2 * n // d)
-    flags = gap_flags(2 * n, CIRCULAR)
-    total = 0
-    for p in enumerate_pairings(2 * n):
-        if _is_fixed(p, element) and in_family(family, *classify_pairing(p, flags)):
-            total += 1
-    return total
-
-
-def count_reflection_fixed(n: int, axis_type: str, family: str, cap: int = DEFAULT_CAP) -> int:
-    """Circular family diagrams fixed by one representative reflection.
-
-    The vertex axis runs through points 1 and n+1, the edge axis through
-    the midpoints of gaps (2n, 1) and (n, n+1); all axes of a type fix
-    equally many diagrams, so one representative suffices.
+    ("rotation", d) holds the rotations of order d, counted over all 2n
+    shifts; ("reflection", "vertex") and ("reflection", "edge") hold the n
+    axes through opposite points and the n through opposite gap midpoints.
+    The edge representative runs through gaps (2n, 1) and (n, n+1).
     """
-    _check_cap(n, cap)
-    if axis_type == "vertex":
-        element = vertex_reflection(2 * n, 0)
-    elif axis_type == "edge":
-        element = edge_reflection(2 * n, 2 * n - 1)
-    else:
-        raise ValueError(f"unknown axis type {axis_type!r}")
-    flags = gap_flags(2 * n, CIRCULAR)
-    total = 0
-    for p in enumerate_pairings(2 * n):
-        if _is_fixed(p, element) and in_family(family, *classify_pairing(p, flags)):
-            total += 1
-    return total
-
-
-def divisors(m: int) -> list[int]:
-    return [d for d in range(1, m + 1) if m % d == 0]
+    if n == 0:
+        return {}
+    m = 2 * n
+    orders = Counter(m // math.gcd(s, m) for s in range(m))
+    classes = {("rotation", d): (rotation(m, m // d), size) for d, size in sorted(orders.items())}
+    classes[("reflection", "vertex")] = (vertex_reflection(m, 0), n)
+    classes[("reflection", "edge")] = (edge_reflection(m, m - 1), n)
+    return classes
 
 
 @dataclass(frozen=True)
 class OrbitReport:
-    """Orbit count of a family under a group, counted two independent ways."""
+    """Orbit count of a family under a group, counted two independent ways.
+
+    ``fixed_counts`` maps each class label to the diagrams fixed by the
+    class, summed over its elements (class size times the count of its
+    representative).
+    """
 
     n: int
     group: str
@@ -137,14 +103,6 @@ class OrbitReport:
     def fixed_total(self) -> int:
         return sum(self.fixed_counts.values())
 
-    @property
-    def burnside_average(self) -> int:
-        if self.fixed_total % self.group_order:
-            raise ArithmeticError(
-                f"fixed-point total {self.fixed_total} is not divisible by {self.group_order}"
-            )
-        return self.fixed_total // self.group_order
-
     def check_burnside(self):
         if self.orbit_count * self.group_order != self.fixed_total:
             raise AssertionError(
@@ -153,60 +111,11 @@ class OrbitReport:
             )
 
 
-def count_orbits(n: int, group: str, family: str, cap: int = DEFAULT_CAP) -> OrbitReport:
-    """Count family orbits by canonical codes and by averaging fixed counts.
-
-    ``fixed_counts`` maps element classes to totals over the class:
-    ("rotation", d) covers the phi(d) rotations of order d, and
-    ("reflection", axis type) covers the n axes of that type.  The
-    Burnside identity orbit_count * |G| = sum(fixed_counts) is asserted.
-    """
-    _check_cap(n, cap)
-    if group not in (CYCLIC, DIHEDRAL):
-        raise ValueError(f"unknown group kind {group!r}")
-    m = 2 * n
-    flags = gap_flags(m, CIRCULAR)
-    elements = group_elements(group, m)
-
-    # class label for each element, in group_elements order
-    if m == 0:
-        labels = [("rotation", 1)]
-    else:
-        labels = [("rotation", m // math.gcd(s, m) if s else 1) for s in range(m)]
-        if group == DIHEDRAL:
-            labels += [("reflection", "vertex")] * n + [("reflection", "edge")] * n
-
-    codes = set()
-    fixed = {label: 0 for label in labels}
-    for p in enumerate_pairings(m):
-        if not in_family(family, *classify_pairing(p, flags)):
-            continue
-        codes.add(canonical_pairing_code(p, group))
-        for element, label in zip(elements, labels):
-            if _is_fixed(p, element):
-                fixed[label] += 1
-
-    report = OrbitReport(
-        n=n,
-        group=group,
-        family=family,
-        orbit_count=len(codes),
-        fixed_counts=fixed,
-        group_order=len(elements),
-    )
-    report.check_burnside()
-    return report
-
-
 def check_line(name: str, n: int, expected, got) -> tuple[str, bool]:
     """One line of the verification report."""
     ok = expected == got
     status = "OK" if ok else "FAIL"
     return f"CHECK {name} n={n} expected={expected} got={got} {status}", ok
-
-
-# ---------------------------------------------------------------------------
-# One-pass sweep used by the CLI verify command and the acceptance tests.
 
 
 @dataclass
@@ -219,91 +128,71 @@ class SweepResult:
     orbits: dict             # (group, family) -> OrbitReport
 
 
+def _bump(counts: dict, key):
+    counts[key] = counts.get(key, 0) + 1
+
+
 def full_sweep(n: int, cap: int = DEFAULT_CAP) -> SweepResult:
     """Everything the verify command compares, from a single enumeration.
 
-    Faithfulness to the one-op-per-call functions above is covered by a
-    dedicated test at small n.
+    Only nonzero counts are stored in ``labelled``, ``rotation_fixed`` and
+    ``reflection_fixed``; every orbit report of n >= 1 is checked against
+    the Burnside identity.
     """
-    _check_cap(n, cap)
+    check_cap(n, cap)
     m = 2 * n
     circ_flags = gap_flags(m, CIRCULAR)
-    lin_flags = gap_flags(m, "linear")
-
-    div = divisors(m) if n else [1]
-    rot_elements = {d: rotation(m, m // d) for d in div if n}
-    vref = vertex_reflection(m, 0) if n else None
-    eref = edge_reflection(m, m - 1) if n else None
-    all_elements = group_elements(DIHEDRAL, m) if n else []
-    labels = []
-    if n:
-        for s in range(m):
-            labels.append(("rotation", m // math.gcd(s, m) if s else 1))
-        labels += [("reflection", "vertex")] * n + [("reflection", "edge")] * n
+    lin_flags = gap_flags(m, LINEAR)
+    classes = _classes(n)
 
     labelled = {}
-    tables = {CIRCULAR: {}, "linear": {}}
-    rotation_fixed = {}
-    reflection_fixed = {}
+    tables = {CIRCULAR: {}, LINEAR: {}}
     codes = {(g, f): set() for g in (CYCLIC, DIHEDRAL) for f in FAMILIES}
-    fixed = {f: {label: 0 for label in labels} for f in FAMILIES}
-
-    def bump(d, key):
-        d[key] = d.get(key, 0) + 1
+    fixed = {f: dict.fromkeys(classes, 0) for f in FAMILIES}
 
     for p in enumerate_pairings(m):
         circ = classify_pairing(p, circ_flags)
         lin = classify_pairing(p, lin_flags)
-        bump(tables[CIRCULAR], circ)
-        bump(tables["linear"], lin)
-        memberships = {f: in_family(f, *circ) for f in FAMILIES}
-        lin_memberships = {f: in_family(f, *lin) for f in FAMILIES}
+        _bump(tables[CIRCULAR], circ)
+        _bump(tables[LINEAR], lin)
         for f in FAMILIES:
-            if lin_memberships[f]:
-                bump(labelled, ("linear", f))
-            if not memberships[f]:
-                continue
-            bump(labelled, (CIRCULAR, f))
-            for d, element in rot_elements.items():
-                if _is_fixed(p, element):
-                    bump(rotation_fixed, (d, f))
-            if vref and _is_fixed(p, vref):
-                bump(reflection_fixed, ("vertex", f))
-            if eref and _is_fixed(p, eref):
-                bump(reflection_fixed, ("edge", f))
-            codes[(CYCLIC, f)].add(canonical_pairing_code(p, CYCLIC))
-            codes[(DIHEDRAL, f)].add(canonical_pairing_code(p, DIHEDRAL))
-            counts = fixed[f]
-            for element, label in zip(all_elements, labels):
-                if _is_fixed(p, element):
-                    counts[label] += 1
+            if in_family(f, *lin):
+                _bump(labelled, (LINEAR, f))
+        families = [f for f in FAMILIES if in_family(f, *circ)]
+        cyclic_code = canonical_pairing_code(p, CYCLIC)
+        dihedral_code = canonical_pairing_code(p, DIHEDRAL)
+        hits = [label for label, (element, _) in classes.items() if _is_fixed(p, element)]
+        for f in families:
+            _bump(labelled, (CIRCULAR, f))
+            codes[(CYCLIC, f)].add(cyclic_code)
+            codes[(DIHEDRAL, f)].add(dihedral_code)
+            for label in hits:
+                fixed[f][label] += 1
+
+    rotation_fixed = {}
+    reflection_fixed = {}
+    for f in FAMILIES:
+        for (kind, key), count in fixed[f].items():
+            if count:
+                (rotation_fixed if kind == "rotation" else reflection_fixed)[(key, f)] = count
 
     orbits = {}
     for g in (CYCLIC, DIHEDRAL):
-        order = m if g == CYCLIC else 2 * m
+        in_group = {
+            label: size for label, (_, size) in classes.items()
+            if g == DIHEDRAL or label[0] == "rotation"
+        }
         for f in FAMILIES:
-            sub = {
-                label: c
-                for label, c in fixed[f].items()
-                if g == DIHEDRAL or label[0] == "rotation"
-            }
             report = OrbitReport(
                 n=n,
                 group=g,
                 family=f,
                 orbit_count=len(codes[(g, f)]),
-                fixed_counts=sub,
-                group_order=order if n else 1,
+                fixed_counts={label: size * fixed[f][label] for label, size in in_group.items()},
+                group_order=sum(in_group.values()) if n else 1,
             )
             if n:
                 report.check_burnside()
             orbits[(g, f)] = report
 
-    return SweepResult(
-        n=n,
-        labelled=labelled,
-        tables=tables,
-        rotation_fixed=rotation_fixed,
-        reflection_fixed=reflection_fixed,
-        orbits=orbits,
-    )
+    return SweepResult(n, labelled, tables, rotation_fixed, reflection_fixed, orbits)

@@ -14,6 +14,7 @@ from functools import cached_property
 from .labelled import SequenceTable
 from .symmetry import (
     RecurrenceValidationError,
+    loopless_chain_from_column,
     loopless_fixed_chain,
     loopless_sector_counts,
     rotation_totals,
@@ -64,7 +65,10 @@ def loopless_dihedral(n_max: int) -> SequenceTable:
     the explicit group average; the two must agree and be integral.
     """
     col = loopless_sector_counts(2, n_max)
-    rotation = rotation_totals(loopless_fixed_chain, n_max)
+    half_turn = loopless_chain_from_column(2, col)  # the d = 2 chain rotation_totals asks for
+    rotation = rotation_totals(
+        lambda d, m_max: half_turn if d == 2 else loopless_fixed_chain(d, m_max), n_max
+    )
     table = _dihedral_average("loopless-dihedral", rotation, *_loopless_axes(col, n_max))
     for n in range(2, n_max + 1):
         closed_numerator = 2 * rotation[n] // (2 * n) + col[n] - col[n - 1] + col[n - 2]

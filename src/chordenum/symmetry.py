@@ -79,9 +79,13 @@ def loopless_fixed_chain(d: int, m_max: int) -> tuple[int, ...]:
     Entry m holds the count for m = 0..m_max, from one sector column;
     entries with m*d odd describe no chord diagram and are never read.
     """
-    counts = loopless_sector_counts(d, m_max)
+    return loopless_chain_from_column(d, loopless_sector_counts(d, m_max))
+
+
+def loopless_chain_from_column(d: int, counts) -> tuple[int, ...]:
+    """``loopless_fixed_chain`` from a prebuilt d-sector column."""
     values = []
-    for m in range(m_max + 1):
+    for m in range(len(counts)):
         if d * m == 2:
             values.append(0)  # a single chord is always a loop
         else:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from chordenum import oracle
 from chordenum.cli import family_values, main, parse_bfile, render_sequence
 from chordenum.golden import LOOPLESS_TABLE, SIMPLE_TABLE
 
@@ -219,3 +220,28 @@ def test_negative_max_is_refused(capsys):
         assert code == 2, argv
         assert captured.out == "", argv
         assert captured.err == "error: --max must be at least 0\n", argv
+
+
+def test_verify_refuses_a_depth_over_the_cap_before_any_sweep(monkeypatch, capsys):
+    calls = []
+    original = oracle.full_sweep
+
+    def counting(n, *args, **kwargs):
+        calls.append(n)
+        return original(n, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "full_sweep", counting)
+    code = main(["verify", "--max", "4", "--oracle-cap", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: n=4 exceeds the enumeration cap 2\n"
+    assert calls == []
+
+
+def test_missing_bfile_is_a_usage_error(tmp_path, capsys):
+    code = main(["verify", "--tables", "--bfile", str(tmp_path / "b003436.txt")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read ")

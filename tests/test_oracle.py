@@ -1,3 +1,4 @@
+import functools
 import math
 
 import pytest
@@ -8,21 +9,46 @@ from chordenum.diagram import (
     DIHEDRAL,
     LINEAR,
     classify_pairing,
+    edge_reflection,
     enumerate_pairings,
     gap_flags,
     group_elements,
+    rotation,
+    vertex_reflection,
 )
 from chordenum.oracle import (
+    FAMILIES,
     OracleCapError,
     check_line,
-    classify_table,
-    count_labelled,
-    count_orbits,
-    count_reflection_fixed,
-    count_rotation_fixed,
     full_sweep,
     in_family,
 )
+
+
+@functools.lru_cache(maxsize=None)
+def family_members(n, family, topology=CIRCULAR):
+    flags = gap_flags(2 * n, topology)
+    return tuple(p for p in enumerate_pairings(2 * n) if in_family(family, *classify_pairing(p, flags)))
+
+
+def reference_count(n, family, topology=CIRCULAR, element=None):
+    """Family matchings on 2n points, optionally only those fixed by one group element.
+
+    The per-element brute force that ``full_sweep``'s one-representative-per-class
+    counts are checked against.
+    """
+    return sum(
+        1
+        for p in family_members(n, family, topology)
+        if element is None or all(p[element[i]] == element[j] for i, j in enumerate(p))
+    )
+
+
+def element_labels(n):
+    """Class label of each element of the dihedral group, in group_elements order."""
+    m = 2 * n
+    labels = [("rotation", m // math.gcd(s, m)) for s in range(m)]
+    return labels + [("reflection", "vertex")] * n + [("reflection", "edge")] * n
 
 
 def test_family_predicates_nest():
@@ -35,73 +61,64 @@ def test_family_predicates_nest():
         in_family("connected", 0, 0)
 
 
-def test_count_labelled_examples():
-    assert count_labelled(4, LINEAR, "loopless") == 36
-    assert count_labelled(3, CIRCULAR, "simple") == 1
-    assert count_labelled(0, CIRCULAR, "all") == 1
+def test_count_labelled_examples(sweeps):
+    assert sweeps[4].labelled[(LINEAR, "loopless")] == 36
+    assert sweeps[3].labelled[(CIRCULAR, "simple")] == 1
+    assert full_sweep(0).labelled[(CIRCULAR, "all")] == 1
 
 
-def test_classify_table_examples():
-    assert classify_table(2, LINEAR) == {(2, 0): 1, (0, 0): 1, (1, 1): 1}
-    assert classify_table(1, LINEAR) == {(1, 0): 1}
-    assert classify_table(0, CIRCULAR) == {(0, 0): 1}
+def test_classify_table_examples(sweeps):
+    assert sweeps[2].tables[LINEAR] == {(2, 0): 1, (0, 0): 1, (1, 1): 1}
+    assert sweeps[1].tables[LINEAR] == {(1, 0): 1}
+    assert full_sweep(0).tables[CIRCULAR] == {(0, 0): 1}
 
 
-def test_classify_table_totals():
+def test_classify_table_totals(sweeps):
     for c in range(7):
-        table = classify_table(c, LINEAR)
+        table = (sweeps[c] if c else full_sweep(0)).tables[LINEAR]
         assert sum(table.values()) == math.prod(range(2 * c - 1, 0, -2))
 
 
-def test_rotation_fixed_examples():
-    assert count_rotation_fixed(4, 2, "simple") == 5
-    assert count_rotation_fixed(3, 3, "loopless") == 1
-    assert count_rotation_fixed(4, 8, "simple") == 1
-    with pytest.raises(ValueError):
-        count_rotation_fixed(3, 4, "loopless")
+def test_rotation_fixed_examples(sweeps):
+    assert sweeps[4].rotation_fixed[(2, "simple")] == 5
+    assert sweeps[3].rotation_fixed[(3, "loopless")] == 1
+    assert sweeps[4].rotation_fixed[(8, "simple")] == 1
 
 
 def test_rotation_identity_element_recovers_labelled():
     for n in range(6):
-        for family in ("all", "loopless", "simple"):
-            assert count_rotation_fixed(n, 1, family) == count_labelled(n, CIRCULAR, family)
+        sweep = full_sweep(n)
+        for family in FAMILIES:
+            labelled = sweep.labelled.get((CIRCULAR, family), 0)
+            assert reference_count(n, family, element=rotation(2 * n, 0)) == labelled
+            if n:
+                assert sweep.rotation_fixed.get((1, family), 0) == labelled
 
 
-def test_reflection_fixed_examples():
-    assert count_reflection_fixed(4, "vertex", "loopless") == 5
-    assert count_reflection_fixed(4, "edge", "loopless") == 9
-    assert count_reflection_fixed(2, "vertex", "simple") == 1
-    with pytest.raises(ValueError):
-        count_reflection_fixed(2, "diagonal", "simple")
+def test_reflection_fixed_examples(sweeps):
+    assert sweeps[4].reflection_fixed[("vertex", "loopless")] == 5
+    assert sweeps[4].reflection_fixed[("edge", "loopless")] == 9
+    assert sweeps[2].reflection_fixed[("vertex", "simple")] == 1
 
 
-def test_all_axes_of_a_type_fix_equally_many():
+def test_all_axes_of_a_type_fix_equally_many(sweeps):
+    # every element of a class fixes as many diagrams as the class
+    # representative the sweep tests: rotations of one order and axes of one type
     for n in range(1, 6):
-        m = 2 * n
-        flags = gap_flags(m, CIRCULAR)
-        elements = group_elements(DIHEDRAL, m)
-        reflections = elements[m:]
+        sweep = sweeps[n]
         for family in ("loopless", "simple"):
-            counts = []
-            for g in reflections:
-                fixed = 0
-                for p in enumerate_pairings(m):
-                    if all(p[g[i]] == g[j] for i, j in enumerate(p)) and in_family(
-                        family, *classify_pairing(p, flags)
-                    ):
-                        fixed += 1
-                counts.append(fixed)
-            vertex_counts, edge_counts = counts[:n], counts[n:]
-            assert len(set(vertex_counts)) == 1
-            assert len(set(edge_counts)) == 1
-            assert vertex_counts[0] == count_reflection_fixed(n, "vertex", family)
-            assert edge_counts[0] == count_reflection_fixed(n, "edge", family)
+            for element, (kind, key) in zip(group_elements(DIHEDRAL, 2 * n), element_labels(n)):
+                got = reference_count(n, family, element=element)
+                if kind == "rotation":
+                    assert got == sweep.rotation_fixed.get((key, family), 0), (n, family, element)
+                else:
+                    assert got == sweep.reflection_fixed.get((key, family), 0), (n, family, element)
 
 
-def test_orbit_examples():
-    assert count_orbits(4, CYCLIC, "loopless").orbit_count == 7
-    assert count_orbits(5, DIHEDRAL, "simple").orbit_count == 18
-    assert count_orbits(1, CYCLIC, "loopless").orbit_count == 0
+def test_orbit_examples(sweeps):
+    assert sweeps[4].orbits[(CYCLIC, "loopless")].orbit_count == 7
+    assert sweeps[5].orbits[(DIHEDRAL, "simple")].orbit_count == 18
+    assert sweeps[1].orbits[(CYCLIC, "loopless")].orbit_count == 0
 
 
 def test_orbit_reports_satisfy_burnside(sweeps):
@@ -113,17 +130,17 @@ def test_orbit_reports_satisfy_burnside(sweeps):
 
 def test_cap_is_enforced():
     with pytest.raises(OracleCapError):
-        count_labelled(10, CIRCULAR, "all")
+        full_sweep(10)
     with pytest.raises(OracleCapError):
-        count_labelled(3, CIRCULAR, "all", cap=2)
-    assert count_labelled(3, CIRCULAR, "all", cap=3) == 15
+        full_sweep(3, cap=2)
+    assert full_sweep(3, cap=3).labelled[(CIRCULAR, "all")] == 15
 
 
-def test_partitioned_stream_merges_to_the_direct_count():
+def test_partitioned_stream_merges_to_the_direct_count(sweeps):
     # branch-by-branch counting over the 2n-1 partitions of the stream
     n = 4
     flags = gap_flags(2 * n, CIRCULAR)
-    direct = count_labelled(n, CIRCULAR, "loopless")
+    direct = sweeps[n].labelled[(CIRCULAR, "loopless")]
     merged = 0
     for fp in range(1, 2 * n):
         merged += sum(
@@ -143,25 +160,40 @@ def test_check_line_format():
     assert not ok
 
 
-def test_full_sweep_matches_individual_operations():
+def test_full_sweep_matches_individual_operations(sweeps):
     for n in (1, 2, 3, 4):
-        sweep = full_sweep(n)
-        for family in ("all", "loopless", "simple"):
-            assert sweep.labelled.get((CIRCULAR, family), 0) == count_labelled(n, CIRCULAR, family)
-            assert sweep.labelled.get(("linear", family), 0) == count_labelled(n, LINEAR, family)
-        assert sweep.tables["linear"] == classify_table(n, LINEAR)
-        assert sweep.tables[CIRCULAR] == classify_table(n, CIRCULAR)
+        sweep = sweeps[n]
+        for family in FAMILIES:
+            for topology in (CIRCULAR, LINEAR):
+                assert sweep.labelled.get((topology, family), 0) == reference_count(n, family, topology)
+        for topology in (CIRCULAR, LINEAR):
+            flags = gap_flags(2 * n, topology)
+            table = {}
+            for p in enumerate_pairings(2 * n):
+                key = classify_pairing(p, flags)
+                table[key] = table.get(key, 0) + 1
+            assert sweep.tables[topology] == table
         for d in [d for d in range(1, 2 * n + 1) if (2 * n) % d == 0]:
-            for family in ("loopless", "simple"):
-                assert sweep.rotation_fixed.get((d, family), 0) == count_rotation_fixed(n, d, family)
-        for axis in ("vertex", "edge"):
-            for family in ("loopless", "simple"):
-                assert sweep.reflection_fixed.get((axis, family), 0) == count_reflection_fixed(
-                    n, axis, family
+            for family in FAMILIES:
+                assert sweep.rotation_fixed.get((d, family), 0) == reference_count(
+                    n, family, element=rotation(2 * n, 2 * n // d)
+                )
+        for axis, element in (
+            ("vertex", vertex_reflection(2 * n, 0)),
+            ("edge", edge_reflection(2 * n, 2 * n - 1)),
+        ):
+            for family in FAMILIES:
+                assert sweep.reflection_fixed.get((axis, family), 0) == reference_count(
+                    n, family, element=element
                 )
         for group in (CYCLIC, DIHEDRAL):
-            for family in ("loopless", "simple"):
-                direct = count_orbits(n, group, family)
+            elements = group_elements(group, 2 * n)
+            for family in FAMILIES:
+                # Burnside over every element, one reference count each
+                direct = {}
+                for element, label in zip(elements, element_labels(n)):
+                    direct[label] = direct.get(label, 0) + reference_count(n, family, element=element)
                 report = sweep.orbits[(group, family)]
-                assert report.orbit_count == direct.orbit_count
-                assert report.fixed_counts == direct.fixed_counts
+                assert report.fixed_counts == direct
+                assert report.group_order == len(elements)
+                assert report.orbit_count == sum(direct.values()) // len(elements)

@@ -1,6 +1,8 @@
+from collections import Counter
+
 import pytest
 
-from chordenum import reflection
+from chordenum import reflection, symmetry
 from chordenum.diagram import (
     classify_pairing,
     edge_reflection,
@@ -232,3 +234,19 @@ def test_simple_dihedral_builds_the_mirror_tables_once(monkeypatch):
     monkeypatch.setattr(reflection, "build_mirror_tables", counting)
     simple_dihedral(40)
     assert built == [40]
+
+
+def test_loopless_dihedral_builds_the_half_turn_column_once(monkeypatch):
+    built = Counter()
+    original = symmetry.loopless_sector_counts
+
+    def counting(d, m_max):
+        built[(d, m_max)] += 1
+        return original(d, m_max)
+
+    # reflection reads the column through its own from-import binding
+    monkeypatch.setattr(symmetry, "loopless_sector_counts", counting)
+    monkeypatch.setattr(reflection, "loopless_sector_counts", counting)
+    loopless_dihedral(50)
+    assert built[(2, 50)] == 1
+    assert max(built.values()) == 1
