@@ -1,7 +1,8 @@
 """Command-line interface: sequence emission, verification sweeps, regressions.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (including an
-output path that cannot be written).
+output path that cannot be written), 3 internal error (a recurrence that
+fails its own integrality or validation check).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from . import golden, labelled, octahedron, oracle, reflection, symmetry
 from .diagram import CYCLIC, DIHEDRAL, format_diagram
 from .labelled import double_factorial
 from .series import MARKER_SERIES, SERIES_NAMES, SeriesError, integer_coeffs, named_series
+from .symmetry import RecurrenceValidationError
 
 # family -> (builder to n_max, index offset): the builder's table holds the
 # count for n chords at entry n - offset.  Each builder looks its function up
@@ -102,7 +104,7 @@ def cmd_series(args) -> int:
         rational = series.substitute_markers(
             z=z if needs_z else None, x=x if needs_x else None
         )
-        ints = integer_coeffs(series, z=z if needs_z else None, x=x if needs_x else None)
+        ints = integer_coeffs(rational)
     else:
         if z is not None or x is not None:
             raise SeriesError(f"series {args.name} has no markers to assign")
@@ -390,6 +392,9 @@ def main(argv=None) -> int:
     except ValueError as exc:  # bad arguments, caps, unassigned markers
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ArithmeticError, RecurrenceValidationError) as exc:  # a bug, not a failed check
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -137,30 +137,26 @@ def parse_diagram(text: str) -> Diagram:
 # Loop / parallel classification
 
 
-def _chords_cross(a: int, b: int, c: int, d: int) -> bool:
-    # endpoints sorted within each chord; standard interleaving test
-    return (a < c < b < d) or (c < a < d < b)
-
-
 def classify_pairing(pairing, flags) -> tuple[int, int]:
-    """(loop count, parallel pair count) of a partner table under gap flags."""
+    """(loop count, parallel pair count) of a partner table under gap flags.
+
+    One scan of the neighbour gaps (i, i+1): the gap holds a loop when its
+    points are partners, and the two chords leaving it are parallel when
+    their partners sit on a neighbour gap in reversed order.  Each parallel
+    pair is met at both of its gaps; on 2 points the one chord fills both
+    gaps.
+    """
     m = len(pairing)
-    chords = [(i, j) for i, j in enumerate(pairing) if i < j]
-
-    def adjacent(a, b):  # a < b
-        return (b == a + 1 and flags[a]) or (a == 0 and b == m - 1 and flags[m - 1])
-
-    loops = sum(1 for a, b in chords if adjacent(a, b))
-    parallels = 0
-    for idx, (a, b) in enumerate(chords):
-        for c, d in chords[idx + 1:]:
-            if _chords_cross(a, b, c, d):
-                continue
-            if (adjacent(*sorted((a, c))) and adjacent(*sorted((b, d)))) or (
-                adjacent(*sorted((a, d))) and adjacent(*sorted((b, c)))
-            ):
-                parallels += 1
-    return loops, parallels
+    loops = ends = 0
+    for i in range(m):
+        if flags[i]:
+            j = (i + 1) % m
+            a, b = pairing[i], pairing[j]
+            if a == j:
+                loops += 1
+            elif flags[b] and (b + 1) % m == a:
+                ends += 1
+    return min(loops, m // 2), ends // 2
 
 
 def classify(diagram: Diagram) -> tuple[int, int]:

@@ -25,10 +25,6 @@ class OctahedronGraph:
     def adjacent(self, u: int, v: int) -> bool:
         return u != v and self.antipode(u) != v
 
-    @property
-    def vertex_count(self) -> int:
-        return 2 * self.n
-
 
 @dataclass(frozen=True)
 class HamCycle:
@@ -38,25 +34,19 @@ class HamCycle:
 
     @classmethod
     def canonical(cls, seq) -> "HamCycle":
+        """Start at the least vertex and go towards its smaller neighbour."""
         seq = tuple(seq)
-        m = len(seq)
-        doubled = seq + seq
-        candidates = [tuple(doubled[s:s + m]) for s in range(m)]
-        rev = tuple(reversed(seq))
-        doubled = rev + rev
-        candidates += [tuple(doubled[s:s + m]) for s in range(m)]
-        return cls(min(candidates))
-
-    def __len__(self) -> int:
-        return len(self.vertices)
+        s = seq.index(min(seq))
+        forward = seq[s:] + seq[:s]
+        return cls(min(forward, forward[:1] + forward[:0:-1]))
 
 
 def hamiltonian_cycles(n: int):
     """Yield each undirected Hamiltonian cycle exactly once.
 
     The search starts every cycle at vertex 1 and keeps the orientation
-    with the smaller second vertex, so none of the 4n sequence forms of a
-    cycle is produced twice.
+    with the smaller second vertex, so each cycle comes once and already
+    in the form ``HamCycle.canonical`` gives it.
     """
     if n < 1:
         raise ValueError(f"dimension must be positive, got {n}")
@@ -69,7 +59,7 @@ def hamiltonian_cycles(n: int):
     def extend():
         if len(path) == m:
             if graph.adjacent(path[-1], 1) and path[1] < path[-1]:
-                yield HamCycle.canonical(path)
+                yield HamCycle(tuple(path))
             return
         last = path[-1]
         for v in range(2, m + 1):
@@ -123,13 +113,14 @@ def count_cycles(n: int, cap: int = CYCLE_CAP) -> tuple[int, int]:
     """(labelled cycle count, orbit count under graph automorphisms).
 
     Orbits are counted through the bijection: two cycles are isomorphic
-    exactly when their diagrams share a dihedral canonical code.
+    exactly when their diagrams share a dihedral canonical code, computed
+    once per distinct diagram.
     """
     if n > cap:
         raise ValueError(f"n={n} exceeds the cycle enumeration cap {cap}")
     labelled = 0
-    codes = set()
+    diagrams = set()
     for cycle in hamiltonian_cycles(n):
         labelled += 1
-        codes.add(canonical_code(cycle_to_diagram(cycle), DIHEDRAL))
-    return labelled, len(codes)
+        diagrams.add(cycle_to_diagram(cycle))
+    return labelled, len({canonical_code(d, DIHEDRAL) for d in diagrams})

@@ -1,14 +1,15 @@
 """Brute-force ground truth by exhaustive matching enumeration.
 
 ``full_sweep`` enumerates all (2n-1)!! matchings once.  Each matching is
-classified on the circle and on the line, gets its cyclic and dihedral
-canonical codes, and is tested against one representative per conjugacy
-class of the symmetry group: one rotation per order d | 2n (the rotations
-of one order generate the same subgroup, so they fix the same matchings),
-one axis through opposite points and one through opposite gaps.  Class
-sizes come from counting element orders here, not from the recurrence
-modules, which are validated against these counts before their tables are
-trusted.
+classified on the circle and on the line, gets its cyclic canonical code,
+and is tested against one representative per conjugacy class of the
+symmetry group: one rotation per order d | 2n (the rotations of one order
+generate the same subgroup, so they fix the same matchings), one axis
+through opposite points and one through opposite gaps.  Dihedral codes
+come once per cyclic orbit, from the matching its cyclic code rebuilds.
+Class sizes come from counting element orders here, not from the
+recurrence modules, which are validated against these counts before their
+tables are trusted.
 """
 
 from __future__ import annotations
@@ -147,7 +148,7 @@ def full_sweep(n: int, cap: int = DEFAULT_CAP) -> SweepResult:
 
     labelled = {}
     tables = {CIRCULAR: {}, LINEAR: {}}
-    codes = {(g, f): set() for g in (CYCLIC, DIHEDRAL) for f in FAMILIES}
+    codes = {(CYCLIC, f): set() for f in FAMILIES}
     fixed = {f: dict.fromkeys(classes, 0) for f in FAMILIES}
 
     for p in enumerate_pairings(m):
@@ -160,14 +161,20 @@ def full_sweep(n: int, cap: int = DEFAULT_CAP) -> SweepResult:
                 _bump(labelled, (LINEAR, f))
         families = [f for f in FAMILIES if in_family(f, *circ)]
         cyclic_code = canonical_pairing_code(p, CYCLIC)
-        dihedral_code = canonical_pairing_code(p, DIHEDRAL)
         hits = [label for label, (element, _) in classes.items() if _is_fixed(p, element)]
         for f in families:
             _bump(labelled, (CIRCULAR, f))
             codes[(CYCLIC, f)].add(cyclic_code)
-            codes[(DIHEDRAL, f)].add(dihedral_code)
             for label in hits:
                 fixed[f][label] += 1
+
+    # a cyclic code is the offset code of a rotated image of its matchings
+    dihedral = {
+        c: canonical_pairing_code(tuple((i + o) % m for i, o in enumerate(c)), DIHEDRAL)
+        for c in codes[(CYCLIC, "all")]
+    }
+    for f in FAMILIES:
+        codes[(DIHEDRAL, f)] = {dihedral[c] for c in codes[(CYCLIC, f)]}
 
     rotation_fixed = {}
     reflection_fixed = {}

@@ -62,17 +62,6 @@ def loopless_sector_counts(d: int, m_max: int) -> tuple[int, ...]:
     return tuple(values)
 
 
-def loopless_sector_presubtraction(d: int, m: int, counts) -> int:
-    """The same count via the unsubtracted sum form (redundant check)."""
-    get = lambda i: counts[i] if i >= 0 else 0
-    value = (d * (m - 1) - 1) * get(m - 2)
-    for i in range(1, m // 2):
-        value += d * (m - 1 - 2 * i) * get(m - 2 - 2 * i)
-    if d % 2 == 0:
-        value += get(m - 1)
-    return value
-
-
 def loopless_fixed_chain(d: int, m_max: int) -> tuple[int, ...]:
     """Loopless chord diagrams on m*d points fixed by a rotation of order d.
 
@@ -157,13 +146,6 @@ EVEN_SECTOR_TERMS = (
     (4, 0, lambda m, k, d: (2 * m + k - 7) * d),
     (5, 1, lambda m, k, d: (k + 1) * d),
     (6, 0, lambda m, k, d: (m + k - 6) * d),
-)
-
-# The uncorrected fourth term, kept as data so the harness can demonstrate
-# the failure.
-EVEN_SECTOR_TERMS_PRINTED = tuple(
-    (dm, dk, (lambda m, k, d: 2 * m + k - 7) if i == 3 else fn)
-    for i, (dm, dk, fn) in enumerate(EVEN_SECTOR_TERMS)
 )
 
 # Exhaustive-enumeration reference counts {(d, m): {k: count}} for simple

@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from chordenum import oracle
+from chordenum import oracle, reflection, symmetry
 from chordenum.cli import family_values, main, parse_bfile, render_sequence
 from chordenum.golden import LOOPLESS_TABLE, SIMPLE_TABLE
+from chordenum.symmetry import RecurrenceValidationError
 
 
 def run(capsys, *argv):
@@ -245,3 +246,23 @@ def test_missing_bfile_is_a_usage_error(tmp_path, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: cannot read ")
+
+
+@pytest.mark.parametrize(
+    "module, builder, error",
+    [
+        (symmetry, "loopless_cyclic", ArithmeticError("rotation average is not integral at n=3: 7/6")),
+        (reflection, "simple_dihedral", RecurrenceValidationError("cell (2, 4) disagrees")),
+    ],
+)
+def test_internal_errors_exit_3_not_as_failed_checks(monkeypatch, capsys, module, builder, error):
+    def broken(n_max):
+        raise error
+
+    monkeypatch.setattr(module, builder, broken)
+    family = builder.replace("_", "-")
+    code = main(["seq", family, "--max", "3"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == f"internal error: {error}\n"

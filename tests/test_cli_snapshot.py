@@ -42,6 +42,9 @@ SNAPSHOT = {
     "series wzx --order 12 --z 1 --x 1": "b300c7d5503f1dd986edd633b521e739268cbf7dbcba093d93fce44f2f583140",
     "fixed --n 12": "5e02ebc386c26c33588452dffc1d5321f63d67bb21b35f31f220e5fcccef335f",
     "verify --max 5": "dbd850162c5f3a2a27635f5b33f47d07abdb5a68fdbd27dc377b3eaec7d8682e",
+    "verify --max 6": "eeb27102236f64193ac1ff3f2dfe92aae53839129f26937bfb0aaf1b5fdc6751",
+    "octahedron --n 4": "554a2622e718aadf25ea00f7324d5d96bca2159c87370c29da18b60759381902",
+    "octahedron --n 3 --list": "13acdd5ae2052f4cf047bfe806913e4f2aa6a7e7f124c18063e78118f4ea8c21",
 }
 
 

@@ -93,6 +93,39 @@ def test_classify_examples():
     assert classify(Diagram.from_chords([(1, 2), (3, 4)], CIRCULAR)) == (2, 1)
 
 
+def pairwise_classify(pairing, flags):
+    """The definition taken literally: every chord, then every pair of chords."""
+    m = len(pairing)
+    chords = [(i, j) for i, j in enumerate(pairing) if i < j]
+
+    def adjacent(a, b):  # a < b
+        return (b == a + 1 and flags[a]) or (a == 0 and b == m - 1 and flags[m - 1])
+
+    def crossing(a, b, c, d):
+        return (a < c < b < d) or (c < a < d < b)
+
+    loops = sum(1 for a, b in chords if adjacent(a, b))
+    parallels = 0
+    for idx, (a, b) in enumerate(chords):
+        for c, d in chords[idx + 1:]:
+            if crossing(a, b, c, d):
+                continue
+            if (adjacent(*sorted((a, c))) and adjacent(*sorted((b, d)))) or (
+                adjacent(*sorted((a, d))) and adjacent(*sorted((b, c)))
+            ):
+                parallels += 1
+    return loops, parallels
+
+
+def test_gap_scan_matches_the_pairwise_definition():
+    for n in range(7):
+        flag_sets = [gap_flags(2 * n, t) for t in (CIRCULAR, LINEAR)]
+        flag_sets += [gap_flags(2 * n, sectored(d)) for d in (2, 3) if (2 * n) % d == 0]
+        for p in enumerate_pairings(2 * n):
+            for flags in flag_sets:
+                assert classify_pairing(p, flags) == pairwise_classify(p, flags), (p, flags)
+
+
 def test_loop_monotonicity_across_topologies():
     # circular adjacency contains linear contains sectored
     for n in range(1, 5):

@@ -88,3 +88,26 @@ def test_canonical_cycle_storage():
     c = HamCycle.canonical((3, 1, 4, 2))
     assert c.vertices == (1, 3, 2, 4)
     assert HamCycle.canonical((1, 4, 2, 3)).vertices == (1, 3, 2, 4)
+
+
+def test_search_never_canonicalises(monkeypatch):
+    calls = []
+    real = HamCycle.canonical
+
+    def counting(cls, seq):
+        calls.append(seq)
+        return real(seq)
+
+    monkeypatch.setattr(HamCycle, "canonical", classmethod(counting))
+    assert sum(1 for _ in hamiltonian_cycles(4)) == 744
+    assert count_cycles(4) == (744, 7)
+    assert calls == []
+
+
+def test_search_yields_each_cycle_in_canonical_form():
+    for cycle in hamiltonian_cycles(4):
+        seq = cycle.vertices
+        for s in range(len(seq)):
+            rotated = seq[s:] + seq[:s]
+            assert HamCycle.canonical(rotated) == cycle
+            assert HamCycle.canonical(rotated[::-1]) == cycle

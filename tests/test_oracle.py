@@ -1,8 +1,10 @@
 import functools
 import math
+from collections import Counter
 
 import pytest
 
+from chordenum import oracle
 from chordenum.diagram import (
     CIRCULAR,
     CYCLIC,
@@ -126,6 +128,20 @@ def test_orbit_reports_satisfy_burnside(sweeps):
     for n, sweep in sweeps.items():
         for report in sweep.orbits.values():
             assert report.orbit_count * report.group_order == report.fixed_total
+
+
+def test_dihedral_codes_come_once_per_cyclic_orbit(monkeypatch):
+    calls = Counter()
+    real = oracle.canonical_pairing_code
+
+    def counting(pairing, kind):
+        calls[kind] += 1
+        return real(pairing, kind)
+
+    monkeypatch.setattr(oracle, "canonical_pairing_code", counting)
+    sweep = full_sweep(5)
+    assert calls == {CYCLIC: 945, DIHEDRAL: 105}
+    assert sweep.orbits[(CYCLIC, "all")].orbit_count == 105
 
 
 def test_cap_is_enforced():

@@ -15,13 +15,11 @@ from chordenum.labelled import loopless_chord, simple_chain, simple_linear
 from chordenum.symmetry import (
     EVEN_SECTOR_REFERENCE,
     EVEN_SECTOR_TERMS,
-    EVEN_SECTOR_TERMS_PRINTED,
     RecurrenceValidationError,
     loopless_cyclic,
     loopless_fixed_chain,
     loopless_rotation_fixed,
     loopless_sector_counts,
-    loopless_sector_presubtraction,
     rotation_totals,
     simple_cyclic,
     simple_fixed_chain,
@@ -31,6 +29,25 @@ from chordenum.symmetry import (
     totient,
     validate_even_sector_terms,
 )
+
+
+# The widely printed even-d term set: its fourth term lacks the factor d, so
+# the validation harness must reject it (see docs/ERRATA.md).
+EVEN_SECTOR_TERMS_PRINTED = tuple(
+    (dm, dk, (lambda m, k, d: 2 * m + k - 7) if i == 3 else fn)
+    for i, (dm, dk, fn) in enumerate(EVEN_SECTOR_TERMS)
+)
+
+
+def loopless_sector_presubtraction(d: int, m: int, counts) -> int:
+    """A loopless sector count via the unsubtracted sum form, as a second route."""
+    get = lambda i: counts[i] if i >= 0 else 0
+    value = (d * (m - 1) - 1) * get(m - 2)
+    for i in range(1, m // 2):
+        value += d * (m - 1 - 2 * i) * get(m - 2 - 2 * i)
+    if d % 2 == 0:
+        value += get(m - 1)
+    return value
 
 
 def enumerate_sector_counts(d, m, family="loopless"):
