@@ -1,8 +1,9 @@
 """Command-line interface: sequence emission, verification sweeps, regressions.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (including an
-output path that cannot be written), 3 internal error (a recurrence that
-fails its own integrality or validation check).
+output path that cannot be written), 3 internal error: every internal
+assertion, such as a recurrence's own integrality or validation check, the
+oracle's Burnside identity or the octahedron's loop check.
 """
 
 from __future__ import annotations
@@ -11,11 +12,10 @@ import argparse
 import json
 import sys
 
-from . import golden, labelled, octahedron, oracle, reflection, symmetry
-from .diagram import CYCLIC, DIHEDRAL, format_diagram
+from . import labelled, octahedron, oracle, reflection, symmetry, verify
+from .diagram import format_diagram
 from .labelled import double_factorial
 from .series import MARKER_SERIES, SERIES_NAMES, SeriesError, integer_coeffs, named_series
-from .symmetry import RecurrenceValidationError
 
 # family -> (builder to n_max, index offset): the builder's table holds the
 # count for n chords at entry n - offset.  Each builder looks its function up
@@ -178,155 +178,15 @@ def cmd_octahedron(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# verify
-
-
-def _compact(value) -> str:
-    return repr(value).replace(" ", "")
-
-
-def _sweep_checks(n: int, cap: int):
-    """CHECK entries comparing every recurrence against the oracle at one n."""
-    sweep = oracle.full_sweep(n, cap=cap)
-    a = labelled.loopless_linear(n)
-    b = labelled.loopless_chord(n)
-    chain = labelled.simple_chain(n)
-    triangle = labelled.loop_parallel_triangle(max(n - 1, 0))
-
-    checks = [
-        ("labelled-linear-loopless", a[n], sweep.labelled.get(("linear", "loopless"), 0)),
-        ("labelled-linear-simple", chain.linear[n - 1], sweep.labelled.get(("linear", "simple"), 0)),
-        ("labelled-circular-loopless", b[n], sweep.labelled.get(("circular", "loopless"), 0)),
-        ("labelled-circular-simple", chain.chord[n], sweep.labelled.get(("circular", "simple"), 0)),
-        ("labelled-all", double_factorial(2 * n - 1), sweep.labelled.get(("circular", "all"), 0)),
-    ]
-
-    expected_table = triangle.row(n - 1)
-    got_table = {(k, l): v for (k, l), v in sweep.tables["linear"].items()}
-    checks.append(
-        (
-            "classify-table-linear",
-            _compact(dict(sorted(expected_table.items()))),
-            _compact(dict(sorted(got_table.items()))),
-        )
-    )
-
-    loopless_fixed = symmetry.loopless_rotation_fixed(n)
-    simple_fixed = symmetry.simple_rotation_fixed(n)
-    for d in sorted(loopless_fixed):
-        checks.append(
-            (f"rotation-fixed-loopless-d{d}", loopless_fixed[d], sweep.rotation_fixed.get((d, "loopless"), 0))
-        )
-        checks.append(
-            (f"rotation-fixed-simple-d{d}", simple_fixed[d], sweep.rotation_fixed.get((d, "simple"), 0))
-        )
-
-    vertex = reflection.loopless_vertex_axis(n)
-    edge = reflection.loopless_edge_axis(n)
-    vertex_s = reflection.simple_vertex_axis(n)
-    edge_s = reflection.simple_edge_axis(n)
-    checks += [
-        ("reflection-fixed-loopless-vertex", vertex[n], sweep.reflection_fixed.get(("vertex", "loopless"), 0)),
-        ("reflection-fixed-loopless-edge", edge[n], sweep.reflection_fixed.get(("edge", "loopless"), 0)),
-        ("reflection-fixed-simple-vertex", vertex_s[n], sweep.reflection_fixed.get(("vertex", "simple"), 0)),
-        ("reflection-fixed-simple-edge", edge_s[n], sweep.reflection_fixed.get(("edge", "simple"), 0)),
-    ]
-
-    cyclic_loopless = symmetry.loopless_cyclic(n)
-    cyclic_simple = symmetry.simple_cyclic(n)
-    dihedral_loopless = reflection.loopless_dihedral(n)
-    dihedral_simple = reflection.simple_dihedral(n)
-    checks += [
-        ("orbits-cyclic-loopless", cyclic_loopless[n], sweep.orbits[(CYCLIC, "loopless")].orbit_count),
-        ("orbits-cyclic-simple", cyclic_simple[n], sweep.orbits[(CYCLIC, "simple")].orbit_count),
-        ("orbits-dihedral-loopless", dihedral_loopless[n], sweep.orbits[(DIHEDRAL, "loopless")].orbit_count),
-        ("orbits-dihedral-simple", dihedral_simple[n], sweep.orbits[(DIHEDRAL, "simple")].orbit_count),
-    ]
-    return checks
-
-
-# golden.COLUMNS in order, as the family suffix of each column
-GOLDEN_VIEWS = ("linear", "chord", "cyclic", "dihedral")
-
-
-def _table_checks():
-    n_max = 20
-    entries = []
-    for label, reference in (("loopless", golden.LOOPLESS_TABLE), ("simple", golden.SIMPLE_TABLE)):
-        for col, (col_name, view) in enumerate(zip(golden.COLUMNS, GOLDEN_VIEWS)):
-            computed = family_values(f"{label}-{view}", n_max)
-            bad = [n for n in range(1, n_max + 1) if computed[n - 1] != reference[n][col]]
-            n = bad[0] if bad else n_max
-            entries.append((f"golden-{label}-{col_name}", n, reference[n][col], computed[n - 1]))
-    return entries
-
-
-BFILE_FAMILIES = {"003436": "loopless-chord", "003437": "loopless-dihedral"}
-BFILE_COMPARE_LIMIT = 1000
-
-
-def parse_bfile(path: str) -> dict[int, int]:
-    values = {}
-    with open(path) as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{line_number}: expected two fields, got {line!r}")
-            values[int(parts[0])] = int(parts[1])
-    return values
-
-
-def _bfile_check(path: str, family: str | None):
-    if family is None:
-        for digits, fam in BFILE_FAMILIES.items():
-            if digits in path:
-                family = fam
-                break
-    if family is None:
-        raise ValueError(
-            "cannot infer the sequence family from the file name; pass --bfile-family"
-        )
-    try:
-        reference = parse_bfile(path)
-    except OSError as exc:  # a missing or unreadable b-file is a usage error
-        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    indices = sorted(i for i in reference if 1 <= i <= BFILE_COMPARE_LIMIT)
-    if not indices:
-        raise ValueError(f"{path} holds no comparable indices (1..{BFILE_COMPARE_LIMIT})")
-    ours = family_values(family, max(indices))
-    for i in indices:
-        if ours[i - 1] != reference[i]:
-            return (f"bfile-{family}", i, reference[i], ours[i - 1])
-    top = indices[-1]
-    return (f"bfile-{family}", top, reference[top], ours[top - 1])
-
-
 def cmd_verify(args) -> int:
     if args.max < 0:
         raise ValueError("--max must be at least 0")
     if not args.tables:
         oracle.check_cap(args.max, args.oracle_cap)  # refuse before any sweep runs
-    bfile_entry = _bfile_check(args.bfile, args.bfile_family) if args.bfile else None
-    entries = []
-    if not args.tables:
-        for n in range(1, args.max + 1):
-            entries.extend((name, n, expected, got) for name, expected, got in _sweep_checks(n, args.oracle_cap))
-    entries.extend(_table_checks())
-    if bfile_entry:
-        entries.append(bfile_entry)
-
-    all_ok = True
-    lines = []
-    for name, n, expected, got in entries:
-        line, ok = oracle.check_line(name, n, expected, got)
-        lines.append(line)
-        all_ok = all_ok and ok
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0 if all_ok else 1
+    depth = 0 if args.tables else args.max
+    text, ok = verify.report(family_values, depth, args.oracle_cap, args.bfile, args.bfile_family)
+    _emit(text, args.out)
+    return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +252,7 @@ def main(argv=None) -> int:
     except ValueError as exc:  # bad arguments, caps, unassigned markers
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ArithmeticError, RecurrenceValidationError) as exc:  # a bug, not a failed check
+    except (ArithmeticError, AssertionError) as exc:  # a bug, not a failed check
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

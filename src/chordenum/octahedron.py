@@ -73,8 +73,8 @@ def hamiltonian_cycles(n: int):
     yield from extend()
 
 
-def cycle_to_diagram(cycle: HamCycle) -> Diagram:
-    """Chords join the positions of each antipodal pair along the cycle."""
+def _pairing(cycle: HamCycle) -> tuple[int, ...]:
+    """Partner table whose chords join the positions of each antipodal pair."""
     seq = cycle.vertices
     m = len(seq)
     position = {v: i for i, v in enumerate(seq)}
@@ -82,7 +82,12 @@ def cycle_to_diagram(cycle: HamCycle) -> Diagram:
     for i in range(1, m, 2):
         a, b = position[i], position[i + 1]
         pairing[a], pairing[b] = b, a
-    diagram = Diagram(tuple(pairing), CIRCULAR)
+    return tuple(pairing)
+
+
+def cycle_to_diagram(cycle: HamCycle) -> Diagram:
+    """Chords join the positions of each antipodal pair along the cycle."""
+    diagram = Diagram(_pairing(cycle), CIRCULAR)
     loops, _ = classify(diagram)
     if loops:
         raise AssertionError("antipodal vertices were adjacent on the cycle")
@@ -113,14 +118,15 @@ def count_cycles(n: int, cap: int = CYCLE_CAP) -> tuple[int, int]:
     """(labelled cycle count, orbit count under graph automorphisms).
 
     Orbits are counted through the bijection: two cycles are isomorphic
-    exactly when their diagrams share a dihedral canonical code, computed
-    once per distinct diagram.
+    exactly when their diagrams share a dihedral canonical code.  The
+    diagram, its loop check and its code come once per distinct partner
+    table, from the first cycle that gives it, not once per cycle.
     """
     if n > cap:
         raise ValueError(f"n={n} exceeds the cycle enumeration cap {cap}")
     labelled = 0
-    diagrams = set()
+    first = {}
     for cycle in hamiltonian_cycles(n):
         labelled += 1
-        diagrams.add(cycle_to_diagram(cycle))
-    return labelled, len({canonical_code(d, DIHEDRAL) for d in diagrams})
+        first.setdefault(_pairing(cycle), cycle)
+    return labelled, len({canonical_code(cycle_to_diagram(c), DIHEDRAL) for c in first.values()})

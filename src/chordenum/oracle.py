@@ -112,13 +112,6 @@ class OrbitReport:
             )
 
 
-def check_line(name: str, n: int, expected, got) -> tuple[str, bool]:
-    """One line of the verification report."""
-    ok = expected == got
-    status = "OK" if ok else "FAIL"
-    return f"CHECK {name} n={n} expected={expected} got={got} {status}", ok
-
-
 @dataclass
 class SweepResult:
     n: int

@@ -37,25 +37,20 @@ def _loopless_axes(col, n_max: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(vertex[: n_max + 1]), tuple(edge[: n_max + 1])
 
 
-def loopless_vertex_axis(n_max: int) -> tuple[int, ...]:
-    """Diagrams fixed by a point-through-point reflection, by chord count.
+def loopless_axes(n_max: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(vertex, edge): diagrams fixed by each reflection type, from one 2-sector column.
 
-    Equals the 2-sector count one step down: the forced axis chord is
-    removed and the halves unfold.  On 2 points the axis chord is itself
-    a loop, so the n = 1 value is 0 rather than the unfolded 1.
+    Vertex axis (point-through-point): equals the 2-sector count one step
+    down: the forced axis chord is removed and the halves unfold.  On 2
+    points the axis chord is itself a loop, so the n = 1 value is 0 rather
+    than the unfolded 1.
+
+    Edge axis (gap-through-gap): inclusion-exclusion over the two seams of
+    the unfolded diagram.  Note the value at n = 2 is 1 (the crossing of
+    the two diameters); claims of 0 there fail both exhaustive enumeration
+    and the dihedral average at n = 2 -- see docs/ERRATA.md.
     """
-    return _loopless_axes(loopless_sector_counts(2, n_max), n_max)[0]
-
-
-def loopless_edge_axis(n_max: int) -> tuple[int, ...]:
-    """Diagrams fixed by a gap-through-gap reflection, by chord count.
-
-    Inclusion-exclusion over the two seams of the unfolded diagram.  Note
-    the value at n = 2 is 1 (the crossing of the two diameters); claims
-    of 0 there fail both exhaustive enumeration and the dihedral average
-    at n = 2 -- see docs/ERRATA.md.
-    """
-    return _loopless_axes(loopless_sector_counts(2, n_max), n_max)[1]
+    return _loopless_axes(loopless_sector_counts(2, n_max), n_max)
 
 
 def loopless_dihedral(n_max: int) -> SequenceTable:
@@ -198,13 +193,16 @@ def build_mirror_tables(n_max: int, terms=MIRROR_TERMS) -> MirrorTables:
     return MirrorTables(counts=r, end_chord=s)
 
 
-def _simple_axes(tables: MirrorTables, n_max: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Vertex- and edge-axis counts for n = 0..n_max from mirror tables built to n_max.
+def simple_axes(n_max: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(vertex, edge): simple diagrams fixed by each reflection type, from one mirror build.
 
-    The edge axis takes the mirror diagrams that stay simple after gluing
-    both seams: strip those with an end chord on either seam, then remove
-    the ones that would turn a mirrored chord pair into a parallel pair.
+    Vertex axis: simple diagrams fixed by a point-through-point reflection.
+    Edge axis: simple diagrams fixed by a gap-through-gap reflection, taken
+    as the mirror diagrams that stay simple after gluing both seams: strip
+    those with an end chord on either seam, then remove the ones that would
+    turn a mirrored chord pair into a parallel pair.
     """
+    tables = build_mirror_tables(n_max)
     vertex = [0, 0]
     loopless_glued = [0, 0]
     for n in range(2, n_max + 1):
@@ -216,19 +214,7 @@ def _simple_axes(tables: MirrorTables, n_max: int) -> tuple[tuple[int, ...], tup
     return tuple(vertex[: n_max + 1]), tuple(edge)
 
 
-def simple_vertex_axis(n_max: int) -> tuple[int, ...]:
-    """Simple diagrams fixed by a point-through-point reflection."""
-    return _simple_axes(build_mirror_tables(n_max), n_max)[0]
-
-
-def simple_edge_axis(n_max: int) -> tuple[int, ...]:
-    """Simple diagrams fixed by a gap-through-gap reflection."""
-    return _simple_axes(build_mirror_tables(n_max), n_max)[1]
-
-
 def simple_dihedral(n_max: int) -> SequenceTable:
     """Simple chord diagrams up to rotation and reflection."""
     rotation = rotation_totals(simple_fixed_chain, n_max)
-    return _dihedral_average(
-        "simple-dihedral", rotation, *_simple_axes(build_mirror_tables(n_max), n_max)
-    )
+    return _dihedral_average("simple-dihedral", rotation, *simple_axes(n_max))

@@ -1,0 +1,154 @@
+"""The verify report: recurrences against the oracle, the golden tables, b-files.
+
+Every check is one ``CHECK name n=N expected=E got=G OK|FAIL`` line.  Each
+recurrence is built once per run; only the rotation-fixed counts are built
+per n, because their chains follow the divisors of 2n.
+"""
+
+from __future__ import annotations
+
+from . import golden, labelled, oracle, reflection, symmetry
+from .diagram import CIRCULAR, CYCLIC, DIHEDRAL, LINEAR
+
+GOLDEN_MAX = 20
+# golden.COLUMNS in order, as the family suffix of each column
+GOLDEN_VIEWS = ("linear", "chord", "cyclic", "dihedral")
+GOLDEN_TABLES = (("loopless", golden.LOOPLESS_TABLE), ("simple", golden.SIMPLE_TABLE))
+FAMILIES = tuple(f"{label}-{view}" for label, _ in GOLDEN_TABLES for view in GOLDEN_VIEWS) + ("all",)
+
+BFILE_FAMILIES = {"003436": "loopless-chord", "003437": "loopless-dihedral"}
+BFILE_COMPARE_LIMIT = 1000
+
+
+def check_line(name: str, n: int, expected, got) -> tuple[str, bool]:
+    """One line of the verification report."""
+    ok = expected == got
+    return f"CHECK {name} n={n} expected={expected} got={got} {'OK' if ok else 'FAIL'}", ok
+
+
+def _cells(cells: dict) -> str:
+    return repr(dict(sorted(cells.items()))).replace(" ", "")
+
+
+def _rotation_fixed(n: int) -> dict[str, int]:
+    fixed = {"loopless": symmetry.loopless_rotation_fixed(n), "simple": symmetry.simple_rotation_fixed(n)}
+    return {f"{f}-d{d}": fixed[f][d] for d in sorted(fixed["loopless"]) for f in fixed}
+
+
+def build_recurrences(family_values, depth: int) -> dict[str, list]:
+    """Every count the checks read, name -> values for n = 1, 2, ..., each table built once.
+
+    ``family_values(family, n_max)`` gives a family's counts for n = 1..n_max.
+    """
+    tables = {family: family_values(family, max(depth, GOLDEN_MAX)) for family in FAMILIES}
+    tables["rotation-fixed"] = [_rotation_fixed(n) for n in range(1, depth + 1)]
+    triangle = labelled.loop_parallel_triangle(max(depth - 1, 0))
+    tables["classify-table-linear"] = [_cells(triangle.row(n)) for n in range(depth)]
+    axes = {"loopless": reflection.loopless_axes(depth), "simple": reflection.simple_axes(depth)}
+    for family, (vertex, edge) in axes.items():
+        tables[f"{family}-vertex"], tables[f"{family}-edge"] = vertex[1:], edge[1:]
+    return tables
+
+
+def _count(field, key):
+    return lambda sweep: getattr(sweep, field).get(key, 0)
+
+
+def _orbits(group, family):
+    return lambda sweep: sweep.orbits[(group, family)].orbit_count
+
+
+# The sweep checks in report order: (name, recurrence table, sweep reader).
+# A table whose values are mappings makes one check per key, named
+# ``name-key``, against the same key of the sweep reader's mapping.
+SWEEP_CHECKS = (
+    ("labelled-linear-loopless", "loopless-linear", _count("labelled", (LINEAR, "loopless"))),
+    ("labelled-linear-simple", "simple-linear", _count("labelled", (LINEAR, "simple"))),
+    ("labelled-circular-loopless", "loopless-chord", _count("labelled", (CIRCULAR, "loopless"))),
+    ("labelled-circular-simple", "simple-chord", _count("labelled", (CIRCULAR, "simple"))),
+    ("labelled-all", "all", _count("labelled", (CIRCULAR, "all"))),
+    ("classify-table-linear", "classify-table-linear", lambda s: _cells(s.tables[LINEAR])),
+    ("rotation-fixed", "rotation-fixed", lambda s: {f"{f}-d{d}": c for (d, f), c in s.rotation_fixed.items()}),
+    ("reflection-fixed-loopless-vertex", "loopless-vertex", _count("reflection_fixed", ("vertex", "loopless"))),
+    ("reflection-fixed-loopless-edge", "loopless-edge", _count("reflection_fixed", ("edge", "loopless"))),
+    ("reflection-fixed-simple-vertex", "simple-vertex", _count("reflection_fixed", ("vertex", "simple"))),
+    ("reflection-fixed-simple-edge", "simple-edge", _count("reflection_fixed", ("edge", "simple"))),
+    ("orbits-cyclic-loopless", "loopless-cyclic", _orbits(CYCLIC, "loopless")),
+    ("orbits-cyclic-simple", "simple-cyclic", _orbits(CYCLIC, "simple")),
+    ("orbits-dihedral-loopless", "loopless-dihedral", _orbits(DIHEDRAL, "loopless")),
+    ("orbits-dihedral-simple", "simple-dihedral", _orbits(DIHEDRAL, "simple")),
+)
+
+
+def sweep_checks(recurrences: dict, sweep: oracle.SweepResult) -> list[tuple]:
+    """(name, expected, got) for every check of SWEEP_CHECKS at the sweep's n."""
+    checks = []
+    for name, table, observed in SWEEP_CHECKS:
+        expected, got = recurrences[table][sweep.n - 1], observed(sweep)
+        if isinstance(expected, dict):
+            checks += [(f"{name}-{key}", value, got.get(key, 0)) for key, value in expected.items()]
+        else:
+            checks.append((name, expected, got))
+    return checks
+
+
+def table_checks(recurrences: dict) -> list[tuple]:
+    """(name, n, expected, got) per golden column: its first mismatch, else row GOLDEN_MAX."""
+    entries = []
+    for label, reference in GOLDEN_TABLES:
+        for col, (col_name, view) in enumerate(zip(golden.COLUMNS, GOLDEN_VIEWS)):
+            ours = recurrences[f"{label}-{view}"]
+            n = next((n for n in range(1, GOLDEN_MAX + 1) if ours[n - 1] != reference[n][col]), GOLDEN_MAX)
+            entries.append((f"golden-{label}-{col_name}", n, reference[n][col], ours[n - 1]))
+    return entries
+
+
+def parse_bfile(path: str) -> dict[int, int]:
+    values = {}
+    with open(path) as handle:
+        for line_number, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                index, value = (int(part) for part in line.split())
+            except ValueError:
+                raise ValueError(f"{path}:{line_number}: expected two integers, got {line!r}") from None
+            values[index] = value
+    return values
+
+
+def bfile_check(path: str, family: str | None, family_values) -> tuple:
+    """(name, n, expected, got) at the b-file's first mismatch, else at its last index."""
+    family = family or next((fam for digits, fam in BFILE_FAMILIES.items() if digits in path), None)
+    if family is None:
+        raise ValueError("cannot infer the sequence family from the file name; pass --bfile-family")
+    try:
+        reference = parse_bfile(path)
+    except OSError as exc:  # a missing or unreadable b-file is a usage error
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    indices = sorted(i for i in reference if 1 <= i <= BFILE_COMPARE_LIMIT)
+    if not indices:
+        raise ValueError(f"{path} holds no comparable indices (1..{BFILE_COMPARE_LIMIT})")
+    ours = family_values(family, indices[-1])
+    i = next((i for i in indices if ours[i - 1] != reference[i]), indices[-1])
+    return (f"bfile-{family}", i, reference[i], ours[i - 1])
+
+
+def report(family_values, depth: int, cap: int, bfile=None, bfile_family=None) -> tuple[str, bool]:
+    """The report text and whether every check passed.
+
+    Sweeps n = 1..depth, then the golden tables, then the b-file if given;
+    a b-file that cannot be used is refused before any sweep runs.
+    """
+    bfile_entry = bfile_check(bfile, bfile_family, family_values) if bfile else None
+    recurrences = build_recurrences(family_values, depth)
+    entries = []
+    for n in range(1, depth + 1):
+        sweep = oracle.full_sweep(n, cap=cap)
+        entries += [(name, n, expected, got) for name, expected, got in sweep_checks(recurrences, sweep)]
+    entries += table_checks(recurrences)
+    if bfile_entry:
+        entries.append(bfile_entry)
+    lines, oks = zip(*(check_line(*entry) for entry in entries))
+    return "\n".join(lines) + "\n", all(oks)

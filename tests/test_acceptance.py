@@ -10,7 +10,7 @@ import math
 import os
 import time
 
-from chordenum.cli import _sweep_checks, main
+from chordenum.cli import family_values, main
 from chordenum.golden import LOOPLESS_TABLE, SIMPLE_TABLE
 from chordenum.labelled import (
     double_factorial,
@@ -21,7 +21,7 @@ from chordenum.labelled import (
     simple_chain,
 )
 from chordenum.octahedron import count_cycles
-from chordenum.oracle import DEFAULT_CAP
+from chordenum.oracle import DEFAULT_CAP, full_sweep
 from chordenum.reflection import loopless_dihedral, simple_dihedral
 from chordenum.series import (
     full_pde_residual,
@@ -37,6 +37,7 @@ from chordenum.symmetry import (
     simple_rotation_fixed,
     totient,
 )
+from chordenum.verify import build_recurrences, sweep_checks
 
 EXTENDED = os.environ.get("CHORDENUM_ACCEPT_EXTENDED") == "1"
 
@@ -77,12 +78,13 @@ def test_criterion_3_oracle_equivalence(sweeps):
     # enumerates independently of the recurrences)
     start = time.perf_counter()
     checked = 0
+    recurrences = build_recurrences(family_values, 7 if EXTENDED else 6)
     for n in range(1, 7):
-        for name, expected, got in _sweep_checks(n, cap=DEFAULT_CAP):
+        for name, expected, got in sweep_checks(recurrences, sweeps[n]):
             assert expected == got, f"{name} at n={n}: {expected} != {got}"
             checked += 1
     if EXTENDED:
-        for name, expected, got in _sweep_checks(7, cap=DEFAULT_CAP):
+        for name, expected, got in sweep_checks(recurrences, full_sweep(7, cap=DEFAULT_CAP)):
             assert expected == got, f"{name} at n=7: {expected} != {got}"
             checked += 1
         elapsed = time.perf_counter() - start

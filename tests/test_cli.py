@@ -2,10 +2,11 @@ import json
 
 import pytest
 
-from chordenum import oracle, reflection, symmetry
-from chordenum.cli import family_values, main, parse_bfile, render_sequence
+from chordenum import octahedron, oracle, reflection, symmetry
+from chordenum.cli import family_values, main, render_sequence
 from chordenum.golden import LOOPLESS_TABLE, SIMPLE_TABLE
 from chordenum.symmetry import RecurrenceValidationError
+from chordenum.verify import parse_bfile
 
 
 def run(capsys, *argv):
@@ -192,6 +193,12 @@ def test_parse_bfile_rejects_malformed_lines(tmp_path):
     with pytest.raises(ValueError):
         parse_bfile(str(path))
 
+    path = tmp_path / "not_a_number.txt"
+    path.write_text("# header\n1 abc\n")
+    with pytest.raises(ValueError) as exc:
+        parse_bfile(str(path))
+    assert str(exc.value) == f"{path}:2: expected two integers, got '1 abc'"
+
 
 def test_render_sequence_formats():
     values = [0, 1, 4]
@@ -266,3 +273,24 @@ def test_internal_errors_exit_3_not_as_failed_checks(monkeypatch, capsys, module
     assert code == 3
     assert captured.out == ""
     assert captured.err == f"internal error: {error}\n"
+
+
+def test_a_failed_burnside_identity_exits_3(monkeypatch, capsys):
+    def broken(report):
+        raise AssertionError(f"Burnside identity fails for n={report.n}")
+
+    monkeypatch.setattr(oracle.OrbitReport, "check_burnside", broken)
+    code = main(["verify", "--max", "2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "internal error: Burnside identity fails for n=1\n"
+
+
+def test_a_loop_on_a_cycle_diagram_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(octahedron, "classify", lambda diagram: (1, 0))
+    code = main(["octahedron", "--n", "3"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "internal error: antipodal vertices were adjacent on the cycle\n"

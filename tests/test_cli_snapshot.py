@@ -41,6 +41,8 @@ SNAPSHOT = {
     "series wzx --order 12 --z 1 --x 0": "30793dc3f303a3eaf9f7fd0f90ddb731937a96ea7842a535c95937261cea5ec8",
     "series wzx --order 12 --z 1 --x 1": "b300c7d5503f1dd986edd633b521e739268cbf7dbcba093d93fce44f2f583140",
     "fixed --n 12": "5e02ebc386c26c33588452dffc1d5321f63d67bb21b35f31f220e5fcccef335f",
+    "verify --tables": "63962bd86de0c78a3d5328ec1c509b5b867e9b0d2a13dadba2baf41976555f98",
+    "verify --max 1": "5b3e99a3342faff1a7ccaedd40ec0e4956c524fb8f96ef22b3c7cc581ec91a1f",
     "verify --max 5": "dbd850162c5f3a2a27635f5b33f47d07abdb5a68fdbd27dc377b3eaec7d8682e",
     "verify --max 6": "eeb27102236f64193ac1ff3f2dfe92aae53839129f26937bfb0aaf1b5fdc6751",
     "octahedron --n 4": "554a2622e718aadf25ea00f7324d5d96bca2159c87370c29da18b60759381902",

@@ -21,7 +21,6 @@ from chordenum.diagram import (
 from chordenum.oracle import (
     FAMILIES,
     OracleCapError,
-    check_line,
     full_sweep,
     in_family,
 )
@@ -165,15 +164,6 @@ def test_partitioned_stream_merges_to_the_direct_count(sweeps):
             if in_family("loopless", *classify_pairing(p, flags))
         )
     assert merged == direct
-
-
-def test_check_line_format():
-    line, ok = check_line("labelled-all", 3, 15, 15)
-    assert line == "CHECK labelled-all n=3 expected=15 got=15 OK"
-    assert ok
-    line, ok = check_line("labelled-all", 3, 15, 14)
-    assert line.endswith("FAIL")
-    assert not ok
 
 
 def test_full_sweep_matches_individual_operations(sweeps):

@@ -15,12 +15,10 @@ from chordenum.reflection import (
     MIRROR_REFERENCE,
     MIRROR_TERMS,
     build_mirror_tables,
+    loopless_axes,
     loopless_dihedral,
-    loopless_edge_axis,
-    loopless_vertex_axis,
+    simple_axes,
     simple_dihedral,
-    simple_edge_axis,
-    simple_vertex_axis,
 )
 from chordenum.symmetry import (
     RecurrenceValidationError,
@@ -58,8 +56,8 @@ def enumerate_mirror_counts(n):
 
 
 def test_loopless_axis_sequences():
-    assert loopless_vertex_axis(7) == (0, 0, 1, 2, 5, 17, 56, 223)
-    edge = loopless_edge_axis(7)
+    vertex, edge = loopless_axes(7)
+    assert vertex == (0, 0, 1, 2, 5, 17, 56, 223)
     assert edge[:5] == (0, 0, 1, 2, 9)
     # the n = 2 edge-axis value is 1, not 0: required by enumeration and by
     # integrality of the dihedral average
@@ -67,8 +65,7 @@ def test_loopless_axis_sequences():
 
 
 def test_loopless_axes_match_oracle(sweeps):
-    vertex = loopless_vertex_axis(6)
-    edge = loopless_edge_axis(6)
+    vertex, edge = loopless_axes(6)
     for n, sweep in sweeps.items():
         assert sweep.reflection_fixed.get(("vertex", "loopless"), 0) == vertex[n]
         assert sweep.reflection_fixed.get(("edge", "loopless"), 0) == edge[n]
@@ -159,13 +156,13 @@ def test_split_coefficients_are_pinned_by_enumeration():
 
 
 def test_simple_axis_sequences():
-    assert simple_vertex_axis(7) == (0, 0, 1, 1, 3, 10, 34, 130)
-    assert simple_edge_axis(7) == (0, 0, 1, 1, 5, 20, 78, 324)
+    vertex, edge = simple_axes(7)
+    assert vertex == (0, 0, 1, 1, 3, 10, 34, 130)
+    assert edge == (0, 0, 1, 1, 5, 20, 78, 324)
 
 
 def test_simple_axes_match_oracle(sweeps):
-    vertex = simple_vertex_axis(6)
-    edge = simple_edge_axis(6)
+    vertex, edge = simple_axes(6)
     for n, sweep in sweeps.items():
         assert sweep.reflection_fixed.get(("vertex", "simple"), 0) == vertex[n]
         assert sweep.reflection_fixed.get(("edge", "simple"), 0) == edge[n]
@@ -209,12 +206,11 @@ def test_reflections_at_most_halve_orbit_counts():
 
 
 def test_shared_builds_match_per_n_burnside_sums():
-    for family, rotation_fixed, vertex_axis, edge_axis, dihedral in (
-        ("loopless", loopless_rotation_fixed, loopless_vertex_axis, loopless_edge_axis, loopless_dihedral),
-        ("simple", simple_rotation_fixed, simple_vertex_axis, simple_edge_axis, simple_dihedral),
+    for family, rotation_fixed, axes, dihedral in (
+        ("loopless", loopless_rotation_fixed, loopless_axes, loopless_dihedral),
+        ("simple", simple_rotation_fixed, simple_axes, simple_dihedral),
     ):
-        vertex = vertex_axis(60)
-        edge = edge_axis(60)
+        vertex, edge = axes(60)
         table = dihedral(60)
         for n in range(1, 61):
             fixed = rotation_fixed(n)

@@ -1,0 +1,29 @@
+from chordenum import labelled, reflection
+from chordenum.cli import main
+from chordenum.verify import check_line
+
+
+def test_check_line_format():
+    line, ok = check_line("labelled-all", 3, 15, 15)
+    assert line == "CHECK labelled-all n=3 expected=15 got=15 OK"
+    assert ok
+    line, ok = check_line("labelled-all", 3, 15, 14)
+    assert line.endswith("FAIL")
+    assert not ok
+
+
+def test_verify_builds_each_recurrence_once_per_run(monkeypatch, capsys):
+    built = {"build_mirror_tables": [], "loop_parallel_triangle": []}
+    for module, name in ((reflection, "build_mirror_tables"), (labelled, "loop_parallel_triangle")):
+        original = getattr(module, name)
+
+        def counting(n_max, *args, _original=original, _calls=built[name], **kwargs):
+            _calls.append(n_max)
+            return _original(n_max, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    assert main(["verify", "--max", "4"]) == 0
+    capsys.readouterr()
+    # one mirror build for the simple-dihedral column, one for the reflection axes
+    assert sorted(built["build_mirror_tables"]) == [4, 20]
+    assert built["loop_parallel_triangle"] == [3]
