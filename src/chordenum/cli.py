@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import labelled, octahedron, oracle, reflection, symmetry, verify
 from .diagram import format_diagram
 from .labelled import double_factorial
-from .series import MARKER_SERIES, SERIES_NAMES, SeriesError, integer_coeffs, named_series
+from .series import MARKERS_OF, SERIES_NAMES, SeriesError, integer_coeffs, named_series
 
 # family -> (builder to n_max, index offset): the builder's table holds the
 # count for n chords at entry n - offset.  Each builder looks its function up
@@ -72,14 +73,22 @@ def render_sequence(family: str, values: list[int], fmt: str) -> str:
 
 
 def _emit(text: str, out_path):
+    """Write to stdout, or replace ``out_path`` whole: a failed write leaves it as it was."""
     if out_path is None:
         sys.stdout.write(text)
-    else:
-        try:
-            with open(out_path, "w") as handle:
-                handle.write(text)
-        except OSError as exc:  # a bad --out is a usage error, not a failed check
-            raise ValueError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
+        return
+    # beside the target, so that the rename stays on one filesystem
+    partial = f"{out_path}.{os.getpid()}.tmp"
+    created = False
+    try:
+        with open(partial, "x") as handle:
+            created = True
+            handle.write(text)
+        os.replace(partial, out_path)
+    except OSError as exc:  # a bad --out is a usage error, not a failed check
+        if created:
+            os.unlink(partial)
+        raise ValueError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
 
 
 def cmd_seq(args) -> int:
@@ -91,26 +100,13 @@ def cmd_seq(args) -> int:
 
 
 def cmd_series(args) -> int:
-    series = named_series(args.name, args.order)
-    z = args.z
-    x = args.x
-    if args.name in MARKER_SERIES:
-        needs_z = args.name in ("wz", "wzx")
-        needs_x = args.name in ("wx", "wzx")
-        if needs_z and z is None:
-            raise SeriesError(f"series {args.name} needs --z 0|1")
-        if needs_x and x is None:
-            raise SeriesError(f"series {args.name} needs --x 0|1")
-        rational = series.substitute_markers(
-            z=z if needs_z else None, x=x if needs_x else None
-        )
-        ints = integer_coeffs(rational)
-    else:
-        if z is not None or x is not None:
-            raise SeriesError(f"series {args.name} has no markers to assign")
-        rational = series
-        ints = integer_coeffs(series)
-    lines = [f"{n} {rational[n]} {ints[n]}" for n in range(args.order + 1)]
+    for marker in MARKERS_OF.get(args.name, ""):
+        if getattr(args, marker) is None:
+            raise SeriesError(f"series {args.name} needs --{marker} 0|1")
+    # the markers are set inside the construction, which refuses one the series lacks
+    series = named_series(args.name, args.order, z=args.z, x=args.x)
+    ints = integer_coeffs(series)
+    lines = [f"{n} {series[n]} {ints[n]}" for n in range(args.order + 1)]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

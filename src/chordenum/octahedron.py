@@ -52,18 +52,22 @@ def hamiltonian_cycles(n: int):
         raise ValueError(f"dimension must be positive, got {n}")
     graph = OctahedronGraph(n)
     m = 2 * n
+    # ascending neighbours other than the start vertex, and which vertices close the cycle
+    neighbours = [()] + [
+        tuple(v for v in range(2, m + 1) if graph.adjacent(u, v)) for u in range(1, m + 1)
+    ]
+    closes = [False] + [graph.adjacent(u, 1) for u in range(1, m + 1)]
     path = [1]
     used = [False] * (m + 1)
     used[1] = True
 
     def extend():
         if len(path) == m:
-            if graph.adjacent(path[-1], 1) and path[1] < path[-1]:
+            if closes[path[-1]] and path[1] < path[-1]:
                 yield HamCycle(tuple(path))
             return
-        last = path[-1]
-        for v in range(2, m + 1):
-            if not used[v] and graph.adjacent(last, v):
+        for v in neighbours[path[-1]]:
+            if not used[v]:
                 used[v] = True
                 path.append(v)
                 yield from extend()

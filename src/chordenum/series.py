@@ -4,13 +4,18 @@ Coefficients live in one of two rings: plain ``Fraction``s, or bivariate
 polynomials in the formal markers z and x with rational coefficients
 (``MarkerPoly``).  All arithmetic is exact modulo t^(order+1); precondition
 violations raise ``SeriesError`` rather than truncating silently.
+
+Products, exponentials and reciprocals run on the EGF scale, a_n = n! [t^n] f.
+Every named closed form is an exponential generating function, so there its
+a_n are integers: the named series and the PDE residuals are built in ints,
+and ``Fraction``s are made once, when the result becomes a ``TruncatedSeries``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, factorial
 
 
 class SeriesError(ValueError):
@@ -18,9 +23,10 @@ class SeriesError(ValueError):
 
 
 class MarkerPoly:
-    """Polynomial in the markers z and x over the rationals.
+    """Polynomial in the markers z and x.
 
-    Stored as a map (z degree, x degree) -> nonzero Fraction.  Degrees stay
+    Stored as a map (z degree, x degree) -> nonzero coefficient: a Fraction
+    in every public series, an int inside the integer kernel.  Degrees stay
     naturally bounded in every construction here (the t^n coefficient of a
     generating function never exceeds z-degree n+1 and x-degree n), so no
     truncation in the markers is applied.
@@ -29,20 +35,18 @@ class MarkerPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        if terms is None:
-            terms = {}
-        self.terms = {k: v for k, v in terms.items() if v != 0}
+        self.terms = {k: v for k, v in (terms or {}).items() if v != 0}
 
     @classmethod
     def constant(cls, value) -> "MarkerPoly":
-        return cls({(0, 0): Fraction(value)})
+        return cls({(0, 0): value})
 
     @classmethod
     def marker(cls, name: str) -> "MarkerPoly":
         if name == "z":
-            return cls({(1, 0): Fraction(1)})
+            return cls({(1, 0): 1})
         if name == "x":
-            return cls({(0, 1): Fraction(1)})
+            return cls({(0, 1): 1})
         raise SeriesError(f"unknown marker {name!r}")
 
     def _coerce(self, other):
@@ -70,7 +74,7 @@ class MarkerPoly:
             return NotImplemented
         out = dict(self.terms)
         for k, v in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + v
+            out[k] = out.get(k, 0) + v
         return MarkerPoly(out)
 
     __radd__ = __add__
@@ -79,29 +83,25 @@ class MarkerPoly:
         return MarkerPoly({k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return MarkerPoly({k: v * other for k, v in self.terms.items()})
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[tuple[int, int], Fraction] = {}
+        out = {}
         for (a, b), u in self.terms.items():
             for (c, d), v in other.terms.items():
                 k = (a + c, b + d)
-                out[k] = out.get(k, Fraction(0)) + u * v
+                out[k] = out.get(k, 0) + u * v
         return MarkerPoly(out)
 
     __rmul__ = __mul__
-
-    def scaled(self, q: Fraction) -> "MarkerPoly":
-        return MarkerPoly({k: v * q for k, v in self.terms.items()})
 
     def differentiate(self, marker: str) -> "MarkerPoly":
         pos = 0 if marker == "z" else 1
@@ -111,7 +111,7 @@ class MarkerPoly:
             if deg == 0:
                 continue
             k = (a - 1, b) if pos == 0 else (a, b - 1)
-            out[k] = out.get(k, Fraction(0)) + v * deg
+            out[k] = out.get(k, 0) + v * deg
         return MarkerPoly(out)
 
     def substitute(self, z=None, x=None):
@@ -154,7 +154,6 @@ class MarkerPoly:
 
 
 class _RationalRing:
-    name = "rational"
     zero = Fraction(0)
     one = Fraction(1)
 
@@ -166,38 +165,88 @@ class _RationalRing:
     def invert(c: Fraction) -> Fraction:
         if c == 0:
             raise SeriesError("constant term is not invertible")
-        return 1 / c
-
-    @staticmethod
-    def scale(c: Fraction, q: Fraction) -> Fraction:
-        return c * q
+        return 1 / Fraction(c)
 
 
 class _MarkerRing:
-    name = "markers"
     zero = MarkerPoly()
-    one = MarkerPoly.constant(1)
+    one = MarkerPoly.constant(Fraction(1))
 
     @staticmethod
     def embed(value) -> MarkerPoly:
-        if isinstance(value, MarkerPoly):
-            return value
-        return MarkerPoly.constant(value)
+        return value if isinstance(value, MarkerPoly) else MarkerPoly.constant(Fraction(value))
 
     @staticmethod
     def invert(c: MarkerPoly) -> MarkerPoly:
         value = c.constant_value()  # raises on genuine marker content
         if value == 0:
             raise SeriesError("constant term is not invertible")
-        return MarkerPoly.constant(1 / value)
-
-    @staticmethod
-    def scale(c: MarkerPoly, q: Fraction) -> MarkerPoly:
-        return c.scaled(q)
+        return MarkerPoly.constant(1 / Fraction(value))
 
 
 RATIONAL = _RationalRing()
 MARKERS = _MarkerRing()
+
+
+# ---------------------------------------------------------------------------
+# The EGF kernel: labelled-product arithmetic on scaled coefficients
+# (Flajolet & Sedgewick, Analytic Combinatorics, ch. II)
+
+
+class _Egf(tuple):
+    """Scaled coefficients a_n = n! [t^n] f of a truncated series.
+
+    Two series combine up to the shorter one's order; anything else is a
+    constant, which adds to a_0 and multiplies every a_n.
+    """
+
+    def __add__(self, other):
+        if isinstance(other, _Egf):
+            return _Egf(a + b for a, b in zip(self, other))
+        return _Egf((self[0] + other, *self[1:]))
+
+    def __neg__(self):
+        return _Egf(-a for a in self)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        """The labelled product c_n = sum_i C(n, i) a_i b_(n-i)."""
+        if not isinstance(other, _Egf):
+            return _Egf(other * a for a in self)
+        return _Egf(
+            sum((comb(n, i) * self[i] * other[n - i] for i in range(n + 1) if self[i] and other[n - i]), 0)
+            for n in range(min(len(self), len(other)))
+        )
+
+    __rmul__ = __mul__
+
+    def exp(self) -> "_Egf":
+        """e_n = sum_k C(n-1, k-1) g_k e_(n-k), from e' = g' e."""
+        if self[0]:
+            raise SeriesError("exponential requires constant term 0")
+        e = [1]
+        for n in range(1, len(self)):
+            e.append(sum((comb(n - 1, k - 1) * self[k] * e[n - k] for k in range(1, n + 1) if self[k]), 0))
+        return _Egf(e)
+
+    def reciprocal(self) -> "_Egf":
+        """r_n = -sum_k C(n, k) f_k r_(n-k), from f r = 1."""
+        if self[0] != 1:
+            raise SeriesError("reciprocal requires constant term 1")
+        r = [1]
+        for n in range(1, len(self)):
+            r.append(-sum((comb(n, k) * self[k] * r[n - k] for k in range(1, n + 1) if self[k]), 0))
+        return _Egf(r)
+
+    def marker_derivative(self, marker: str) -> "_Egf":
+        return _Egf(a.differentiate(marker) if isinstance(a, MarkerPoly) else 0 for a in self)
+
+    def series(self, ring) -> "TruncatedSeries":
+        """The ordinary coefficients a_n / n!."""
+        coeffs = (ring.embed(a * Fraction(1, factorial(n))) for n, a in enumerate(self))
+        return TruncatedSeries(ring, tuple(coeffs))
 
 
 @dataclass(frozen=True)
@@ -232,10 +281,8 @@ class TruncatedSeries:
         coeffs[1] = ring.one
         return cls(ring, tuple(coeffs))
 
-    def lift_to_markers(self) -> "TruncatedSeries":
-        if self.ring is MARKERS:
-            return self
-        return TruncatedSeries(MARKERS, tuple(MarkerPoly.constant(c) for c in self.coeffs))
+    def _scaled(self) -> _Egf:
+        return _Egf(c * factorial(n) for n, c in enumerate(self.coeffs))
 
     # -- ring operations ----------------------------------------------
 
@@ -267,17 +314,8 @@ class TruncatedSeries:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
-            return TruncatedSeries(self.ring, tuple(self.ring.scale(c, q) for c in self.coeffs))
-        other = self._pair(other)
-        order = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        out = []
-        for n in range(order + 1):
-            acc = self.ring.zero
-            for i in range(n + 1):
-                acc = acc + a[i] * b[n - i]
-            out.append(acc)
-        return TruncatedSeries(self.ring, tuple(out))
+            return TruncatedSeries(self.ring, tuple(c * q for c in self.coeffs))
+        return (self._scaled() * self._pair(other)._scaled()).series(self.ring)
 
     __rmul__ = __mul__
 
@@ -288,13 +326,7 @@ class TruncatedSeries:
 
     def reciprocal(self) -> "TruncatedSeries":
         inv0 = self.ring.invert(self.coeffs[0])
-        out = [inv0]
-        for n in range(1, self.order + 1):
-            acc = self.ring.zero
-            for k in range(1, n + 1):
-                acc = acc + self.coeffs[k] * out[n - k]
-            out.append(-(inv0 * acc))
-        return TruncatedSeries(self.ring, tuple(out))
+        return (self * inv0)._scaled().reciprocal().series(self.ring) * inv0
 
     def sqrt(self) -> "TruncatedSeries":
         if self.coeffs[0] != self.ring.one:
@@ -305,33 +337,22 @@ class TruncatedSeries:
             acc = self.coeffs[n]
             for k in range(1, n):
                 acc = acc - out[k] * out[n - k]
-            out.append(self.ring.scale(acc, half))
+            out.append(acc * half)
         return TruncatedSeries(self.ring, tuple(out))
 
     def exp(self) -> "TruncatedSeries":
-        if self.coeffs[0] != self.ring.zero:
-            raise SeriesError("exponential requires constant term 0")
-        # f' = g' f, solved coefficientwise with exact division by n
-        g = self.coeffs
-        out = [self.ring.one]
-        for n in range(1, self.order + 1):
-            acc = self.ring.zero
-            for k in range(1, n + 1):
-                acc = acc + self.ring.scale(g[k], Fraction(k)) * out[n - k]
-            out.append(self.ring.scale(acc, Fraction(1, n)))
-        return TruncatedSeries(self.ring, tuple(out))
+        return self._scaled().exp().series(self.ring)
 
     def derivative(self) -> "TruncatedSeries":
         """d/dt; the result is exact only to order-1."""
         if self.order == 0:
             raise SeriesError("cannot differentiate an order-0 truncation")
-        out = [self.ring.scale(self.coeffs[n + 1], Fraction(n + 1)) for n in range(self.order)]
-        return TruncatedSeries(self.ring, tuple(out))
+        out = tuple(self.coeffs[n + 1] * (n + 1) for n in range(self.order))
+        return TruncatedSeries(self.ring, out)
 
     def antiderivative(self) -> "TruncatedSeries":
         """Integral from 0; raises the order by one."""
-        out = [self.ring.zero]
-        out += [self.ring.scale(self.coeffs[n], Fraction(1, n + 1)) for n in range(self.order + 1)]
+        out = [self.ring.zero] + [c * Fraction(1, n + 1) for n, c in enumerate(self.coeffs)]
         return TruncatedSeries(self.ring, tuple(out))
 
     # -- marker operations --------------------------------------------
@@ -360,13 +381,44 @@ class TruncatedSeries:
 # ---------------------------------------------------------------------------
 # Named closed forms
 
+SERIES_NAMES = ("b", "phi", "chi", "psi", "W", "U", "wz", "wx", "wzx")
+MARKERS_OF = {"wz": "z", "wx": "x", "wzx": "zx"}  # the markers each series carries
+MARKER_SERIES = tuple(MARKERS_OF)
 
-def _sqrt_one_minus_2t(order: int) -> TruncatedSeries:
-    t = TruncatedSeries.identity(order)
-    return (TruncatedSeries.constant(1, order) - 2 * t).sqrt()
+
+def _closed_form(name: str, order: int, z, x) -> _Egf:
+    """Scaled coefficients of a named series, in ints; z and x are ints or markers."""
+    t = _Egf((0, 1) + (0,) * (order - 1))
+    one = _Egf((1,) + (0,) * order)
+    s = [1, -1]  # sqrt(1-2t): a_n = -(2n-3)!!
+    for n in range(2, order + 1):
+        s.append(s[-1] * (2 * n - 3))
+    s = _Egf(s)
+
+    if name == "b":
+        return s.reciprocal()
+    if name == "phi":
+        return (s - 1).exp() * s.reciprocal()
+    if name == "chi":
+        return one - t - (s - 1).exp()
+    if name == "psi":
+        return (s - 1).exp() * s.reciprocal() - 2 + t + (s - 1).exp()
+    if name == "W":
+        return (one - s) * (s * s * s).reciprocal() * (s - 1 - t).exp()
+    if name == "U":
+        return (s - 1 - t).exp() * s.reciprocal() * (one + s) + (t - 2) * (-t).exp()
+    if name == "wz":
+        return ((s - 1) * (1 - z)).exp() * s.reciprocal()
+    if name == "wx":
+        return (s * s * s).reciprocal() * (t * (x - 1)).exp()
+    prefactor = (s * (z - 1) + 1) * (s * s * s).reciprocal()
+    series = prefactor * ((one - s) * (z - 1) + t * (x - 1)).exp()
+    if series[0] != z:
+        raise SeriesError("classifier does not start from a single loop chord")
+    return series
 
 
-def named_series(name: str, order: int) -> TruncatedSeries:
+def named_series(name: str, order: int, z=None, x=None) -> TruncatedSeries:
     """Construct one of the closed-form generating functions exactly.
 
     Univariate names (rational coefficients):
@@ -384,47 +436,32 @@ def named_series(name: str, order: int) -> TruncatedSeries:
     * ``wzx`` -- full classifier, z marking loops, x marking parallel pairs,
       coefficient n holding n+1 chords;
     * ``wx``  -- classifier by parallel pairs only.
+
+    ``z`` and ``x`` give a marker its value (0 or 1) during the
+    construction; once every marker of the series has one, the coefficients
+    are rational.  A value for a marker the series does not carry raises.
     """
     if order < 1:
         raise SeriesError("order must be at least 1")
-    t = TruncatedSeries.identity(order)
-    s = _sqrt_one_minus_2t(order)
-    one = TruncatedSeries.constant(1, order)
-
-    if name == "b":
-        return s.reciprocal()
-    if name == "phi":
-        return (s - 1).exp() * s.reciprocal()
-    if name == "chi":
-        return one - t - (s - 1).exp()
-    if name == "psi":
-        return (s - 1).exp() * s.reciprocal() - 2 + t + (s - 1).exp()
-    if name == "W":
-        return (one - s) * (s * s * s).reciprocal() * (s - 1 - t).exp()
-    if name == "U":
-        return (s - 1 - t).exp() * s.reciprocal() * (one + s) - (2 - t) * (-t).exp()
-
-    tm = TruncatedSeries.identity(order, MARKERS)
-    sm = s.lift_to_markers()
-    one_m = TruncatedSeries.constant(1, order, MARKERS)
-    z = MarkerPoly.marker("z")
-    x = MarkerPoly.marker("x")
-
-    if name == "wz":
-        return ((sm - 1) * (1 - z)).exp() * sm.reciprocal()
-    if name == "wx":
-        return (sm * sm * sm).reciprocal() * (tm * (x - 1)).exp()
-    if name == "wzx":
-        prefactor = (sm * (z - 1) + 1) * (sm * sm * sm).reciprocal()
-        series = prefactor * ((one_m - sm) * (z - 1) + tm * (x - 1)).exp()
-        if series[0] != z:
-            raise SeriesError("classifier does not start from a single loop chord")
-        return series
-    raise SeriesError(f"unknown series name {name!r}")
+    if name not in SERIES_NAMES:
+        raise SeriesError(f"unknown series name {name!r}")
+    carried = MARKERS_OF.get(name, "")
+    values = {"z": z, "x": x}
+    for marker, value in values.items():
+        if value is not None and marker not in carried:
+            raise SeriesError(f"series {name} carries no marker {marker} to assign")
+    ring = MARKERS if any(values[m] is None for m in carried) else RATIONAL
+    z = MarkerPoly.marker("z") if z is None else z
+    x = MarkerPoly.marker("x") if x is None else x
+    return _closed_form(name, order, z, x).series(ring)
 
 
-SERIES_NAMES = ("b", "phi", "chi", "psi", "W", "U", "wz", "wx", "wzx")
-MARKER_SERIES = ("wz", "wx", "wzx")
+def _times_factorial(c, n: int, where) -> int:
+    """c * n!, read off c's lowest terms; it must be an integer."""
+    fact = factorial(n)
+    if fact % c.denominator:
+        raise SeriesError(f"coefficient {where} times {n}! is not an integer: {c * fact}")
+    return c.numerator * (fact // c.denominator)
 
 
 def integer_coeffs(series: TruncatedSeries, z=None, x=None) -> list[int]:
@@ -439,13 +476,7 @@ def integer_coeffs(series: TruncatedSeries, z=None, x=None) -> list[int]:
             raise SeriesError("marker assignment left free markers behind")
     elif z is not None or x is not None:
         raise SeriesError("marker assignment given for a series without markers")
-    out = []
-    for n, c in enumerate(series.coeffs):
-        value = c * math.factorial(n)
-        if value.denominator != 1:
-            raise SeriesError(f"coefficient {n} times {n}! is not an integer: {value}")
-        out.append(int(value))
-    return out
+    return [_times_factorial(c, n, n) for n, c in enumerate(series.coeffs)]
 
 
 def marker_triangle(series: TruncatedSeries) -> dict:
@@ -454,17 +485,14 @@ def marker_triangle(series: TruncatedSeries) -> dict:
         raise SeriesError("marker triangle requires marker coefficients")
     out = {}
     for n, poly in enumerate(series.coeffs):
-        fact = math.factorial(n)
         for (k, l), v in poly.terms.items():
-            value = v * fact
-            if value.denominator != 1:
-                raise SeriesError(f"coefficient ({n},{k},{l}) is not integral: {value}")
-            out[(n, k, l)] = int(value)
+            out[(n, k, l)] = _times_factorial(v, n, f"({n},{k},{l})")
     return out
 
 
 # ---------------------------------------------------------------------------
-# Defining-equation residuals (sanity checks for the closed forms)
+# Defining-equation residuals (sanity checks for the closed forms), built in
+# the kernel: d/dt is a left shift of the scaled coefficients, t d/dt is n a_n
 
 
 def loop_pde_residual(order: int) -> TruncatedSeries:
@@ -473,13 +501,11 @@ def loop_pde_residual(order: int) -> TruncatedSeries:
     The classifier satisfies w_t = z w + 2t w_t + (1-z) w_z with w(z,0)=1;
     the returned series is the left side minus the right side.
     """
-    w = named_series("wz", order + 1)
     z = MarkerPoly.marker("z")
-    t = TruncatedSeries.identity(order, MARKERS)
-    wt = w.derivative()
-    w = w.truncate(order)
-    wz = w.marker_derivative("z")
-    return wt - w * z - 2 * (t * wt) - wz * (1 - z)
+    w = _closed_form("wz", order + 1, z, None)
+    wt, w, t_wt = _Egf(w[1:]), _Egf(w[:-1]), _Egf(n * a for n, a in enumerate(w[:-1]))
+    residual = wt - w * z - 2 * t_wt - w.marker_derivative("z") * (1 - z)
+    return residual.series(MARKERS)
 
 
 def full_pde_residual(order: int) -> TruncatedSeries:
@@ -488,12 +514,9 @@ def full_pde_residual(order: int) -> TruncatedSeries:
     The classifier satisfies
     w_t = (z+x+1) w + 2t w_t - (z-1) w_z - 2(x-1) w_x with w(0,z,x) = z.
     """
-    w = named_series("wzx", order + 1)
-    z = MarkerPoly.marker("z")
-    x = MarkerPoly.marker("x")
-    t = TruncatedSeries.identity(order, MARKERS)
-    wt = w.derivative()
-    w = w.truncate(order)
-    wz = w.marker_derivative("z")
-    wx = w.marker_derivative("x")
-    return wt - w * (z + x + 1) - 2 * (t * wt) + wz * (z - 1) + wx * (2 * (x - 1))
+    z, x = MarkerPoly.marker("z"), MarkerPoly.marker("x")
+    w = _closed_form("wzx", order + 1, z, x)
+    wt, w, t_wt = _Egf(w[1:]), _Egf(w[:-1]), _Egf(n * a for n, a in enumerate(w[:-1]))
+    wz, wx = w.marker_derivative("z"), w.marker_derivative("x")
+    residual = wt - w * (z + x + 1) - 2 * t_wt + wz * (z - 1) + wx * (2 * (x - 1))
+    return residual.series(MARKERS)

@@ -1,8 +1,9 @@
+import errno
 import json
 
 import pytest
 
-from chordenum import octahedron, oracle, reflection, symmetry
+from chordenum import cli, octahedron, oracle, reflection, symmetry
 from chordenum.cli import family_values, main, render_sequence
 from chordenum.golden import LOOPLESS_TABLE, SIMPLE_TABLE
 from chordenum.symmetry import RecurrenceValidationError
@@ -100,6 +101,22 @@ def test_series_marker_usage_errors(capsys):
     assert code == 2
     code = main(["series", "phi", "--order", "3", "--z", "0"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, marker",
+    [
+        (["series", "wz", "--order", "3", "--z", "1", "--x", "1"], "x"),
+        (["series", "wx", "--order", "3", "--z", "1", "--x", "1"], "z"),
+    ],
+    ids=["wz --x", "wx --z"],
+)
+def test_series_refuses_a_marker_the_series_does_not_carry(capsys, argv, marker):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: series {argv[1]} carries no marker {marker} to assign\n"
 
 
 def test_triangle_command_prints_row_totals(capsys):
@@ -215,6 +232,33 @@ def test_out_into_missing_directory_is_a_usage_error(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: cannot write ")
     assert not target.exists()
+
+
+def test_a_failed_out_write_leaves_the_target_unchanged(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "seq.txt"
+    target.write_bytes(b"kept as it was\n")
+    real_open = open
+
+    class FullDisk:
+        def __init__(self, handle):
+            self.handle = handle
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self.handle.close()
+
+        def write(self, text):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli, "open", lambda path, mode="r": FullDisk(real_open(path, mode)), raising=False)
+    code = main(["seq", "loopless-chord", "--max", "3", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: cannot write {target}: No space left on device\n"
+    assert target.read_bytes() == b"kept as it was\n"
+    assert list(tmp_path.iterdir()) == [target]
 
 
 def test_negative_max_is_refused(capsys):

@@ -111,3 +111,25 @@ def test_search_yields_each_cycle_in_canonical_form():
             rotated = seq[s:] + seq[:s]
             assert HamCycle.canonical(rotated) == cycle
             assert HamCycle.canonical(rotated[::-1]) == cycle
+
+
+def test_search_yields_the_order_of_a_plain_adjacency_scan():
+    # the spec of the search: extend the path by each unused vertex 2..2n
+    # that ``OctahedronGraph.adjacent`` allows, in ascending order
+    def scan(n):
+        graph = OctahedronGraph(n)
+        m = 2 * n
+
+        def extend(path):
+            if len(path) == m:
+                if graph.adjacent(path[-1], 1) and path[1] < path[-1]:
+                    yield tuple(path)
+                return
+            for v in range(2, m + 1):
+                if v not in path and graph.adjacent(path[-1], v):
+                    yield from extend(path + [v])
+
+        return list(extend([1]))
+
+    for n in range(1, 5):
+        assert [cycle.vertices for cycle in hamiltonian_cycles(n)] == scan(n)

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -7,10 +8,13 @@ from hypothesis import strategies as st
 
 from chordenum.series import (
     MARKERS,
+    MARKERS_OF,
     RATIONAL,
+    SERIES_NAMES,
     MarkerPoly,
     SeriesError,
     TruncatedSeries,
+    _Egf,
     full_pde_residual,
     integer_coeffs,
     loop_pde_residual,
@@ -28,6 +32,114 @@ def rational_series(draw_coeffs):
 
 
 series_strategy = st.lists(rationals, min_size=4, max_size=9).map(rational_series)
+
+
+# ---------------------------------------------------------------------------
+# The reference: the closed forms in ordinary coefficients and Fraction
+# arithmetic, with the Cauchy product and the ordinary-coefficient reciprocal
+# and exponential.  It shares no product, exp or reciprocal code with the
+# library's EGF kernel, which must reproduce it exactly.
+
+
+def times(a, b):
+    """Cauchy product; a b that is not a series multiplies each coefficient."""
+    if not isinstance(b, TruncatedSeries):
+        return TruncatedSeries(a.ring, tuple(c * b for c in a.coeffs))
+    out = []
+    for n in range(min(a.order, b.order) + 1):
+        acc = a.ring.zero
+        for i in range(n + 1):
+            acc = acc + a.coeffs[i] * b.coeffs[n - i]
+        out.append(acc)
+    return TruncatedSeries(a.ring, tuple(out))
+
+
+def reference_reciprocal(f):
+    inv0 = f.ring.invert(f.coeffs[0])
+    out = [inv0]
+    for n in range(1, f.order + 1):
+        acc = f.ring.zero
+        for k in range(1, n + 1):
+            acc = acc + f.coeffs[k] * out[n - k]
+        out.append(-(inv0 * acc))
+    return TruncatedSeries(f.ring, tuple(out))
+
+
+def reference_exp(g):
+    if g.coeffs[0] != g.ring.zero:
+        raise SeriesError("exponential requires constant term 0")
+    # f' = g' f, solved coefficientwise with exact division by n
+    out = [g.ring.one]
+    for n in range(1, g.order + 1):
+        acc = g.ring.zero
+        for k in range(1, n + 1):
+            acc = acc + g.coeffs[k] * Fraction(k) * out[n - k]
+        out.append(acc * Fraction(1, n))
+    return TruncatedSeries(g.ring, tuple(out))
+
+
+def reference_series(name, order, z=None, x=None):
+    """A named closed form; a marker given a value is substituted into the formula."""
+    mul, exp, recip = times, reference_exp, reference_reciprocal
+    t = TruncatedSeries.identity(order)
+    s = (TruncatedSeries.constant(1, order) - 2 * t).sqrt()
+    one = TruncatedSeries.constant(1, order)
+
+    if name == "b":
+        return recip(s)
+    if name == "phi":
+        return mul(exp(s - 1), recip(s))
+    if name == "chi":
+        return one - t - exp(s - 1)
+    if name == "psi":
+        return mul(exp(s - 1), recip(s)) - 2 + t + exp(s - 1)
+    if name == "W":
+        return mul(mul(one - s, recip(mul(mul(s, s), s))), exp(s - 1 - t))
+    if name == "U":
+        return mul(mul(exp(s - 1 - t), recip(s)), one + s) - mul(2 - t, exp(-t))
+
+    carried = MARKERS_OF[name]
+    if (z is None and "z" in carried) or (x is None and "x" in carried):
+        t, s, one = (
+            TruncatedSeries(MARKERS, tuple(MarkerPoly.constant(c) for c in series.coeffs))
+            for series in (t, s, one)
+        )
+    z = MarkerPoly.marker("z") if z is None else z
+    x = MarkerPoly.marker("x") if x is None else x
+    if name == "wz":
+        return mul(exp(mul(s - 1, 1 - z)), recip(s))
+    if name == "wx":
+        return mul(recip(mul(mul(s, s), s)), exp(mul(t, x - 1)))
+    prefactor = mul(mul(s, z - 1) + 1, recip(mul(mul(s, s), s)))
+    return mul(prefactor, exp(mul(one - s, z - 1) + mul(t, x - 1)))
+
+
+def reference_loop_pde_residual(order):
+    w = reference_series("wz", order + 1)
+    z = MarkerPoly.marker("z")
+    t = TruncatedSeries.identity(order, MARKERS)
+    wt = w.derivative()
+    w = w.truncate(order)
+    wz = w.marker_derivative("z")
+    return wt - times(w, z) - 2 * times(t, wt) - times(wz, 1 - z)
+
+
+def reference_full_pde_residual(order):
+    w = reference_series("wzx", order + 1)
+    z = MarkerPoly.marker("z")
+    x = MarkerPoly.marker("x")
+    t = TruncatedSeries.identity(order, MARKERS)
+    wt = w.derivative()
+    w = w.truncate(order)
+    wz = w.marker_derivative("z")
+    wx = w.marker_derivative("x")
+    return wt - times(w, z + x + 1) - 2 * times(t, wt) + times(wz, z - 1) + times(wx, 2 * (x - 1))
+
+
+def marker_choices(name):
+    """Every 0/1 assignment of the markers a series carries."""
+    carried = MARKERS_OF.get(name, "")
+    return [dict(zip(carried, values)) for values in product((0, 1), repeat=len(carried))]
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +179,25 @@ def test_exp_of_negation_inverts(s):
 @given(series_strategy)
 def test_derivative_undoes_antiderivative(s):
     assert s.antiderivative().derivative().coeffs == s.coeffs
+
+
+@settings(max_examples=30, deadline=None)
+@given(series_strategy, series_strategy)
+def test_ring_operations_match_the_reference(s, u):
+    assert (s * u).coeffs == times(s, u).coeffs
+    if s[0] != 0:
+        assert s.reciprocal().coeffs == reference_reciprocal(s).coeffs
+    forced = TruncatedSeries(RATIONAL, (Fraction(0),) + s.coeffs[1:])
+    assert forced.exp().coeffs == reference_exp(forced).coeffs
+
+
+def test_kernel_preconditions_raise_series_error():
+    with pytest.raises(SeriesError, match="constant term 1"):
+        _Egf((2, 1, 0)).reciprocal()
+    with pytest.raises(SeriesError, match="constant term 1"):
+        _Egf((0, 1, 0)).reciprocal()
+    with pytest.raises(SeriesError, match="constant term 0"):
+        _Egf((1, 1, 0)).exp()
 
 
 def test_precondition_failures_are_loud():
@@ -203,9 +334,66 @@ def test_pde_residuals_vanish():
     assert full_pde_residual(10).is_zero()
 
 
+def test_pde_residuals_vanish_to_order_15():
+    assert loop_pde_residual(15).is_zero()
+    assert full_pde_residual(15).is_zero()
+
+
+def test_reference_satisfies_the_pdes():
+    assert reference_loop_pde_residual(8).is_zero()
+    assert reference_full_pde_residual(6).is_zero()
+
+
 def test_marker_triangle_round_trip():
     wx = named_series("wx", 4)
     triangle = marker_triangle(wx)
     assert triangle[(1, 0, 0)] == 2
     assert triangle[(1, 0, 1)] == 1
     assert triangle[(2, 0, 0)] == 10
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against the reference
+
+
+@pytest.mark.parametrize("name", SERIES_NAMES)
+def test_integer_coeffs_match_the_reference_to_order_40(name):
+    # each order is compared with the reference at order 40, truncated:
+    # every construction is exact modulo t^(order+1)
+    for markers in marker_choices(name):
+        reference = reference_series(name, 40, **markers)
+        expected = integer_coeffs(reference)
+        for order in range(1, 41):
+            series = named_series(name, order, **markers)
+            assert series.ring is RATIONAL
+            assert series.coeffs == reference.coeffs[: order + 1], (order, markers)
+            assert integer_coeffs(series) == expected[: order + 1], (order, markers)
+
+
+def test_marker_triangle_matches_the_reference_to_order_20():
+    reference = reference_series("wzx", 20)
+    expected = marker_triangle(reference)
+    for order in range(1, 21):
+        series = named_series("wzx", order)
+        assert series.coeffs == reference.coeffs[: order + 1], order
+        assert marker_triangle(series) == {k: v for k, v in expected.items() if k[0] <= order}, order
+
+
+def test_free_and_partly_assigned_markers_match_the_reference():
+    for name in ("wz", "wx"):
+        assert named_series(name, 15).coeffs == reference_series(name, 15).coeffs
+    full = reference_series("wzx", 10)
+    for marker in ("z", "x"):
+        for value in (0, 1):
+            series = named_series("wzx", 10, **{marker: value})
+            assert series.ring is MARKERS
+            assert series.coeffs == full.substitute_markers(**{marker: value}).coeffs
+
+
+def test_a_marker_the_series_does_not_carry_is_refused():
+    with pytest.raises(SeriesError, match="carries no marker x"):
+        named_series("wz", 3, z=1, x=1)
+    with pytest.raises(SeriesError, match="carries no marker z"):
+        named_series("wx", 3, z=1, x=1)
+    with pytest.raises(SeriesError, match="carries no marker z"):
+        named_series("phi", 3, z=0)
