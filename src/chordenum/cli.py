@@ -11,7 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
+import tempfile
 
 from . import labelled, octahedron, oracle, reflection, symmetry, verify
 from .diagram import format_diagram
@@ -73,22 +75,44 @@ def render_sequence(family: str, values: list[int], fmt: str) -> str:
 
 
 def _emit(text: str, out_path):
-    """Write to stdout, or replace ``out_path`` whole: a failed write leaves it as it was."""
+    """Write to stdout or to ``out_path``.
+
+    A regular file (or a new one) is replaced whole through a temporary file
+    beside it, so a failed write leaves it as it was.  Anything else -- a
+    symlink, a device such as /dev/null, a FIFO -- is written in place.
+    """
     if out_path is None:
         sys.stdout.write(text)
         return
-    # beside the target, so that the rename stays on one filesystem
-    partial = f"{out_path}.{os.getpid()}.tmp"
-    created = False
     try:
-        with open(partial, "x") as handle:
-            created = True
-            handle.write(text)
-        os.replace(partial, out_path)
-    except OSError as exc:  # a bad --out is a usage error, not a failed check
-        if created:
+        try:
+            mode = os.lstat(out_path).st_mode
+        except FileNotFoundError:
+            mode = stat.S_IFREG | 0o666 & ~_umask()
+        if not stat.S_ISREG(mode):
+            with open(out_path, "w") as handle:
+                handle.write(text)
+            return
+        # beside the target, so that the rename stays on one filesystem
+        fd, partial = tempfile.mkstemp(dir=os.path.dirname(out_path) or ".", suffix=".tmp")
+        try:
+            with open(fd, "w") as handle:
+                os.fchmod(fd, stat.S_IMODE(mode))
+                handle.write(text)
+                handle.flush()
+                os.fsync(fd)
+            os.replace(partial, out_path)
+        except BaseException:
             os.unlink(partial)
+            raise
+    except OSError as exc:  # a bad --out is a usage error, not a failed check
         raise ValueError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
+
+
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
 
 
 def cmd_seq(args) -> int:

@@ -312,9 +312,8 @@ class TruncatedSeries:
         return (-self) + self._pair(other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return TruncatedSeries(self.ring, tuple(c * q for c in self.coeffs))
+        if isinstance(other, (int, Fraction)) or (isinstance(other, MarkerPoly) and self.ring is MARKERS):
+            return TruncatedSeries(self.ring, tuple(c * other for c in self.coeffs))
         return (self._scaled() * self._pair(other)._scaled()).series(self.ring)
 
     __rmul__ = __mul__
@@ -464,18 +463,14 @@ def _times_factorial(c, n: int, where) -> int:
     return c.numerator * (fact // c.denominator)
 
 
-def integer_coeffs(series: TruncatedSeries, z=None, x=None) -> list[int]:
+def integer_coeffs(series: TruncatedSeries) -> list[int]:
     """n! times each coefficient, which must come out integral.
 
-    Marker series require the markers they contain to be assigned (0 or 1)
-    first.  A non-integer value signals a construction bug and raises.
+    A marker series needs every marker assigned first (``named_series`` with
+    ``z=``/``x=``).  A non-integer value signals a construction bug and raises.
     """
-    if series.ring is MARKERS:
-        series = series.substitute_markers(z=z, x=x)
-        if series.ring is not RATIONAL:
-            raise SeriesError("marker assignment left free markers behind")
-    elif z is not None or x is not None:
-        raise SeriesError("marker assignment given for a series without markers")
+    if series.ring is not RATIONAL:
+        raise SeriesError("integer coefficients need every marker assigned")
     return [_times_factorial(c, n, n) for n, c in enumerate(series.coeffs)]
 
 

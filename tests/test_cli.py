@@ -1,5 +1,7 @@
 import errno
 import json
+import os
+import stat
 
 import pytest
 
@@ -259,6 +261,64 @@ def test_a_failed_out_write_leaves_the_target_unchanged(tmp_path, capsys, monkey
     assert captured.err == f"error: cannot write {target}: No space left on device\n"
     assert target.read_bytes() == b"kept as it was\n"
     assert list(tmp_path.iterdir()) == [target]
+
+
+SEQ_ARGV = ["seq", "loopless-chord", "--max", "3"]
+
+
+def test_out_to_a_fifo_is_written_in_place(tmp_path, capsys, monkeypatch):
+    # a FIFO, like /dev/null or /dev/stdout, must never be renamed over
+    expected = run(capsys, *SEQ_ARGV)[1].encode()
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    monkeypatch.setattr(os, "replace", lambda *args: pytest.fail("renamed over a FIFO"))
+    try:
+        code, out = run(capsys, *SEQ_ARGV, "--out", str(fifo))
+        received = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert (code, out) == (0, "")
+    assert received == expected
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert list(tmp_path.iterdir()) == [fifo]
+
+
+def test_out_through_a_symlink_writes_the_file_it_names(tmp_path, capsys):
+    expected = run(capsys, *SEQ_ARGV)[1]
+    target = tmp_path / "seq.txt"
+    target.write_text("old\n")
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    assert run(capsys, *SEQ_ARGV, "--out", str(link)) == (0, "")
+    assert link.is_symlink()
+    assert target.read_text() == expected
+
+
+def test_out_keeps_an_existing_mode_and_gives_a_new_file_the_default(tmp_path, capsys):
+    kept = tmp_path / "kept.txt"
+    kept.write_text("old\n")
+    kept.chmod(0o640)
+    fresh = tmp_path / "fresh.txt"
+    for target in (kept, fresh):
+        assert run(capsys, *SEQ_ARGV, "--out", str(target)) == (0, "")
+    mask = os.umask(0)
+    os.umask(mask)
+    assert stat.S_IMODE(kept.stat().st_mode) == 0o640
+    assert stat.S_IMODE(fresh.stat().st_mode) == 0o666 & ~mask
+
+
+def test_out_is_synced_before_the_rename_and_ignores_stale_temporaries(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "seq.txt"
+    stale = tmp_path / f"seq.txt.{os.getpid()}.tmp"  # as a killed run might leave it
+    stale.write_text("left behind\n")
+    calls = []
+    real_fsync, real_replace = os.fsync, os.replace
+    monkeypatch.setattr(os, "fsync", lambda fd: (calls.append("fsync"), real_fsync(fd))[1])
+    monkeypatch.setattr(os, "replace", lambda *args: (calls.append("replace"), real_replace(*args))[1])
+    assert run(capsys, *SEQ_ARGV, "--out", str(target)) == (0, "")
+    assert calls == ["fsync", "replace"]
+    assert sorted(tmp_path.iterdir()) == [target, stale]
 
 
 def test_negative_max_is_refused(capsys):

@@ -249,6 +249,16 @@ def test_marker_inversion_requires_constant():
         series.reciprocal()
 
 
+def test_a_marker_poly_factor_scales_each_coefficient(monkeypatch):
+    z = MarkerPoly.marker("z")
+    two = MarkerPoly.constant(Fraction(2))
+    series = TruncatedSeries(MARKERS, (two, z, z * z + 1))
+    assert series.reciprocal().coeffs == reference_reciprocal(series).coeffs
+    monkeypatch.setattr(_Egf, "__mul__", lambda *args: pytest.fail("labelled product for a scalar"))
+    assert (series * z).coeffs == (two * z, z * z, z * z * z + z)
+    assert (z * series).coeffs == (series * z).coeffs
+
+
 # ---------------------------------------------------------------------------
 # named series
 
@@ -273,10 +283,13 @@ def test_reciprocal_sqrt_gives_double_factorials():
 
 def test_marker_substitutions():
     wzx = named_series("wzx", 5)
-    assert integer_coeffs(wzx, z=0, x=0) == [0, 1, 3, 24, 211, 2325]
-    assert integer_coeffs(wzx, z=1, x=1) == [
+    assert integer_coeffs(named_series("wzx", 5, z=0, x=0)) == [0, 1, 3, 24, 211, 2325]
+    assert integer_coeffs(named_series("wzx", 5, z=1, x=1)) == [
         math.prod(range(2 * n + 1, 0, -2)) for n in range(6)
     ]
+    for z, x in product((0, 1), repeat=2):
+        expected = integer_coeffs(wzx.substitute_markers(z=z, x=x))
+        assert integer_coeffs(named_series("wzx", 5, z=z, x=x)) == expected
     wz = named_series("wz", 6)
     phi = named_series("phi", 6)
     assert wz.substitute_markers(z=0, x=0).coeffs == phi.coeffs
@@ -290,11 +303,10 @@ def test_classifier_starts_from_the_single_loop():
 
 
 def test_integer_coeffs_rejects_leftover_markers_and_nonintegers():
-    wzx = named_series("wzx", 3)
     with pytest.raises(SeriesError):
-        integer_coeffs(wzx, z=0)  # x left free
+        integer_coeffs(named_series("wzx", 3, z=0))  # x left free
     with pytest.raises(SeriesError):
-        integer_coeffs(named_series("phi", 3), z=0)
+        integer_coeffs(named_series("phi", 3, z=0))
     half_t = TruncatedSeries(RATIONAL, (Fraction(0), Fraction(1, 2)))
     with pytest.raises(SeriesError):
         integer_coeffs(half_t)
@@ -304,11 +316,11 @@ def test_all_named_series_extract_nonnegative_integers():
     for name in ("b", "phi", "chi", "psi", "W", "U"):
         assert all(v >= 0 for v in integer_coeffs(named_series(name, 12)))
     for z in (0, 1):
-        assert all(v >= 0 for v in integer_coeffs(named_series("wz", 9), z=z))
+        assert all(v >= 0 for v in integer_coeffs(named_series("wz", 9, z=z)))
         for x in (0, 1):
-            assert all(v >= 0 for v in integer_coeffs(named_series("wzx", 9), z=z, x=x))
+            assert all(v >= 0 for v in integer_coeffs(named_series("wzx", 9, z=z, x=x)))
     for x in (0, 1):
-        assert all(v >= 0 for v in integer_coeffs(named_series("wx", 9), x=x))
+        assert all(v >= 0 for v in integer_coeffs(named_series("wx", 9, x=x)))
 
 
 # ---------------------------------------------------------------------------
