@@ -37,7 +37,14 @@ SEQ_BUILDERS = {
 }
 SEQ_FAMILIES = tuple(SEQ_BUILDERS)
 
-TRIANGLE_NAMES = ("a_nk", "a_nkl", "ahat_nl")
+# name -> (builder to n_max, chord offset, key names): row n holds diagrams
+# with n + offset chords, keyed by the named statistics.
+TRIANGLES = {
+    "a_nk": (lambda n_max: labelled.loop_triangle(n_max), 0, ("k",)),
+    "a_nkl": (lambda n_max: labelled.loop_parallel_triangle(n_max), 1, ("k", "l")),
+    "ahat_nl": (lambda n_max: labelled.parallel_triangle(n_max), 1, ("l",)),
+}
+TRIANGLE_NAMES = tuple(TRIANGLES)
 
 
 def family_values(family: str, n_max: int) -> list[int]:
@@ -138,38 +145,25 @@ def cmd_series(args) -> int:
 def cmd_triangle(args) -> int:
     if args.max < 0:
         raise ValueError("--max must be at least 0")
-    if args.name == "a_nk":
-        table = labelled.loop_triangle(args.max)
-        chord_offset = 0
-        total = lambda n: double_factorial(2 * n - 1)
-    elif args.name == "a_nkl":
-        table = labelled.loop_parallel_triangle(args.max)
-        chord_offset = 1
-        total = lambda n: double_factorial(2 * n + 1)
-    else:
-        table = labelled.parallel_triangle(args.max)
-        chord_offset = 1
-        total = lambda n: double_factorial(2 * n + 1)
+    build, chord_offset, key_names = TRIANGLES[args.name]
+    table = build(args.max)
 
     lines = []
     if args.format == "csv":
-        key_names = "n,k,l" if args.name == "a_nkl" else ("n,k" if args.name == "a_nk" else "n,l")
-        lines.append(f"{key_names},value")
+        lines.append(",".join(("n", *key_names, "value")))
         for n in range(args.max + 1):
             for key, value in sorted(table.row(n).items()):
                 lines.append(",".join(str(i) for i in (n, *key, value)))
     else:
         for n in range(args.max + 1):
             row_total = table.row_total(n)
-            expected = total(n)
+            expected = double_factorial(2 * (n + chord_offset) - 1)
             status = "ok" if row_total == expected else "MISMATCH"
             lines.append(
                 f"n={n} chords={n + chord_offset} total={row_total} expected={expected} {status}"
             )
             for key, value in sorted(table.row(n).items()):
-                label = " ".join(f"{name}={i}" for name, i in zip(("k", "l"), key))
-                if args.name == "ahat_nl":
-                    label = f"l={key[0]}"
+                label = " ".join(f"{name}={i}" for name, i in zip(key_names, key))
                 lines.append(f"  {label}: {value}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -201,8 +195,6 @@ def cmd_octahedron(args) -> int:
 def cmd_verify(args) -> int:
     if args.max < 0:
         raise ValueError("--max must be at least 0")
-    if not args.tables:
-        oracle.check_cap(args.max, args.oracle_cap)  # refuse before any sweep runs
     depth = 0 if args.tables else args.max
     text, ok = verify.report(family_values, depth, args.oracle_cap, args.bfile, args.bfile_family)
     _emit(text, args.out)

@@ -258,13 +258,11 @@ def canonical_code(diagram: Diagram, kind: str) -> tuple[int, ...]:
 # Exhaustive enumeration
 
 
-def enumerate_pairings(point_count: int, first_partner: int | None = None):
+def enumerate_pairings(point_count: int):
     """Yield every partner table on the given points exactly once.
 
     The smallest free point is always paired with each larger partner in
-    ascending order, which fixes the stream order.  ``first_partner``
-    restricts point 0 to a single partner, giving the 2n-1 independent
-    branches of the stream.
+    ascending order, which fixes the stream order.
     """
     if point_count % 2 != 0:
         raise ValueError(f"point count must be even, got {point_count}")
@@ -283,23 +281,14 @@ def enumerate_pairings(point_count: int, first_partner: int | None = None):
                 yield from fill(a + 1)
                 p[a], p[b] = -1, -1
 
-    if point_count == 0:
-        yield ()
-        return
-    if first_partner is None:
-        yield from fill(0)
-    else:
-        if not 1 <= first_partner < point_count:
-            raise ValueError(f"first partner {first_partner} out of range")
-        p[0], p[first_partner] = first_partner, 0
-        yield from fill(1)
+    yield from fill(0)
 
 
-def enumerate_matchings(n: int, topology=CIRCULAR, first_partner: int | None = None):
+def enumerate_matchings(n: int, topology=CIRCULAR):
     """Yield the (2n-1)!! diagrams with n chords in a fixed order."""
     if n < 0:
         raise ValueError(f"chord count must be nonnegative, got {n}")
-    for p in enumerate_pairings(2 * n, first_partner):
+    for p in enumerate_pairings(2 * n):
         yield Diagram(p, topology)
 
 

@@ -114,28 +114,8 @@ class MarkerPoly:
             out[k] = out.get(k, 0) + v * deg
         return MarkerPoly(out)
 
-    def substitute(self, z=None, x=None):
-        """Evaluate markers; returns a Fraction once both are assigned."""
-        out: dict[tuple[int, int], Fraction] = {}
-        for (a, b), v in self.terms.items():
-            if z is not None:
-                v = v * Fraction(z) ** a
-                a = 0
-            if x is not None:
-                v = v * Fraction(x) ** b
-                b = 0
-            k = (a, b)
-            out[k] = out.get(k, Fraction(0)) + v
-        poly = MarkerPoly(out)
-        if z is not None and x is not None:
-            return poly.terms.get((0, 0), Fraction(0))
-        return poly
-
-    def is_constant(self) -> bool:
-        return all(k == (0, 0) for k in self.terms)
-
     def constant_value(self) -> Fraction:
-        if not self.is_constant():
+        if any(k != (0, 0) for k in self.terms):
             raise SeriesError(f"not a constant polynomial: {self}")
         return self.terms.get((0, 0), Fraction(0))
 
@@ -349,29 +329,12 @@ class TruncatedSeries:
         out = tuple(self.coeffs[n + 1] * (n + 1) for n in range(self.order))
         return TruncatedSeries(self.ring, out)
 
-    def antiderivative(self) -> "TruncatedSeries":
-        """Integral from 0; raises the order by one."""
-        out = [self.ring.zero] + [c * Fraction(1, n + 1) for n, c in enumerate(self.coeffs)]
-        return TruncatedSeries(self.ring, tuple(out))
-
     # -- marker operations --------------------------------------------
 
     def marker_derivative(self, marker: str) -> "TruncatedSeries":
         if self.ring is not MARKERS:
             raise SeriesError("marker derivative requires marker coefficients")
         return TruncatedSeries(MARKERS, tuple(c.differentiate(marker) for c in self.coeffs))
-
-    def substitute_markers(self, z=None, x=None) -> "TruncatedSeries":
-        """Assign markers; drops to rational coefficients once none remain."""
-        if self.ring is not MARKERS:
-            raise SeriesError("marker substitution requires marker coefficients")
-        subbed = []
-        for c in self.coeffs:
-            value = c.substitute(z=z, x=x)
-            subbed.append(MarkerPoly.constant(value) if isinstance(value, Fraction) else value)
-        if all(c.is_constant() for c in subbed):
-            return TruncatedSeries(RATIONAL, tuple(c.constant_value() for c in subbed))
-        return TruncatedSeries(MARKERS, tuple(subbed))
 
     def is_zero(self) -> bool:
         return all(c == self.ring.zero for c in self.coeffs)

@@ -138,9 +138,13 @@ def bfile_check(path: str, family: str | None, family_values) -> tuple:
 def report(family_values, depth: int, cap: int, bfile=None, bfile_family=None) -> tuple[str, bool]:
     """The report text and whether every check passed.
 
-    Sweeps n = 1..depth, then the golden tables, then the b-file if given;
-    a b-file that cannot be used is refused before any sweep runs.
+    Sweeps n = 1..depth, then the golden tables, then the b-file if given.
+    A depth above the cap, a negative cap, a family without a b-file and a
+    b-file that cannot be used are refused before any table is built.
     """
+    oracle.check_cap(depth, cap)
+    if bfile_family and not bfile:
+        raise ValueError("--bfile-family needs --bfile")
     bfile_entry = bfile_check(bfile, bfile_family, family_values) if bfile else None
     recurrences = build_recurrences(family_values, depth)
     entries = []

@@ -360,6 +360,22 @@ def test_missing_bfile_is_a_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["--bfile-family", "loopless-chord"], "--bfile-family needs --bfile"),
+        (["--oracle-cap", "-1"], "n=0 exceeds the enumeration cap -1"),
+    ],
+    ids=["bfile-family-without-bfile", "negative-oracle-cap"],
+)
+def test_verify_tables_refuses_bad_options(capsys, argv, error):
+    code = main(["verify", "--tables", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize(
     "module, builder, error",
     [
         (symmetry, "loopless_cyclic", ArithmeticError("rotation average is not integral at n=3: 7/6")),

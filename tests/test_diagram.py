@@ -241,14 +241,6 @@ def test_enumeration_order_is_fixed():
     assert first[-1] == [(1, 6), (2, 5), (3, 4)]
 
 
-def test_stream_partition_by_first_partner():
-    full = sorted(enumerate_pairings(8))
-    parts = []
-    for fp in range(1, 8):
-        parts.extend(enumerate_pairings(8, first_partner=fp))
-    assert sorted(parts) == full
-
-
 def test_invariant_enumeration_matches_filtering():
     for n in range(5):
         m = 2 * n

@@ -151,21 +151,6 @@ def test_cap_is_enforced():
     assert full_sweep(3, cap=3).labelled[(CIRCULAR, "all")] == 15
 
 
-def test_partitioned_stream_merges_to_the_direct_count(sweeps):
-    # branch-by-branch counting over the 2n-1 partitions of the stream
-    n = 4
-    flags = gap_flags(2 * n, CIRCULAR)
-    direct = sweeps[n].labelled[(CIRCULAR, "loopless")]
-    merged = 0
-    for fp in range(1, 2 * n):
-        merged += sum(
-            1
-            for p in enumerate_pairings(2 * n, first_partner=fp)
-            if in_family("loopless", *classify_pairing(p, flags))
-        )
-    assert merged == direct
-
-
 def test_full_sweep_matches_individual_operations(sweeps):
     for n in (1, 2, 3, 4):
         sweep = sweeps[n]

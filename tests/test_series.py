@@ -175,12 +175,6 @@ def test_exp_of_negation_inverts(s):
     assert all(c == 0 for c in product.coeffs[1:])
 
 
-@settings(max_examples=60, deadline=None)
-@given(series_strategy)
-def test_derivative_undoes_antiderivative(s):
-    assert s.antiderivative().derivative().coeffs == s.coeffs
-
-
 @settings(max_examples=30, deadline=None)
 @given(series_strategy, series_strategy)
 def test_ring_operations_match_the_reference(s, u):
@@ -237,7 +231,6 @@ def test_marker_poly_arithmetic():
     x = MarkerPoly.marker("x")
     p = (z + x) * (z - x)
     assert p == z * z - x * x
-    assert p.substitute(z=1, x=1) == 0
     assert (z * x).differentiate("z") == x
     assert (z * z).differentiate("z") == 2 * z
 
@@ -282,19 +275,17 @@ def test_reciprocal_sqrt_gives_double_factorials():
 
 
 def test_marker_substitutions():
-    wzx = named_series("wzx", 5)
     assert integer_coeffs(named_series("wzx", 5, z=0, x=0)) == [0, 1, 3, 24, 211, 2325]
     assert integer_coeffs(named_series("wzx", 5, z=1, x=1)) == [
         math.prod(range(2 * n + 1, 0, -2)) for n in range(6)
     ]
     for z, x in product((0, 1), repeat=2):
-        expected = integer_coeffs(wzx.substitute_markers(z=z, x=x))
+        expected = integer_coeffs(reference_series("wzx", 5, z=z, x=x))
         assert integer_coeffs(named_series("wzx", 5, z=z, x=x)) == expected
-    wz = named_series("wz", 6)
     phi = named_series("phi", 6)
-    assert wz.substitute_markers(z=0, x=0).coeffs == phi.coeffs
+    assert named_series("wz", 6, z=0).coeffs == phi.coeffs
     b = named_series("b", 6)
-    assert wz.substitute_markers(z=1, x=1).coeffs == b.coeffs
+    assert named_series("wz", 6, z=1).coeffs == b.coeffs
 
 
 def test_classifier_starts_from_the_single_loop():
@@ -394,12 +385,11 @@ def test_marker_triangle_matches_the_reference_to_order_20():
 def test_free_and_partly_assigned_markers_match_the_reference():
     for name in ("wz", "wx"):
         assert named_series(name, 15).coeffs == reference_series(name, 15).coeffs
-    full = reference_series("wzx", 10)
     for marker in ("z", "x"):
         for value in (0, 1):
             series = named_series("wzx", 10, **{marker: value})
             assert series.ring is MARKERS
-            assert series.coeffs == full.substitute_markers(**{marker: value}).coeffs
+            assert series.coeffs == reference_series("wzx", 10, **{marker: value}).coeffs
 
 
 def test_a_marker_the_series_does_not_carry_is_refused():

@@ -1,5 +1,8 @@
-from chordenum import labelled, reflection
-from chordenum.cli import main
+import pytest
+
+from chordenum import labelled, oracle, reflection, verify
+from chordenum.cli import family_values, main
+from chordenum.oracle import OracleCapError
 from chordenum.verify import check_line
 
 
@@ -27,3 +30,10 @@ def test_verify_builds_each_recurrence_once_per_run(monkeypatch, capsys):
     # one mirror build for the simple-dihedral column, one for the reflection axes
     assert sorted(built["build_mirror_tables"]) == [4, 20]
     assert built["loop_parallel_triangle"] == [3]
+
+
+def test_report_refuses_a_depth_over_the_cap_before_building_anything(monkeypatch):
+    monkeypatch.setattr(verify, "build_recurrences", lambda *args: pytest.fail("built the recurrences"))
+    monkeypatch.setattr(oracle, "full_sweep", lambda *args, **kwargs: pytest.fail("ran a sweep"))
+    with pytest.raises(OracleCapError):
+        verify.report(family_values, 4, 2)
