@@ -339,7 +339,4 @@ def enumerate_invariant_pairings(point_count: int, element: tuple[int, ...]):
                 v = p[u]
                 p[u] = p[v] = -1
 
-    if point_count == 0:
-        yield ()
-        return
     yield from fill()

@@ -1,15 +1,16 @@
-"""Brute-force ground truth by exhaustive matching enumeration.
+"""Brute-force ground truth: every count a family filter on a (loops, parallels) table.
 
-``full_sweep`` enumerates all (2n-1)!! matchings once.  Each matching is
-classified on the circle and on the line, gets its cyclic canonical code,
-and is tested against one representative per conjugacy class of the
-symmetry group: one rotation per order d | 2n (the rotations of one order
-generate the same subgroup, so they fix the same matchings), one axis
-through opposite points and one through opposite gaps.  Dihedral codes
-come once per cyclic orbit, from the matching its cyclic code rebuilds.
-Class sizes come from counting element orders here, not from the
-recurrence modules, which are validated against these counts before their
-tables are trusted.
+``full_sweep`` enumerates all (2n-1)!! matchings once and only classifies
+them, on the circle and on the line, keyed also by cyclic canonical code;
+dihedral codes come once per cyclic orbit, from the matching its cyclic
+code rebuilds.  The fixed counts come from a second enumeration: the
+invariant matchings of one representative per conjugacy class (one
+rotation per order d | 2n, one axis through opposite points, one through
+opposite gaps), classified on the circle; the identity reads the full
+table.  Burnside's identity then compares the two enumerations.  Class
+sizes come from counting element orders here, not from the recurrence
+modules, which are validated against these counts before their tables
+are trusted.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .diagram import (
     canonical_pairing_code,
     classify_pairing,
     edge_reflection,
+    enumerate_invariant_pairings,
     enumerate_pairings,
     gap_flags,
     rotation,
@@ -57,13 +59,6 @@ def in_family(family: str, loops: int, parallels: int) -> bool:
     if family == "simple":
         return loops == 0 and parallels == 0
     raise ValueError(f"unknown family {family!r}")
-
-
-def _is_fixed(pairing, element) -> bool:
-    for i, j in enumerate(pairing):
-        if pairing[element[i]] != element[j]:
-            return False
-    return True
 
 
 def _classes(n: int) -> dict:
@@ -126,8 +121,13 @@ def _bump(counts: dict, key):
     counts[key] = counts.get(key, 0) + 1
 
 
+def _family_total(table: dict, family: str) -> int:
+    """Matchings of a family in a (loops, parallels) -> count table."""
+    return sum(count for key, count in table.items() if in_family(family, *key))
+
+
 def full_sweep(n: int, cap: int = DEFAULT_CAP) -> SweepResult:
-    """Everything the verify command compares, from a single enumeration.
+    """Everything the verify command compares, each count read off a table.
 
     Only nonzero counts are stored in ``labelled``, ``rotation_fixed`` and
     ``reflection_fixed``; every orbit report of n >= 1 is checked against
@@ -139,41 +139,35 @@ def full_sweep(n: int, cap: int = DEFAULT_CAP) -> SweepResult:
     lin_flags = gap_flags(m, LINEAR)
     classes = _classes(n)
 
-    labelled = {}
     tables = {CIRCULAR: {}, LINEAR: {}}
-    codes = {(CYCLIC, f): set() for f in FAMILIES}
-    fixed = {f: dict.fromkeys(classes, 0) for f in FAMILIES}
-
+    cyclic = {}  # cyclic code -> circular (loops, parallels) of its orbit
     for p in enumerate_pairings(m):
         circ = classify_pairing(p, circ_flags)
-        lin = classify_pairing(p, lin_flags)
         _bump(tables[CIRCULAR], circ)
-        _bump(tables[LINEAR], lin)
-        for f in FAMILIES:
-            if in_family(f, *lin):
-                _bump(labelled, (LINEAR, f))
-        families = [f for f in FAMILIES if in_family(f, *circ)]
-        cyclic_code = canonical_pairing_code(p, CYCLIC)
-        hits = [label for label, (element, _) in classes.items() if _is_fixed(p, element)]
-        for f in families:
-            _bump(labelled, (CIRCULAR, f))
-            codes[(CYCLIC, f)].add(cyclic_code)
-            for label in hits:
-                fixed[f][label] += 1
+        _bump(tables[LINEAR], classify_pairing(p, lin_flags))
+        cyclic[canonical_pairing_code(p, CYCLIC)] = circ
 
     # a cyclic code is the offset code of a rotated image of its matchings
     dihedral = {
-        c: canonical_pairing_code(tuple((i + o) % m for i, o in enumerate(c)), DIHEDRAL)
-        for c in codes[(CYCLIC, "all")]
+        canonical_pairing_code(tuple((i + o) % m for i, o in enumerate(c)), DIHEDRAL): key
+        for c, key in cyclic.items()
     }
-    for f in FAMILIES:
-        codes[(DIHEDRAL, f)] = {dihedral[c] for c in codes[(CYCLIC, f)]}
+    orbit_tables = {CYCLIC: Counter(cyclic.values()), DIHEDRAL: Counter(dihedral.values())}
+    fixed = {
+        label: tables[CIRCULAR] if label == ("rotation", 1)
+        else Counter(classify_pairing(p, circ_flags) for p in enumerate_invariant_pairings(m, element))
+        for label, (element, _) in classes.items()
+    }
 
+    labelled = {}
     rotation_fixed = {}
     reflection_fixed = {}
     for f in FAMILIES:
-        for (kind, key), count in fixed[f].items():
-            if count:
+        for topology in (CIRCULAR, LINEAR):
+            if count := _family_total(tables[topology], f):
+                labelled[(topology, f)] = count
+        for (kind, key), table in fixed.items():
+            if count := _family_total(table, f):
                 (rotation_fixed if kind == "rotation" else reflection_fixed)[(key, f)] = count
 
     orbits = {}
@@ -187,8 +181,8 @@ def full_sweep(n: int, cap: int = DEFAULT_CAP) -> SweepResult:
                 n=n,
                 group=g,
                 family=f,
-                orbit_count=len(codes[(g, f)]),
-                fixed_counts={label: size * fixed[f][label] for label, size in in_group.items()},
+                orbit_count=_family_total(orbit_tables[g], f),
+                fixed_counts={label: size * _family_total(fixed[label], f) for label, size in in_group.items()},
                 group_order=sum(in_group.values()) if n else 1,
             )
             if n:

@@ -7,6 +7,8 @@ per n, because their chains follow the divisors of 2n.
 
 from __future__ import annotations
 
+import os
+
 from . import golden, labelled, oracle, reflection, symmetry
 from .diagram import CIRCULAR, CYCLIC, DIHEDRAL, LINEAR
 
@@ -120,7 +122,8 @@ def parse_bfile(path: str) -> dict[int, int]:
 
 def bfile_check(path: str, family: str | None, family_values) -> tuple:
     """(name, n, expected, got) at the b-file's first mismatch, else at its last index."""
-    family = family or next((fam for digits, fam in BFILE_FAMILIES.items() if digits in path), None)
+    named = [fam for digits, fam in BFILE_FAMILIES.items() if digits in os.path.basename(path)]
+    family = family or (named[0] if len(named) == 1 else None)
     if family is None:
         raise ValueError("cannot infer the sequence family from the file name; pass --bfile-family")
     try:

@@ -206,6 +206,27 @@ def test_verify_bfile_paths(tmp_path, capsys):
     assert code == 0
 
 
+def test_bfile_family_is_read_from_the_file_name_alone(tmp_path, capsys):
+    # a dihedral b-file inside a directory named after the chord sequence
+    folder = tmp_path / "003436"
+    folder.mkdir()
+    dihedral = folder / "b003437.txt"
+    dihedral.write_text("".join(f"{n} {LOOPLESS_TABLE[n][3]}\n" for n in range(1, 21)))
+    code, out = run(capsys, "verify", "--tables", "--bfile", str(dihedral))
+    assert code == 0
+    assert out.splitlines()[-1] == f"CHECK bfile-loopless-dihedral n=20 expected={LOOPLESS_TABLE[20][3]} got={LOOPLESS_TABLE[20][3]} OK"
+
+    # a name that carries both sequence numbers, or neither, is refused
+    for name in ("b003436_vs_b003437.txt", "b000000.txt"):
+        ambiguous = folder / name
+        ambiguous.write_text("1 0\n")
+        code = main(["verify", "--tables", "--bfile", str(ambiguous)])
+        captured = capsys.readouterr()
+        assert code == 2, name
+        assert captured.out == "", name
+        assert captured.err == "error: cannot infer the sequence family from the file name; pass --bfile-family\n"
+
+
 def test_parse_bfile_rejects_malformed_lines(tmp_path):
     path = tmp_path / "three_fields.txt"
     path.write_text("1 2 3\n")

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chordenum import oracle
 from chordenum.diagram import (
     CIRCULAR,
     CYCLIC,
@@ -242,11 +243,13 @@ def test_enumeration_order_is_fixed():
 
 
 def test_invariant_enumeration_matches_filtering():
-    for n in range(5):
+    for n in range(6):
         m = 2 * n
         elements = group_elements(DIHEDRAL, m) if m else [()]
+        # every class representative the oracle's fixed counts are built from
+        representatives = [element for element, _ in oracle._classes(n).values()]
         everything = list(enumerate_pairings(m))
-        for g in elements[:: max(1, len(elements) // 6)]:
+        for g in elements[:: max(1, len(elements) // 6)] + representatives:
             fixed = sorted(
                 p for p in everything if all(p[g[i]] == g[j] for i, j in enumerate(p))
             )

@@ -104,7 +104,7 @@ def test_reflection_fixed_examples(sweeps):
 
 def test_all_axes_of_a_type_fix_equally_many(sweeps):
     # every element of a class fixes as many diagrams as the class
-    # representative the sweep tests: rotations of one order and axes of one type
+    # representative the sweep enumerates: rotations of one order and axes of one type
     for n in range(1, 6):
         sweep = sweeps[n]
         for family in ("loopless", "simple"):
@@ -141,6 +141,43 @@ def test_dihedral_codes_come_once_per_cyclic_orbit(monkeypatch):
     sweep = full_sweep(5)
     assert calls == {CYCLIC: 945, DIHEDRAL: 105}
     assert sweep.orbits[(CYCLIC, "all")].orbit_count == 105
+
+
+def test_one_full_pass_and_one_invariant_pass_per_non_identity_class(monkeypatch):
+    calls = {"full": [], "invariant": []}
+    full, invariant = oracle.enumerate_pairings, oracle.enumerate_invariant_pairings
+
+    def counting_full(point_count):
+        calls["full"].append(point_count)
+        return full(point_count)
+
+    def counting_invariant(point_count, element):
+        calls["invariant"].append(element)
+        return invariant(point_count, element)
+
+    monkeypatch.setattr(oracle, "enumerate_pairings", counting_full)
+    monkeypatch.setattr(oracle, "enumerate_invariant_pairings", counting_invariant)
+    full_sweep(5)
+    assert calls["full"] == [10]
+    # rotations of order 2, 5 and 10 and the two axis types; the identity reads the full pass
+    assert len(calls["invariant"]) == 5
+    assert rotation(10, 0) not in calls["invariant"]
+
+
+def test_burnside_compares_two_enumerations(monkeypatch):
+    # drop one matching fixed by the vertex axis: the orbit codes no longer agree
+    axis = vertex_reflection(8, 0)
+    real = oracle.enumerate_invariant_pairings
+
+    def dropping(point_count, element):
+        matchings = real(point_count, element)
+        if element == axis:
+            next(matchings)
+        return matchings
+
+    monkeypatch.setattr(oracle, "enumerate_invariant_pairings", dropping)
+    with pytest.raises(AssertionError, match="Burnside identity fails for n=4"):
+        full_sweep(4)
 
 
 def test_cap_is_enforced():
