@@ -181,11 +181,13 @@ def cmd_fixed(args) -> int:
 
 
 def cmd_octahedron(args) -> int:
-    labelled_count, orbit_count = octahedron.count_cycles(args.n)
+    cycles = octahedron.cycle_diagrams(args.n)
+    if args.list:  # one search: keep the cycles to list them after the counts
+        cycles = list(cycles)
+    labelled_count, orbit_count = octahedron.tally_cycles(cycles)
     lines = [f"labelled {labelled_count}", f"orbits {orbit_count}"]
     if args.list:
-        for cycle in octahedron.hamiltonian_cycles(args.n):
-            diagram = octahedron.cycle_to_diagram(cycle)
+        for cycle, diagram in cycles:
             path = "-".join(str(v) for v in cycle.vertices)
             lines.append(f"cycle {path} {format_diagram(diagram)}")
     _emit("\n".join(lines) + "\n", args.out)

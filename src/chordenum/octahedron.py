@@ -81,7 +81,9 @@ def _pairing(cycle: HamCycle) -> tuple[int, ...]:
     """Partner table whose chords join the positions of each antipodal pair."""
     seq = cycle.vertices
     m = len(seq)
-    position = {v: i for i, v in enumerate(seq)}
+    position = [0] * (m + 1)  # vertex -> its index along the cycle
+    for i, v in enumerate(seq):
+        position[v] = i
     pairing = [0] * m
     for i in range(1, m, 2):
         a, b = position[i], position[i + 1]
@@ -118,19 +120,38 @@ def diagram_to_cycle(diagram: Diagram) -> tuple[HamCycle, dict[int, int]]:
     return HamCycle.canonical(seq), labels
 
 
-def count_cycles(n: int, cap: int = CYCLE_CAP) -> tuple[int, int]:
-    """(labelled cycle count, orbit count under graph automorphisms).
+def cycle_diagrams(n: int, cap: int = CYCLE_CAP):
+    """Yield (cycle, diagram) for each Hamiltonian cycle, in search order.
 
-    Orbits are counted through the bijection: two cycles are isomorphic
-    exactly when their diagrams share a dihedral canonical code.  The
-    diagram, its loop check and its code come once per distinct partner
-    table, from the first cycle that gives it, not once per cycle.
+    The diagram and its loop check come once per distinct partner table,
+    from the first cycle that gives it; later cycles with that table share
+    the same diagram object.
     """
     if n > cap:
         raise ValueError(f"n={n} exceeds the cycle enumeration cap {cap}")
-    labelled = 0
-    first = {}
+    diagrams = {}
     for cycle in hamiltonian_cycles(n):
-        labelled += 1
-        first.setdefault(_pairing(cycle), cycle)
-    return labelled, len({canonical_code(cycle_to_diagram(c), DIHEDRAL) for c in first.values()})
+        pairing = _pairing(cycle)
+        diagram = diagrams.get(pairing)
+        if diagram is None:
+            diagram = diagrams[pairing] = cycle_to_diagram(cycle)
+        yield cycle, diagram
+
+
+def tally_cycles(cycles) -> tuple[int, int]:
+    """(labelled cycle count, orbit count under graph automorphisms) of ``cycle_diagrams`` pairs.
+
+    Orbits are counted through the bijection: two cycles are isomorphic
+    exactly when their diagrams share a dihedral canonical code, which
+    comes once per distinct diagram.
+    """
+    labelled = 0
+    diagrams = {}  # partner table -> diagram
+    for labelled, (_, diagram) in enumerate(cycles, start=1):
+        diagrams[diagram.pairing] = diagram
+    return labelled, len({canonical_code(diagram, DIHEDRAL) for diagram in diagrams.values()})
+
+
+def count_cycles(n: int, cap: int = CYCLE_CAP) -> tuple[int, int]:
+    """(labelled cycle count, orbit count under graph automorphisms), in one search."""
+    return tally_cycles(cycle_diagrams(n, cap))

@@ -1,4 +1,4 @@
-"""Brute-force ground truth: every count a family filter on a (loops, parallels) table.
+"""Brute-force ground truth: one sweep, returned as (loops, parallels) tables only.
 
 ``full_sweep`` enumerates all (2n-1)!! matchings once and only classifies
 them, on the circle and on the line, keyed also by cyclic canonical code;
@@ -7,10 +7,11 @@ code rebuilds.  The fixed counts come from a second enumeration: the
 invariant matchings of one representative per conjugacy class (one
 rotation per order d | 2n, one axis through opposite points, one through
 opposite gaps), classified on the circle; the identity reads the full
-table.  Burnside's identity then compares the two enumerations.  Class
-sizes come from counting element orders here, not from the recurrence
-modules, which are validated against these counts before their tables
-are trusted.
+table.  Every count is one lookup, ``SweepResult.count(view, family)``, a
+family sum over one table.  Burnside's identity compares the two
+enumerations before the sweep is returned.  Class sizes come from
+counting element orders here, not from the recurrence modules, which are
+validated against these counts before their tables are trusted.
 """
 
 from __future__ import annotations
@@ -79,59 +80,34 @@ def _classes(n: int) -> dict:
     return classes
 
 
-@dataclass(frozen=True)
-class OrbitReport:
-    """Orbit count of a family under a group, counted two independent ways.
+@dataclass
+class SweepResult:
+    """Every view of one sweep as a {(loops, parallels): count} table.
 
-    ``fixed_counts`` maps each class label to the diagrams fixed by the
-    class, summed over its elements (class size times the count of its
-    representative).
+    The views are CIRCULAR and LINEAR (the labelled matchings), each class
+    label of ``_classes`` (the matchings its representative fixes; the
+    identity ("rotation", 1) is the circular table), and CYCLIC and
+    DIHEDRAL (one entry per orbit).
     """
 
     n: int
-    group: str
-    family: str
-    orbit_count: int
-    fixed_counts: dict
-    group_order: int
+    tables: dict  # view -> {(loops, parallels): count}
 
-    @property
-    def fixed_total(self) -> int:
-        return sum(self.fixed_counts.values())
-
-    def check_burnside(self):
-        if self.orbit_count * self.group_order != self.fixed_total:
-            raise AssertionError(
-                f"Burnside identity fails for n={self.n} {self.group} {self.family}: "
-                f"{self.orbit_count} * {self.group_order} != {self.fixed_total}"
-            )
-
-
-@dataclass
-class SweepResult:
-    n: int
-    labelled: dict           # (topology name, family) -> count
-    tables: dict             # topology name -> {(k, l): count}
-    rotation_fixed: dict     # (d, family) -> count
-    reflection_fixed: dict   # (axis type, family) -> count
-    orbits: dict             # (group, family) -> OrbitReport
+    def count(self, view, family: str) -> int:
+        """Entries of a family in one view's table."""
+        return sum(count for key, count in self.tables[view].items() if in_family(family, *key))
 
 
 def _bump(counts: dict, key):
     counts[key] = counts.get(key, 0) + 1
 
 
-def _family_total(table: dict, family: str) -> int:
-    """Matchings of a family in a (loops, parallels) -> count table."""
-    return sum(count for key, count in table.items() if in_family(family, *key))
-
-
 def full_sweep(n: int, cap: int = DEFAULT_CAP) -> SweepResult:
-    """Everything the verify command compares, each count read off a table.
+    """Every table the verify command compares; Burnside's identity checked for n >= 1.
 
-    Only nonzero counts are stored in ``labelled``, ``rotation_fixed`` and
-    ``reflection_fixed``; every orbit report of n >= 1 is checked against
-    the Burnside identity.
+    For each group and family, the orbit count times the group order must
+    equal the fixed counts summed over the classes, each class counted as
+    its size times its representative's count.
     """
     check_cap(n, cap)
     m = 2 * n
@@ -152,41 +128,25 @@ def full_sweep(n: int, cap: int = DEFAULT_CAP) -> SweepResult:
         canonical_pairing_code(tuple((i + o) % m for i, o in enumerate(c)), DIHEDRAL): key
         for c, key in cyclic.items()
     }
-    orbit_tables = {CYCLIC: Counter(cyclic.values()), DIHEDRAL: Counter(dihedral.values())}
-    fixed = {
-        label: tables[CIRCULAR] if label == ("rotation", 1)
-        else Counter(classify_pairing(p, circ_flags) for p in enumerate_invariant_pairings(m, element))
-        for label, (element, _) in classes.items()
-    }
+    tables[CYCLIC] = Counter(cyclic.values())
+    tables[DIHEDRAL] = Counter(dihedral.values())
+    for label, (element, _) in classes.items():
+        tables[label] = tables[CIRCULAR] if label == ("rotation", 1) else Counter(
+            classify_pairing(p, circ_flags) for p in enumerate_invariant_pairings(m, element)
+        )
+    sweep = SweepResult(n, tables)
 
-    labelled = {}
-    rotation_fixed = {}
-    reflection_fixed = {}
-    for f in FAMILIES:
-        for topology in (CIRCULAR, LINEAR):
-            if count := _family_total(tables[topology], f):
-                labelled[(topology, f)] = count
-        for (kind, key), table in fixed.items():
-            if count := _family_total(table, f):
-                (rotation_fixed if kind == "rotation" else reflection_fixed)[(key, f)] = count
-
-    orbits = {}
-    for g in (CYCLIC, DIHEDRAL):
+    for g in (CYCLIC, DIHEDRAL) if n else ():
         in_group = {
             label: size for label, (_, size) in classes.items()
             if g == DIHEDRAL or label[0] == "rotation"
         }
+        order = sum(in_group.values())
         for f in FAMILIES:
-            report = OrbitReport(
-                n=n,
-                group=g,
-                family=f,
-                orbit_count=_family_total(orbit_tables[g], f),
-                fixed_counts={label: size * _family_total(fixed[label], f) for label, size in in_group.items()},
-                group_order=sum(in_group.values()) if n else 1,
-            )
-            if n:
-                report.check_burnside()
-            orbits[(g, f)] = report
-
-    return SweepResult(n, labelled, tables, rotation_fixed, reflection_fixed, orbits)
+            orbits = sweep.count(g, f)
+            fixed = sum(size * sweep.count(label, f) for label, size in in_group.items())
+            if orbits * order != fixed:
+                raise AssertionError(
+                    f"Burnside identity fails for n={n} {g} {f}: {orbits} * {order} != {fixed}"
+                )
+    return sweep

@@ -145,15 +145,15 @@ class MirrorTables:
         return totals
 
 
-def _predicted_mirror_cell(r, s, n, k, terms=MIRROR_TERMS) -> int:
+def _predicted_mirror_cell(r, s, n, k) -> int:
     value = 0
-    for table, dn, dk, coeff in terms:
+    for table, dn, dk, coeff in MIRROR_TERMS:
         source = r if table == "r" else s
         value += coeff(n, k) * source.get((n - dn, k - dk), 0)
     return value
 
 
-def build_mirror_tables(n_max: int, terms=MIRROR_TERMS) -> MirrorTables:
+def build_mirror_tables(n_max: int) -> MirrorTables:
     """Build the mirror tables row by row and validate against the reference.
 
     The end-chord rows alternate off the main table; the main rows follow
@@ -168,7 +168,7 @@ def build_mirror_tables(n_max: int, terms=MIRROR_TERMS) -> MirrorTables:
             if value:
                 s[(n, k)] = value
         for k in range(n + 1):
-            value = _predicted_mirror_cell(r, s, n, k, terms)
+            value = _predicted_mirror_cell(r, s, n, k)
             if value:
                 r[(n, k)] = value
         if n == 2:

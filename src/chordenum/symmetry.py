@@ -170,7 +170,7 @@ EVEN_SECTOR_REFERENCE = {
 }
 
 
-def predicted_cell(table: dict, m: int, k: int, d: int, terms=EVEN_SECTOR_TERMS) -> int:
+def predicted_cell(table: dict, m: int, k: int, d: int, terms) -> int:
     value = 0
     for dm, dk, coeff in terms:
         value += coeff(m, k, d) * table.get((m - dm, k + dk), 0)
@@ -212,7 +212,7 @@ class SectorColumn:
     by_diameter: dict | None  # (m, k) -> count, even d only
 
 
-def simple_sector_counts(d: int, m_max: int, terms=EVEN_SECTOR_TERMS) -> SectorColumn:
+def simple_sector_counts(d: int, m_max: int) -> SectorColumn:
     """Simple d-sector diagrams with m*d points, for m = 0..m_max.
 
     For even d the table is built by diameter class k and validated
@@ -235,7 +235,7 @@ def simple_sector_counts(d: int, m_max: int, terms=EVEN_SECTOR_TERMS) -> SectorC
     table = {(0, 0): 1}
     for m in range(1, m_max + 1):
         for k in range(m + 1):
-            value = predicted_cell(table, m, k, d, terms)
+            value = predicted_cell(table, m, k, d, EVEN_SECTOR_TERMS)
             if value:
                 table[(m, k)] = value
     reference = {
@@ -245,7 +245,7 @@ def simple_sector_counts(d: int, m_max: int, terms=EVEN_SECTOR_TERMS) -> SectorC
         for k, count in split.items()
     }
     if reference:
-        problems = validate_even_sector_terms(d, reference, terms)
+        problems = validate_even_sector_terms(d, reference, EVEN_SECTOR_TERMS)
         if problems:
             raise RecurrenceValidationError(
                 "even-sector recurrence failed validation:\n" + "\n".join(problems)

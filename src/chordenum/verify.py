@@ -52,33 +52,33 @@ def build_recurrences(family_values, depth: int) -> dict[str, list]:
     return tables
 
 
-def _count(field, key):
-    return lambda sweep: getattr(sweep, field).get(key, 0)
-
-
-def _orbits(group, family):
-    return lambda sweep: sweep.orbits[(group, family)].orbit_count
-
-
 # The sweep checks in report order: (name, recurrence table, sweep reader).
 # A table whose values are mappings makes one check per key, named
 # ``name-key``, against the same key of the sweep reader's mapping.
 SWEEP_CHECKS = (
-    ("labelled-linear-loopless", "loopless-linear", _count("labelled", (LINEAR, "loopless"))),
-    ("labelled-linear-simple", "simple-linear", _count("labelled", (LINEAR, "simple"))),
-    ("labelled-circular-loopless", "loopless-chord", _count("labelled", (CIRCULAR, "loopless"))),
-    ("labelled-circular-simple", "simple-chord", _count("labelled", (CIRCULAR, "simple"))),
-    ("labelled-all", "all", _count("labelled", (CIRCULAR, "all"))),
+    ("labelled-linear-loopless", "loopless-linear", lambda s: s.count(LINEAR, "loopless")),
+    ("labelled-linear-simple", "simple-linear", lambda s: s.count(LINEAR, "simple")),
+    ("labelled-circular-loopless", "loopless-chord", lambda s: s.count(CIRCULAR, "loopless")),
+    ("labelled-circular-simple", "simple-chord", lambda s: s.count(CIRCULAR, "simple")),
+    ("labelled-all", "all", lambda s: s.count(CIRCULAR, "all")),
     ("classify-table-linear", "classify-table-linear", lambda s: _cells(s.tables[LINEAR])),
-    ("rotation-fixed", "rotation-fixed", lambda s: {f"{f}-d{d}": c for (d, f), c in s.rotation_fixed.items()}),
-    ("reflection-fixed-loopless-vertex", "loopless-vertex", _count("reflection_fixed", ("vertex", "loopless"))),
-    ("reflection-fixed-loopless-edge", "loopless-edge", _count("reflection_fixed", ("edge", "loopless"))),
-    ("reflection-fixed-simple-vertex", "simple-vertex", _count("reflection_fixed", ("vertex", "simple"))),
-    ("reflection-fixed-simple-edge", "simple-edge", _count("reflection_fixed", ("edge", "simple"))),
-    ("orbits-cyclic-loopless", "loopless-cyclic", _orbits(CYCLIC, "loopless")),
-    ("orbits-cyclic-simple", "simple-cyclic", _orbits(CYCLIC, "simple")),
-    ("orbits-dihedral-loopless", "loopless-dihedral", _orbits(DIHEDRAL, "loopless")),
-    ("orbits-dihedral-simple", "simple-dihedral", _orbits(DIHEDRAL, "simple")),
+    ("rotation-fixed", "rotation-fixed", lambda s: {
+        f"{f}-d{view[1]}": s.count(view, f)
+        for view in s.tables if isinstance(view, tuple) and view[0] == "rotation"
+        for f in ("loopless", "simple")
+    }),
+    ("reflection-fixed-loopless-vertex", "loopless-vertex",
+     lambda s: s.count(("reflection", "vertex"), "loopless")),
+    ("reflection-fixed-loopless-edge", "loopless-edge",
+     lambda s: s.count(("reflection", "edge"), "loopless")),
+    ("reflection-fixed-simple-vertex", "simple-vertex",
+     lambda s: s.count(("reflection", "vertex"), "simple")),
+    ("reflection-fixed-simple-edge", "simple-edge",
+     lambda s: s.count(("reflection", "edge"), "simple")),
+    ("orbits-cyclic-loopless", "loopless-cyclic", lambda s: s.count(CYCLIC, "loopless")),
+    ("orbits-cyclic-simple", "simple-cyclic", lambda s: s.count(CYCLIC, "simple")),
+    ("orbits-dihedral-loopless", "loopless-dihedral", lambda s: s.count(DIHEDRAL, "loopless")),
+    ("orbits-dihedral-simple", "simple-dihedral", lambda s: s.count(DIHEDRAL, "simple")),
 )
 
 

@@ -11,6 +11,7 @@ import os
 import time
 
 from chordenum.cli import family_values, main
+from chordenum.diagram import CYCLIC, DIHEDRAL
 from chordenum.golden import LOOPLESS_TABLE, SIMPLE_TABLE
 from chordenum.labelled import (
     double_factorial,
@@ -21,7 +22,7 @@ from chordenum.labelled import (
     simple_chain,
 )
 from chordenum.octahedron import count_cycles
-from chordenum.oracle import DEFAULT_CAP, full_sweep
+from chordenum.oracle import DEFAULT_CAP, FAMILIES, full_sweep
 from chordenum.reflection import loopless_dihedral, simple_dihedral
 from chordenum.series import (
     full_pde_residual,
@@ -128,8 +129,13 @@ def test_criterion_5_burnside_integrality_and_double_counting(sweeps):
     simple_dihedral(40)
 
     for n, sweep in sweeps.items():
-        for (group, family), report_ in sweep.orbits.items():
-            assert report_.orbit_count * report_.group_order == report_.fixed_total
+        # one class label per group element: the rotation by s has order 2n / gcd(s, 2n)
+        rotations = [("rotation", 2 * n // math.gcd(s, 2 * n)) for s in range(2 * n)]
+        axes = [("reflection", "vertex"), ("reflection", "edge")] * n
+        for group, labels in ((CYCLIC, rotations), (DIHEDRAL, rotations + axes)):
+            for family in FAMILIES:
+                fixed_total = sum(sweep.count(label, family) for label in labels)
+                assert sweep.count(group, family) * len(labels) == fixed_total
     report(5, "rotation/dihedral averages integral to n=40; codes = Burnside to n=6")
 
 

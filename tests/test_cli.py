@@ -7,6 +7,7 @@ import pytest
 
 from chordenum import cli, octahedron, oracle, reflection, symmetry
 from chordenum.cli import family_values, main, render_sequence
+from chordenum.diagram import vertex_reflection
 from chordenum.golden import LOOPLESS_TABLE, SIMPLE_TABLE
 from chordenum.symmetry import RecurrenceValidationError
 from chordenum.verify import parse_bfile
@@ -151,6 +152,32 @@ def test_octahedron_command(capsys):
 
     code = main(["octahedron", "--n", "9"])
     assert code == 2
+
+
+def test_octahedron_list_counts_and_lists_in_one_search(monkeypatch, capsys):
+    calls = {"hamiltonian_cycles": [], "cycle_to_diagram": 0}
+    search, to_diagram = octahedron.hamiltonian_cycles, octahedron.cycle_to_diagram
+
+    def counting_search(n):
+        calls["hamiltonian_cycles"].append(n)
+        return search(n)
+
+    def counting_to_diagram(cycle):
+        calls["cycle_to_diagram"] += 1
+        return to_diagram(cycle)
+
+    monkeypatch.setattr(octahedron, "hamiltonian_cycles", counting_search)
+    monkeypatch.setattr(octahedron, "cycle_to_diagram", counting_to_diagram)
+    assert main(["octahedron", "--n", "9", "--list"]) == 2  # the cap refuses before any search
+    assert calls["hamiltonian_cycles"] == []
+    capsys.readouterr()
+    code, out = run(capsys, "octahedron", "--n", "4", "--list")
+    assert code == 0
+    assert out.splitlines()[:2] == ["labelled 744", "orbits 7"]
+    assert len(out.splitlines()) == 2 + 744
+    assert calls["hamiltonian_cycles"] == [4]
+    # one diagram per distinct partner table: the 31 loopless diagrams on 8 points
+    assert calls["cycle_to_diagram"] == 31
 
 
 def test_verify_passes_and_checks_are_well_formed(capsys):
@@ -417,15 +444,22 @@ def test_internal_errors_exit_3_not_as_failed_checks(monkeypatch, capsys, module
 
 
 def test_a_failed_burnside_identity_exits_3(monkeypatch, capsys):
-    def broken(report):
-        raise AssertionError(f"Burnside identity fails for n={report.n}")
+    # drop the one matching on 2 points that the vertex axis fixes
+    axis = vertex_reflection(2, 0)
+    real = oracle.enumerate_invariant_pairings
 
-    monkeypatch.setattr(oracle.OrbitReport, "check_burnside", broken)
+    def dropping(point_count, element):
+        matchings = real(point_count, element)
+        if element == axis:
+            next(matchings)
+        return matchings
+
+    monkeypatch.setattr(oracle, "enumerate_invariant_pairings", dropping)
     code = main(["verify", "--max", "2"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
-    assert captured.err == "internal error: Burnside identity fails for n=1\n"
+    assert captured.err == "internal error: Burnside identity fails for n=1 dihedral all: 1 * 4 != 3\n"
 
 
 def test_a_loop_on_a_cycle_diagram_exits_3(monkeypatch, capsys):

@@ -47,6 +47,7 @@ SNAPSHOT = {
     "verify --max 6": "eeb27102236f64193ac1ff3f2dfe92aae53839129f26937bfb0aaf1b5fdc6751",
     "octahedron --n 4": "554a2622e718aadf25ea00f7324d5d96bca2159c87370c29da18b60759381902",
     "octahedron --n 3 --list": "13acdd5ae2052f4cf047bfe806913e4f2aa6a7e7f124c18063e78118f4ea8c21",
+    "octahedron --n 4 --list": "9cd9ddfe768187c53ea965eb7e1b12f5da581391cd97263f5c3d753871e9d661",
 }
 
 

@@ -128,11 +128,11 @@ def test_oracle_equivalence(sweeps):
     triangle = loop_parallel_triangle(5)
     loops_triangle = loop_triangle(6)
     for n, sweep in sweeps.items():
-        assert sweep.labelled.get(("linear", "loopless"), 0) == a[n]
-        assert sweep.labelled.get(("circular", "loopless"), 0) == b[n]
-        assert sweep.labelled.get(("linear", "simple"), 0) == chain.linear[n - 1]
-        assert sweep.labelled.get(("circular", "simple"), 0) == chain.chord[n]
-        assert sweep.labelled.get(("circular", "all"), 0) == double_factorial(2 * n - 1)
+        assert sweep.count("linear", "loopless") == a[n]
+        assert sweep.count("circular", "loopless") == b[n]
+        assert sweep.count("linear", "simple") == chain.linear[n - 1]
+        assert sweep.count("circular", "simple") == chain.chord[n]
+        assert sweep.count("circular", "all") == double_factorial(2 * n - 1)
         # classified cells: oracle table at n chords is triangle row n-1
         expected = {
             (k, l): v for (k, l), v in triangle.row(n - 1).items()

@@ -63,9 +63,9 @@ def test_family_predicates_nest():
 
 
 def test_count_labelled_examples(sweeps):
-    assert sweeps[4].labelled[(LINEAR, "loopless")] == 36
-    assert sweeps[3].labelled[(CIRCULAR, "simple")] == 1
-    assert full_sweep(0).labelled[(CIRCULAR, "all")] == 1
+    assert sweeps[4].count(LINEAR, "loopless") == 36
+    assert sweeps[3].count(CIRCULAR, "simple") == 1
+    assert full_sweep(0).count(CIRCULAR, "all") == 1
 
 
 def test_classify_table_examples(sweeps):
@@ -81,25 +81,25 @@ def test_classify_table_totals(sweeps):
 
 
 def test_rotation_fixed_examples(sweeps):
-    assert sweeps[4].rotation_fixed[(2, "simple")] == 5
-    assert sweeps[3].rotation_fixed[(3, "loopless")] == 1
-    assert sweeps[4].rotation_fixed[(8, "simple")] == 1
+    assert sweeps[4].count(("rotation", 2), "simple") == 5
+    assert sweeps[3].count(("rotation", 3), "loopless") == 1
+    assert sweeps[4].count(("rotation", 8), "simple") == 1
 
 
 def test_rotation_identity_element_recovers_labelled():
     for n in range(6):
         sweep = full_sweep(n)
         for family in FAMILIES:
-            labelled = sweep.labelled.get((CIRCULAR, family), 0)
+            labelled = sweep.count(CIRCULAR, family)
             assert reference_count(n, family, element=rotation(2 * n, 0)) == labelled
             if n:
-                assert sweep.rotation_fixed.get((1, family), 0) == labelled
+                assert sweep.count(("rotation", 1), family) == labelled
 
 
 def test_reflection_fixed_examples(sweeps):
-    assert sweeps[4].reflection_fixed[("vertex", "loopless")] == 5
-    assert sweeps[4].reflection_fixed[("edge", "loopless")] == 9
-    assert sweeps[2].reflection_fixed[("vertex", "simple")] == 1
+    assert sweeps[4].count(("reflection", "vertex"), "loopless") == 5
+    assert sweeps[4].count(("reflection", "edge"), "loopless") == 9
+    assert sweeps[2].count(("reflection", "vertex"), "simple") == 1
 
 
 def test_all_axes_of_a_type_fix_equally_many(sweeps):
@@ -108,25 +108,25 @@ def test_all_axes_of_a_type_fix_equally_many(sweeps):
     for n in range(1, 6):
         sweep = sweeps[n]
         for family in ("loopless", "simple"):
-            for element, (kind, key) in zip(group_elements(DIHEDRAL, 2 * n), element_labels(n)):
+            for element, label in zip(group_elements(DIHEDRAL, 2 * n), element_labels(n)):
                 got = reference_count(n, family, element=element)
-                if kind == "rotation":
-                    assert got == sweep.rotation_fixed.get((key, family), 0), (n, family, element)
-                else:
-                    assert got == sweep.reflection_fixed.get((key, family), 0), (n, family, element)
+                assert got == sweep.count(label, family), (n, family, element)
 
 
 def test_orbit_examples(sweeps):
-    assert sweeps[4].orbits[(CYCLIC, "loopless")].orbit_count == 7
-    assert sweeps[5].orbits[(DIHEDRAL, "simple")].orbit_count == 18
-    assert sweeps[1].orbits[(CYCLIC, "loopless")].orbit_count == 0
+    assert sweeps[4].count(CYCLIC, "loopless") == 7
+    assert sweeps[5].count(DIHEDRAL, "simple") == 18
+    assert sweeps[1].count(CYCLIC, "loopless") == 0
 
 
 def test_orbit_reports_satisfy_burnside(sweeps):
-    # the report constructor asserts the identity; recheck the arithmetic here
+    # the sweep asserts the identity; recheck it here, one class label per group element
     for n, sweep in sweeps.items():
-        for report in sweep.orbits.values():
-            assert report.orbit_count * report.group_order == report.fixed_total
+        for group in (CYCLIC, DIHEDRAL):
+            labels = element_labels(n)[: len(group_elements(group, 2 * n))]
+            for family in FAMILIES:
+                fixed_total = sum(sweep.count(label, family) for label in labels)
+                assert sweep.count(group, family) * len(labels) == fixed_total
 
 
 def test_dihedral_codes_come_once_per_cyclic_orbit(monkeypatch):
@@ -140,7 +140,7 @@ def test_dihedral_codes_come_once_per_cyclic_orbit(monkeypatch):
     monkeypatch.setattr(oracle, "canonical_pairing_code", counting)
     sweep = full_sweep(5)
     assert calls == {CYCLIC: 945, DIHEDRAL: 105}
-    assert sweep.orbits[(CYCLIC, "all")].orbit_count == 105
+    assert sweep.count(CYCLIC, "all") == 105
 
 
 def test_one_full_pass_and_one_invariant_pass_per_non_identity_class(monkeypatch):
@@ -185,7 +185,7 @@ def test_cap_is_enforced():
         full_sweep(10)
     with pytest.raises(OracleCapError):
         full_sweep(3, cap=2)
-    assert full_sweep(3, cap=3).labelled[(CIRCULAR, "all")] == 15
+    assert full_sweep(3, cap=3).count(CIRCULAR, "all") == 15
 
 
 def test_full_sweep_matches_individual_operations(sweeps):
@@ -193,7 +193,7 @@ def test_full_sweep_matches_individual_operations(sweeps):
         sweep = sweeps[n]
         for family in FAMILIES:
             for topology in (CIRCULAR, LINEAR):
-                assert sweep.labelled.get((topology, family), 0) == reference_count(n, family, topology)
+                assert sweep.count(topology, family) == reference_count(n, family, topology)
         for topology in (CIRCULAR, LINEAR):
             flags = gap_flags(2 * n, topology)
             table = {}
@@ -203,7 +203,7 @@ def test_full_sweep_matches_individual_operations(sweeps):
             assert sweep.tables[topology] == table
         for d in [d for d in range(1, 2 * n + 1) if (2 * n) % d == 0]:
             for family in FAMILIES:
-                assert sweep.rotation_fixed.get((d, family), 0) == reference_count(
+                assert sweep.count(("rotation", d), family) == reference_count(
                     n, family, element=rotation(2 * n, 2 * n // d)
                 )
         for axis, element in (
@@ -211,7 +211,7 @@ def test_full_sweep_matches_individual_operations(sweeps):
             ("edge", edge_reflection(2 * n, 2 * n - 1)),
         ):
             for family in FAMILIES:
-                assert sweep.reflection_fixed.get((axis, family), 0) == reference_count(
+                assert sweep.count(("reflection", axis), family) == reference_count(
                     n, family, element=element
                 )
         for group in (CYCLIC, DIHEDRAL):
@@ -221,7 +221,6 @@ def test_full_sweep_matches_individual_operations(sweeps):
                 direct = {}
                 for element, label in zip(elements, element_labels(n)):
                     direct[label] = direct.get(label, 0) + reference_count(n, family, element=element)
-                report = sweep.orbits[(group, family)]
-                assert report.fixed_counts == direct
-                assert report.group_order == len(elements)
-                assert report.orbit_count == sum(direct.values()) // len(elements)
+                sizes = Counter(element_labels(n)[: len(elements)])
+                assert {label: size * sweep.count(label, family) for label, size in sizes.items()} == direct
+                assert sweep.count(group, family) == sum(direct.values()) // len(elements)

@@ -67,8 +67,8 @@ def test_loopless_axis_sequences():
 def test_loopless_axes_match_oracle(sweeps):
     vertex, edge = loopless_axes(6)
     for n, sweep in sweeps.items():
-        assert sweep.reflection_fixed.get(("vertex", "loopless"), 0) == vertex[n]
-        assert sweep.reflection_fixed.get(("edge", "loopless"), 0) == edge[n]
+        assert sweep.count(("reflection", "vertex"), "loopless") == vertex[n]
+        assert sweep.count(("reflection", "edge"), "loopless") == edge[n]
 
 
 def test_loopless_dihedral_against_published_column():
@@ -80,7 +80,7 @@ def test_loopless_dihedral_against_published_column():
 def test_loopless_dihedral_matches_oracle(sweeps):
     table = loopless_dihedral(6)
     for n, sweep in sweeps.items():
-        assert sweep.orbits[("dihedral", "loopless")].orbit_count == table[n]
+        assert sweep.count("dihedral", "loopless") == table[n]
 
 
 # ---------------------------------------------------------------------------
@@ -114,13 +114,14 @@ def test_mirror_row_totals_equal_a_scan_over_the_cells():
         )
 
 
-def test_mirror_recurrence_rejects_wrong_coefficients():
+def test_mirror_recurrence_rejects_wrong_coefficients(monkeypatch):
     broken = tuple(
         (table, dn, dk, (lambda n, k: 2 * n - 5) if i == 1 else fn)
         for i, (table, dn, dk, fn) in enumerate(MIRROR_TERMS)
     )
+    monkeypatch.setattr(reflection, "MIRROR_TERMS", broken)
     with pytest.raises(RecurrenceValidationError):
-        build_mirror_tables(7, terms=broken)
+        build_mirror_tables(7)
 
 
 def test_split_coefficients_are_pinned_by_enumeration():
@@ -164,8 +165,8 @@ def test_simple_axis_sequences():
 def test_simple_axes_match_oracle(sweeps):
     vertex, edge = simple_axes(6)
     for n, sweep in sweeps.items():
-        assert sweep.reflection_fixed.get(("vertex", "simple"), 0) == vertex[n]
-        assert sweep.reflection_fixed.get(("edge", "simple"), 0) == edge[n]
+        assert sweep.count(("reflection", "vertex"), "simple") == vertex[n]
+        assert sweep.count(("reflection", "edge"), "simple") == edge[n]
 
 
 def test_simple_dihedral_against_published_column():
@@ -177,7 +178,7 @@ def test_simple_dihedral_against_published_column():
 def test_simple_dihedral_matches_oracle(sweeps):
     table = simple_dihedral(6)
     for n, sweep in sweeps.items():
-        assert sweep.orbits[("dihedral", "simple")].orbit_count == table[n]
+        assert sweep.count("dihedral", "simple") == table[n]
 
 
 # ---------------------------------------------------------------------------

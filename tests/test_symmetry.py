@@ -127,7 +127,7 @@ def test_loopless_fixed_matches_oracle(sweeps):
     for n, sweep in sweeps.items():
         fixed = loopless_rotation_fixed(n)
         for d, value in fixed.items():
-            assert sweep.rotation_fixed.get((d, "loopless"), 0) == value
+            assert sweep.count(("rotation", d), "loopless") == value
 
 
 def test_fixed_counts_never_exceed_sector_totals():
@@ -175,7 +175,7 @@ def test_even_sector_recurrence_validates_and_matches():
             assert column.totals[m] == sum(split.values())
 
 
-def test_printed_term_set_fails_the_harness():
+def test_printed_term_set_fails_the_harness(monkeypatch):
     reference = {
         (m, k): count
         for (d, m), split in EVEN_SECTOR_REFERENCE.items()
@@ -185,8 +185,9 @@ def test_printed_term_set_fails_the_harness():
     problems = validate_even_sector_terms(2, reference, EVEN_SECTOR_TERMS_PRINTED)
     assert problems, "the uncorrected term set should not reproduce enumeration"
     assert any("m=4 k=0" in p for p in problems)
+    monkeypatch.setattr(symmetry, "EVEN_SECTOR_TERMS", EVEN_SECTOR_TERMS_PRINTED)
     with pytest.raises(RecurrenceValidationError):
-        simple_sector_counts(2, 6, terms=EVEN_SECTOR_TERMS_PRINTED)
+        simple_sector_counts(2, 6)
     assert not validate_even_sector_terms(2, reference, EVEN_SECTOR_TERMS)
 
 
@@ -245,7 +246,7 @@ def test_simple_fixed_matches_oracle(sweeps):
     for n, sweep in sweeps.items():
         fixed = simple_rotation_fixed(n)
         for d, value in fixed.items():
-            assert sweep.rotation_fixed.get((d, "simple"), 0) == value
+            assert sweep.count(("rotation", d), "simple") == value
 
 
 def test_simple_cyclic_against_published_column():
