@@ -187,9 +187,12 @@ def cmd_octahedron(args) -> int:
     labelled_count, orbit_count = octahedron.tally_cycles(cycles)
     lines = [f"labelled {labelled_count}", f"orbits {orbit_count}"]
     if args.list:
+        texts = {}  # partner table -> text, once per diagram the cycles share
         for cycle, diagram in cycles:
+            if diagram.pairing not in texts:
+                texts[diagram.pairing] = format_diagram(diagram)
             path = "-".join(str(v) for v in cycle.vertices)
-            lines.append(f"cycle {path} {format_diagram(diagram)}")
+            lines.append(f"cycle {path} {texts[diagram.pairing]}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

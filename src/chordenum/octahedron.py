@@ -120,15 +120,15 @@ def diagram_to_cycle(diagram: Diagram) -> tuple[HamCycle, dict[int, int]]:
     return HamCycle.canonical(seq), labels
 
 
-def cycle_diagrams(n: int, cap: int = CYCLE_CAP):
+def cycle_diagrams(n: int):
     """Yield (cycle, diagram) for each Hamiltonian cycle, in search order.
 
     The diagram and its loop check come once per distinct partner table,
     from the first cycle that gives it; later cycles with that table share
     the same diagram object.
     """
-    if n > cap:
-        raise ValueError(f"n={n} exceeds the cycle enumeration cap {cap}")
+    if n > CYCLE_CAP:
+        raise ValueError(f"n={n} exceeds the cycle enumeration cap {CYCLE_CAP}")
     diagrams = {}
     for cycle in hamiltonian_cycles(n):
         pairing = _pairing(cycle)
@@ -152,6 +152,6 @@ def tally_cycles(cycles) -> tuple[int, int]:
     return labelled, len({canonical_code(diagram, DIHEDRAL) for diagram in diagrams.values()})
 
 
-def count_cycles(n: int, cap: int = CYCLE_CAP) -> tuple[int, int]:
+def count_cycles(n: int) -> tuple[int, int]:
     """(labelled cycle count, orbit count under graph automorphisms), in one search."""
-    return tally_cycles(cycle_diagrams(n, cap))
+    return tally_cycles(cycle_diagrams(n))

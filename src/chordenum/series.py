@@ -2,10 +2,12 @@
 
 Coefficients live in one of two rings: plain ``Fraction``s, or bivariate
 polynomials in the formal markers z and x with rational coefficients
-(``MarkerPoly``).  All arithmetic is exact modulo t^(order+1); precondition
-violations raise ``SeriesError`` rather than truncating silently.
+(``MarkerPoly``).  A ``TruncatedSeries`` holds the coefficients, exact modulo
+t^(order+1); precondition violations raise ``SeriesError`` rather than
+truncating silently.
 
-Products, exponentials and reciprocals run on the EGF scale, a_n = n! [t^n] f.
+Products, exponentials and reciprocals run in the ``_Egf`` kernel, on the EGF
+scale a_n = n! [t^n] f.
 Every named closed form is an exponential generating function, so there its
 a_n are integers: the named series and the PDE residuals are built in ints,
 and ``Fraction``s are made once, when the result becomes a ``TruncatedSeries``.
@@ -114,11 +116,6 @@ class MarkerPoly:
             out[k] = out.get(k, 0) + v * deg
         return MarkerPoly(out)
 
-    def constant_value(self) -> Fraction:
-        if any(k != (0, 0) for k in self.terms):
-            raise SeriesError(f"not a constant polynomial: {self}")
-        return self.terms.get((0, 0), Fraction(0))
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -134,34 +131,15 @@ class MarkerPoly:
 
 
 class _RationalRing:
-    zero = Fraction(0)
-    one = Fraction(1)
-
     @staticmethod
     def embed(value) -> Fraction:
         return Fraction(value)
 
-    @staticmethod
-    def invert(c: Fraction) -> Fraction:
-        if c == 0:
-            raise SeriesError("constant term is not invertible")
-        return 1 / Fraction(c)
-
 
 class _MarkerRing:
-    zero = MarkerPoly()
-    one = MarkerPoly.constant(Fraction(1))
-
     @staticmethod
     def embed(value) -> MarkerPoly:
         return value if isinstance(value, MarkerPoly) else MarkerPoly.constant(Fraction(value))
-
-    @staticmethod
-    def invert(c: MarkerPoly) -> MarkerPoly:
-        value = c.constant_value()  # raises on genuine marker content
-        if value == 0:
-            raise SeriesError("constant term is not invertible")
-        return MarkerPoly.constant(1 / Fraction(value))
 
 
 RATIONAL = _RationalRing()
@@ -231,7 +209,7 @@ class _Egf(tuple):
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    """Formal power series in t, exact modulo t^(order+1)."""
+    """Coefficients of a formal power series in t, exact modulo t^(order+1)."""
 
     ring: object
     coeffs: tuple
@@ -245,99 +223,23 @@ class TruncatedSeries:
             raise IndexError(f"coefficient {n} beyond truncation order {self.order}")
         return self.coeffs[n]
 
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def constant(cls, value, order: int, ring=RATIONAL) -> "TruncatedSeries":
-        coeffs = [ring.embed(value)] + [ring.zero] * order
-        return cls(ring, tuple(coeffs))
-
-    @classmethod
-    def identity(cls, order: int, ring=RATIONAL) -> "TruncatedSeries":
-        """The series t."""
-        if order < 1:
-            raise SeriesError("order must be at least 1 for the identity series")
-        coeffs = [ring.zero] * (order + 1)
-        coeffs[1] = ring.one
-        return cls(ring, tuple(coeffs))
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)
 
     def _scaled(self) -> _Egf:
         return _Egf(c * factorial(n) for n, c in enumerate(self.coeffs))
 
-    # -- ring operations ----------------------------------------------
-
-    def _pair(self, other):
-        if isinstance(other, TruncatedSeries):
-            if other.ring is not self.ring:
-                raise SeriesError("mixed coefficient rings; lift explicitly")
-            return other
-        return TruncatedSeries.constant(other, self.order, self.ring)
-
-    def __add__(self, other):
-        other = self._pair(other)
-        order = min(self.order, other.order)
-        return TruncatedSeries(
-            self.ring, tuple(a + b for a, b in zip(self.coeffs[: order + 1], other.coeffs))
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncatedSeries(self.ring, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        return self + (-self._pair(other))
-
-    def __rsub__(self, other):
-        return (-self) + self._pair(other)
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)) or (isinstance(other, MarkerPoly) and self.ring is MARKERS):
+        if not isinstance(other, TruncatedSeries):
             return TruncatedSeries(self.ring, tuple(c * other for c in self.coeffs))
-        return (self._scaled() * self._pair(other)._scaled()).series(self.ring)
+        if other.ring is not self.ring:
+            raise SeriesError("mixed coefficient rings; lift explicitly")
+        return (self._scaled() * other._scaled()).series(self.ring)
 
     __rmul__ = __mul__
 
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise SeriesError(f"cannot extend order {self.order} to {order}")
-        return TruncatedSeries(self.ring, self.coeffs[: order + 1])
-
-    def reciprocal(self) -> "TruncatedSeries":
-        inv0 = self.ring.invert(self.coeffs[0])
-        return (self * inv0)._scaled().reciprocal().series(self.ring) * inv0
-
-    def sqrt(self) -> "TruncatedSeries":
-        if self.coeffs[0] != self.ring.one:
-            raise SeriesError("square root requires constant term 1")
-        half = Fraction(1, 2)
-        out = [self.ring.one]
-        for n in range(1, self.order + 1):
-            acc = self.coeffs[n]
-            for k in range(1, n):
-                acc = acc - out[k] * out[n - k]
-            out.append(acc * half)
-        return TruncatedSeries(self.ring, tuple(out))
-
     def exp(self) -> "TruncatedSeries":
         return self._scaled().exp().series(self.ring)
-
-    def derivative(self) -> "TruncatedSeries":
-        """d/dt; the result is exact only to order-1."""
-        if self.order == 0:
-            raise SeriesError("cannot differentiate an order-0 truncation")
-        out = tuple(self.coeffs[n + 1] * (n + 1) for n in range(self.order))
-        return TruncatedSeries(self.ring, out)
-
-    # -- marker operations --------------------------------------------
-
-    def marker_derivative(self, marker: str) -> "TruncatedSeries":
-        if self.ring is not MARKERS:
-            raise SeriesError("marker derivative requires marker coefficients")
-        return TruncatedSeries(MARKERS, tuple(c.differentiate(marker) for c in self.coeffs))
-
-    def is_zero(self) -> bool:
-        return all(c == self.ring.zero for c in self.coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,13 @@
 """The verify report: recurrences against the oracle, the golden tables, b-files.
 
-Every check is one ``CHECK name n=N expected=E got=G OK|FAIL`` line.  Each
-recurrence is built once per run; only the rotation-fixed counts are built
+Every check is one ``CHECK name n=N expected=E got=G OK|FAIL`` line.  The
+recurrence tables are built once, before the sweeps, but the builders share
+nothing: each family comes from its own builder to max(N, 20), and the
+reflection axes are built again to N.  So the mirror tables are built twice
+(to 20 for simple-dihedral, to N for the simple axes), so is each family's
+rotation sum (for its cyclic and for its dihedral counts), and so is the
+loopless 2-sector column (for loopless-dihedral and for the loopless axes).
+The classified triangle is built once; the rotation-fixed counts are built
 per n, because their chains follow the divisors of 2n.
 """
 
@@ -38,7 +44,7 @@ def _rotation_fixed(n: int) -> dict[str, int]:
 
 
 def build_recurrences(family_values, depth: int) -> dict[str, list]:
-    """Every count the checks read, name -> values for n = 1, 2, ..., each table built once.
+    """Every count the checks read: name -> values for n = 1, 2, ...
 
     ``family_values(family, n_max)`` gives a family's counts for n = 1..n_max.
     """

@@ -180,6 +180,16 @@ def test_octahedron_list_counts_and_lists_in_one_search(monkeypatch, capsys):
     assert calls["cycle_to_diagram"] == 31
 
 
+def test_octahedron_list_formats_each_shared_diagram_once(monkeypatch, capsys):
+    formatted = []
+    format_diagram = cli.format_diagram
+    monkeypatch.setattr(cli, "format_diagram", lambda diagram: formatted.append(diagram) or format_diagram(diagram))
+    code, out = run(capsys, "octahedron", "--n", "4", "--list")
+    assert code == 0
+    assert len(out.splitlines()) == 2 + 744
+    assert len(formatted) == 31
+
+
 def test_verify_passes_and_checks_are_well_formed(capsys):
     code, out = run(capsys, "verify", "--max", "3")
     assert code == 0
