@@ -247,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max", type=int, default=5, metavar="N", help="oracle sweep depth")
     p.add_argument("--tables", action="store_true", help="golden tables only, skip the sweep")
     p.add_argument("--bfile", metavar="PATH")
-    p.add_argument("--bfile-family", choices=("loopless-chord", "loopless-dihedral"))
+    p.add_argument("--bfile-family", choices=tuple(verify.BFILE_FAMILIES.values()))
     p.add_argument("--oracle-cap", type=int, default=oracle.DEFAULT_CAP)
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_verify)

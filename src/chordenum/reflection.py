@@ -14,27 +14,15 @@ from functools import cached_property
 from .labelled import SequenceTable
 from .symmetry import (
     RecurrenceValidationError,
-    loopless_chain_from_column,
-    loopless_fixed_chain,
+    loopless_cyclic,
     loopless_sector_counts,
-    rotation_totals,
-    simple_fixed_chain,
+    simple_cyclic,
     simple_rotation_fixed,  # noqa: F401  perfbench's tracer test checks this from-import binding
 )
 
 
 # ---------------------------------------------------------------------------
 # Loopless family
-
-
-def _loopless_axes(col, n_max: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Vertex- and edge-axis counts for n = 0..n_max from the 2-sector column."""
-    vertex = [0, 0]
-    edge = [0, 0]
-    for n in range(2, n_max + 1):
-        vertex.append(col[n - 1])
-        edge.append(col[n] - 2 * col[n - 1] + col[n - 2])
-    return tuple(vertex[: n_max + 1]), tuple(edge[: n_max + 1])
 
 
 def loopless_axes(n_max: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -50,39 +38,31 @@ def loopless_axes(n_max: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     the two diameters); claims of 0 there fail both exhaustive enumeration
     and the dihedral average at n = 2 -- see docs/ERRATA.md.
     """
-    return _loopless_axes(loopless_sector_counts(2, n_max), n_max)
+    col = loopless_sector_counts(2, n_max)
+    vertex = [0, 0]
+    edge = [0, 0]
+    for n in range(2, n_max + 1):
+        vertex.append(col[n - 1])
+        edge.append(col[n] - 2 * col[n - 1] + col[n - 2])
+    return tuple(vertex[: n_max + 1]), tuple(edge[: n_max + 1])
 
 
 def loopless_dihedral(n_max: int) -> SequenceTable:
-    """Loopless chord diagrams up to rotation and reflection.
+    """Loopless chord diagrams up to rotation and reflection, from ``loopless_cyclic`` and the axes."""
+    return _dihedral_average("loopless-dihedral", loopless_cyclic(n_max), *loopless_axes(n_max))
 
-    Computed both as the closed combination with the cyclic average and as
-    the explicit group average; the two must agree and be integral.
+
+def _dihedral_average(name: str, cyclic, vertex, edge) -> SequenceTable:
+    """Burnside average over the 4n symmetries, reduced to (2 cyclic + vertex + edge) / 4.
+
+    The 2n rotations fix 2n * cyclic[n] diagrams in all; each axis type has n reflections.
     """
-    col = loopless_sector_counts(2, n_max)
-    half_turn = loopless_chain_from_column(2, col)  # the d = 2 chain rotation_totals asks for
-    rotation = rotation_totals(
-        lambda d, m_max: half_turn if d == 2 else loopless_fixed_chain(d, m_max), n_max
-    )
-    table = _dihedral_average("loopless-dihedral", rotation, *_loopless_axes(col, n_max))
-    for n in range(2, n_max + 1):
-        closed_numerator = 2 * rotation[n] // (2 * n) + col[n] - col[n - 1] + col[n - 2]
-        if closed_numerator % 4 or closed_numerator // 4 != table[n]:
-            raise ArithmeticError(
-                f"closed dihedral form disagrees at n={n}: "
-                f"{closed_numerator}/4 vs {table[n]}"
-            )
-    return table
-
-
-def _dihedral_average(name: str, rotation, vertex, edge) -> SequenceTable:
-    """Burnside average over the 4n symmetries: 2n rotations, n reflections per axis type."""
     values = [1]
-    for n in range(1, len(rotation)):
-        total = rotation[n] + n * vertex[n] + n * edge[n]
-        if total % (4 * n):
-            raise ArithmeticError(f"dihedral average is not integral at n={n}: {total}/{4 * n}")
-        values.append(total // (4 * n))
+    for n in range(1, len(cyclic)):
+        total = 2 * cyclic[n] + vertex[n] + edge[n]
+        if total % 4:
+            raise ArithmeticError(f"dihedral average is not integral at n={n}: {total}/4")
+        values.append(total // 4)
     return SequenceTable(name, tuple(values))
 
 
@@ -215,6 +195,5 @@ def simple_axes(n_max: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def simple_dihedral(n_max: int) -> SequenceTable:
-    """Simple chord diagrams up to rotation and reflection."""
-    rotation = rotation_totals(simple_fixed_chain, n_max)
-    return _dihedral_average("simple-dihedral", rotation, *simple_axes(n_max))
+    """Simple chord diagrams up to rotation and reflection, from ``simple_cyclic`` and the axes."""
+    return _dihedral_average("simple-dihedral", simple_cyclic(n_max), *simple_axes(n_max))

@@ -68,11 +68,7 @@ def loopless_fixed_chain(d: int, m_max: int) -> tuple[int, ...]:
     Entry m holds the count for m = 0..m_max, from one sector column;
     entries with m*d odd describe no chord diagram and are never read.
     """
-    return loopless_chain_from_column(d, loopless_sector_counts(d, m_max))
-
-
-def loopless_chain_from_column(d: int, counts) -> tuple[int, ...]:
-    """``loopless_fixed_chain`` from a prebuilt d-sector column."""
+    counts = loopless_sector_counts(d, m_max)
     values = []
     for m in range(len(counts)):
         if d * m == 2:
@@ -207,7 +203,6 @@ def validate_even_sector_terms(d: int, reference: dict, terms=EVEN_SECTOR_TERMS)
 class SectorColumn:
     """Simple d-sector counts: totals by m, and the split by diameter class."""
 
-    d: int
     totals: tuple
     by_diameter: dict | None  # (m, k) -> count, even d only
 
@@ -230,7 +225,7 @@ def simple_sector_counts(d: int, m_max: int) -> SectorColumn:
                 + (2 * m - 7) * d * get(m - 4)
                 + (m - 6) * d * get(m - 6)
             )
-        return SectorColumn(d, tuple(values), None)
+        return SectorColumn(tuple(values), None)
 
     table = {(0, 0): 1}
     for m in range(1, m_max + 1):
@@ -253,7 +248,7 @@ def simple_sector_counts(d: int, m_max: int) -> SectorColumn:
     totals = tuple(
         sum(table.get((m, k), 0) for k in range(m + 1)) for m in range(m_max + 1)
     )
-    return SectorColumn(d, totals, table)
+    return SectorColumn(totals, table)
 
 
 # ---------------------------------------------------------------------------

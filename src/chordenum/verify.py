@@ -1,12 +1,12 @@
 """The verify report: recurrences against the oracle, the golden tables, b-files.
 
 Every check is one ``CHECK name n=N expected=E got=G OK|FAIL`` line.  The
-recurrence tables are built once, before the sweeps, but the builders share
-nothing: each family comes from its own builder to max(N, 20), and the
-reflection axes are built again to N.  So the mirror tables are built twice
-(to 20 for simple-dihedral, to N for the simple axes), so is each family's
-rotation sum (for its cyclic and for its dihedral counts), and so is the
-loopless 2-sector column (for loopless-dihedral and for the loopless axes).
+recurrence tables are built once, before the sweeps, but each family comes
+from its own builder to max(N, 20) and the axes are built again to N.  So
+each family's rotation sum is built twice (its cyclic builder, and its
+dihedral builder through the cyclic counts), the loopless 2-sector column to
+max(N, 20) three times (both sums and the loopless-dihedral axes), and the
+mirror tables twice (to 20 for simple-dihedral, to N for the simple axes).
 The classified triangle is built once; the rotation-fixed counts are built
 per n, because their chains follow the divisors of 2n.
 """

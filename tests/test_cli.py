@@ -453,6 +453,21 @@ def test_internal_errors_exit_3_not_as_failed_checks(monkeypatch, capsys, module
     assert captured.err == f"internal error: {error}\n"
 
 
+def test_a_non_integral_dihedral_average_exits_3(monkeypatch, capsys):
+    real = reflection.loopless_axes
+
+    def off_by_one(n_max):
+        vertex, edge = real(n_max)
+        return vertex[:2] + (vertex[2] + 1,) + vertex[3:], edge
+
+    monkeypatch.setattr(reflection, "loopless_axes", off_by_one)
+    code = main(["seq", "loopless-dihedral", "--max", "3"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "internal error: dihedral average is not integral at n=2: 5/4\n"
+
+
 def test_a_failed_burnside_identity_exits_3(monkeypatch, capsys):
     # drop the one matching on 2 points that the vertex axis fixes
     axis = vertex_reflection(2, 0)

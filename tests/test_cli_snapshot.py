@@ -22,6 +22,10 @@ SNAPSHOT = {
     "seq simple-chord --max 30": "62fc10d85e93561c09df6cdfddac9fb87f341208b512f837e4ed477cadf4182c",
     "seq simple-cyclic --max 30": "fb6afd674af8f56911a4bb9378e415d38f7a2c1b9f67b6fff2470a14294ea459",
     "seq simple-dihedral --max 30": "d122fc28e866f19f0387d07c9b7837e24f2a09abc800a645f391f8534a5704a9",
+    "seq loopless-cyclic --max 200": "297daff81b38f4687f48746ef15711d34790570b95867483acf01626de76fd8f",
+    "seq loopless-dihedral --max 200": "2f4c651945eb6401e718e3a3ca6ede0245619398a265a16363aebe9a5fae0e3e",
+    "seq simple-cyclic --max 100": "e3468733e9cbee8eb29667d82b114a0c7e6dfaa3baa9b1675d3a44038573b569",
+    "seq simple-dihedral --max 100": "0c243437abb42db60e0e399e70e5002050989ff76a9875260d35260d85c630b8",
     "seq all --max 30": "c893c0ffd69967f70b67bdc00d3b3fa7338efe9f7853c48c9bc1ac96c7aa194d",
     "triangle a_nk": "3778a960beafc3d689632bd30420659ca9f3a13aa4d6dccf319c82d508bcf652",
     "triangle a_nkl": "56d9293101c58144e059100cbeb8b54a74803136161899088e25730f3f208ee3",

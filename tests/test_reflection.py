@@ -233,17 +233,19 @@ def test_simple_dihedral_builds_the_mirror_tables_once(monkeypatch):
     assert built == [40]
 
 
-def test_loopless_dihedral_builds_the_half_turn_column_once(monkeypatch):
-    built = Counter()
+def test_loopless_cyclic_and_axes_build_each_sector_column_once(monkeypatch):
+    # loopless_dihedral calls both, so it builds the 2-sector column twice on purpose
     original = symmetry.loopless_sector_counts
+    for build in (loopless_cyclic, loopless_axes):
+        built = Counter()
 
-    def counting(d, m_max):
-        built[(d, m_max)] += 1
-        return original(d, m_max)
+        def counting(d, m_max):
+            built[d] += 1
+            return original(d, m_max)
 
-    # reflection reads the column through its own from-import binding
-    monkeypatch.setattr(symmetry, "loopless_sector_counts", counting)
-    monkeypatch.setattr(reflection, "loopless_sector_counts", counting)
-    loopless_dihedral(50)
-    assert built[(2, 50)] == 1
-    assert max(built.values()) == 1
+        # reflection reads the column through its own from-import binding
+        monkeypatch.setattr(symmetry, "loopless_sector_counts", counting)
+        monkeypatch.setattr(reflection, "loopless_sector_counts", counting)
+        build(50)
+        assert built[2] == 1, build.__name__
+        assert max(built.values()) == 1, build.__name__
