@@ -9,6 +9,7 @@ oracle's Burnside identity or the octahedron's loop check.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import stat
@@ -209,7 +210,9 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once: parsing keeps no state in it between calls."""
     parser = argparse.ArgumentParser(
         prog="chordenum",
         description="Exact enumeration of loopless and simple chord diagrams.",
@@ -262,8 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:  # bad arguments, caps, unassigned markers

@@ -14,6 +14,7 @@ from functools import cached_property
 from .labelled import SequenceTable
 from .symmetry import (
     RecurrenceValidationError,
+    _nonzero_cells,
     loopless_cyclic,
     loopless_sector_counts,
     simple_cyclic,
@@ -133,36 +134,83 @@ def _predicted_mirror_cell(r, s, n, k) -> int:
     return value
 
 
+def validate_mirror_terms(reference: dict) -> list[str]:
+    """Check each reference row against ``MIRROR_TERMS``; return diagnostics.
+
+    ``reference`` is ``MIRROR_REFERENCE`` or a part of it.  Every main-table
+    cell with n >= 1 is predicted from the reference cells below it (and
+    the end-chord cells of its own row) and compared; the boundary cell
+    (2, 0), which the recurrence does not produce, is skipped.  An empty
+    return means the term set reproduces the reference exactly.
+    """
+    r = {(n, k): v for n, (r_ref, _) in reference.items() for k, v in r_ref.items()}
+    s = {(n, k): v for n, (_, s_ref) in reference.items() for k, v in s_ref.items()}
+    problems = []
+    for n in sorted(reference):
+        for k in range(n + 1):
+            if n == 0 or (n, k) == (2, 0):  # the boundary cells
+                continue
+            got = _predicted_mirror_cell(r, s, n, k)
+            want = r.get((n, k), 0)
+            if got != want:
+                problems.append(f"mirror terms n={n} k={k}: recurrence gives {got}, enumeration gives {want}")
+    return problems
+
+
+def _mirror_rows(n_max: int) -> tuple[list[list[int]], list[list[int]]]:
+    """(r, s): rows n = 0..n_max of the mirror and end-chord tables, row n holding k = 0..n.
+
+    End-chord cells first, s(n, k) = r(n-1, k-1) - s(n-1, k-1); then the
+    main row by the same recurrence as ``MIRROR_TERMS``: each term's source
+    row is shifted by its dk and padded with zeros to n + 1 entries.  The
+    boundary cells (0,0) and (2,0) are set to 1 (the recurrence itself
+    yields 0 at n = 2).
+    """
+    r = [[1]]
+    s = [[0]]
+    for n in range(1, n_max + 1):
+        width = n + 1
+
+        def source(rows, dn: int, dk: int) -> list[int]:
+            """Row n - dn of ``rows`` read at k - dk, for k = 0..n."""
+            if dn > n:
+                return [0] * width
+            row = [0] * dk + rows[n - dn]
+            return row + [0] * (width - len(row))
+
+        s_row = [above - end for above, end in zip(source(r, 1, 1), source(s, 1, 1))]
+        s.append(s_row)
+        r.append([
+            t0 + 2 * (n - 2) * t1 + t2
+            + 2 * (2 * n - k - 7) * t3
+            + 2 * (k - 1) * (t4 + t5)
+            + 2 * (n - k - 6) * t6
+            for k, (t0, t1, t2, t3, t4, t5, t6) in enumerate(zip(
+                s_row, source(r, 2, 0), source(s, 2, 0), source(r, 4, 0),
+                source(r, 3, 1), source(r, 5, 1), source(r, 6, 0),
+            ))
+        ])
+        if n == 2:
+            r[2][0] = 1
+    return r, s
+
+
 def build_mirror_tables(n_max: int) -> MirrorTables:
     """Build the mirror tables row by row and validate against the reference.
 
-    The end-chord rows alternate off the main table; the main rows follow
-    the seven-term recurrence with the boundary cells (0,0) and (2,0) set
-    to 1 (the recurrence itself yields 0 at n = 2).
+    ``MIRROR_TERMS`` must reproduce every reference cell up to n_max, and
+    so must the built tables; a mismatch aborts with a per-cell diagnostic.
     """
-    r = {(0, 0): 1}
-    s: dict[tuple[int, int], int] = {}
-    for n in range(1, n_max + 1):
+    r_rows, s_rows = _mirror_rows(n_max)
+    reference = {n: split for n, split in MIRROR_REFERENCE.items() if n <= n_max}
+    problems = validate_mirror_terms(reference)
+    for n, (r_ref, s_ref) in reference.items():
         for k in range(n + 1):
-            value = r.get((n - 1, k - 1), 0) - s.get((n - 1, k - 1), 0)
-            if value:
-                s[(n, k)] = value
-        for k in range(n + 1):
-            value = _predicted_mirror_cell(r, s, n, k)
-            if value:
-                r[(n, k)] = value
-        if n == 2:
-            r[(2, 0)] = 1
-    problems = []
-    for n, (r_ref, s_ref) in MIRROR_REFERENCE.items():
-        if n > n_max:
-            continue
-        for k in range(n + 1):
-            got = r.get((n, k), 0)
+            got = r_rows[n][k]
             want = r_ref.get(k, 0)
             if got != want:
                 problems.append(f"mirror count n={n} k={k}: recurrence {got}, enumeration {want}")
-            got = s.get((n, k), 0)
+            got = s_rows[n][k]
             want = s_ref.get(k, 0)
             if got != want:
                 problems.append(f"end-chord count n={n} k={k}: recurrence {got}, enumeration {want}")
@@ -170,7 +218,7 @@ def build_mirror_tables(n_max: int) -> MirrorTables:
         raise RecurrenceValidationError(
             "mirror recurrence failed validation:\n" + "\n".join(problems)
         )
-    return MirrorTables(counts=r, end_chord=s)
+    return MirrorTables(counts=_nonzero_cells(r_rows), end_chord=_nonzero_cells(s_rows))
 
 
 def simple_axes(n_max: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

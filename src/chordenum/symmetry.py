@@ -207,12 +207,46 @@ class SectorColumn:
     by_diameter: dict | None  # (m, k) -> count, even d only
 
 
+def _even_sector_rows(d: int, m_max: int) -> list[list[int]]:
+    """Rows m = 0..m_max of the even-d table, row m holding k = 0..m.
+
+    The same recurrence as ``EVEN_SECTOR_TERMS``, one row at a time: each
+    term's source row is shifted by its dk and padded with zeros to m + 1
+    entries, and the six terms are summed inline.
+    """
+    rows = [[1]]
+    for m in range(1, m_max + 1):
+        width = m + 1
+
+        def source(dm: int, dk: int) -> list[int]:
+            """Row m - dm read at k + dk, for k = 0..m."""
+            if dm > m:
+                return [0] * width
+            row = rows[m - dm][dk:] if dk >= 0 else [0] * -dk + rows[m - dm]
+            return row + [0] * (width - len(row))
+
+        below = (m - 1) * d - 3 + (1 if m == 2 else 0)
+        rows.append([
+            t1 + below * t2 + d * (
+                (k + 1) * (t3 + t5)
+                # factor d on (2m + k - 7): the correction in docs/ERRATA.md
+                + (2 * m + k - 7) * t4
+                + (m + k - 6) * t6
+            )
+            for k, (t1, t2, t3, t4, t5, t6) in enumerate(zip(
+                source(1, -1), source(2, 0), source(3, 1), source(4, 0), source(5, 1), source(6, 0)
+            ))
+        ])
+    return rows
+
+
 def simple_sector_counts(d: int, m_max: int) -> SectorColumn:
     """Simple d-sector diagrams with m*d points, for m = 0..m_max.
 
     For even d the table is built by diameter class k and validated
-    against the embedded exhaustive reference before it is returned;
-    a mismatch aborts with a per-cell diagnostic.
+    against the embedded exhaustive reference before it is returned:
+    the term set must reproduce every reference cell, and so must the
+    built table.  A mismatch aborts with a per-cell diagnostic.
     """
     if d < 1:
         raise ValueError(f"sector count must be positive, got {d}")
@@ -227,12 +261,7 @@ def simple_sector_counts(d: int, m_max: int) -> SectorColumn:
             )
         return SectorColumn(tuple(values), None)
 
-    table = {(0, 0): 1}
-    for m in range(1, m_max + 1):
-        for k in range(m + 1):
-            value = predicted_cell(table, m, k, d, EVEN_SECTOR_TERMS)
-            if value:
-                table[(m, k)] = value
+    rows = _even_sector_rows(d, m_max)
     reference = {
         (m, k): count
         for (dd, m), split in EVEN_SECTOR_REFERENCE.items()
@@ -241,14 +270,22 @@ def simple_sector_counts(d: int, m_max: int) -> SectorColumn:
     }
     if reference:
         problems = validate_even_sector_terms(d, reference, EVEN_SECTOR_TERMS)
+        problems += [
+            f"d={d} m={m} k={k}: table gives {got}, enumeration gives {reference.get((m, k), 0)}"
+            for m in sorted({m for m, _ in reference})
+            for k, got in enumerate(rows[m])
+            if got != reference.get((m, k), 0)
+        ]
         if problems:
             raise RecurrenceValidationError(
                 "even-sector recurrence failed validation:\n" + "\n".join(problems)
             )
-    totals = tuple(
-        sum(table.get((m, k), 0) for k in range(m + 1)) for m in range(m_max + 1)
-    )
-    return SectorColumn(totals, table)
+    return SectorColumn(tuple(sum(row) for row in rows), _nonzero_cells(rows))
+
+
+def _nonzero_cells(rows: list[list[int]]) -> dict[tuple[int, int], int]:
+    """The (row, k) -> value cells of a row-list table that are not zero."""
+    return {(i, k): value for i, row in enumerate(rows) for k, value in enumerate(row) if value}
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import argparse
 import errno
 import json
 import os
@@ -275,6 +276,41 @@ def test_parse_bfile_rejects_malformed_lines(tmp_path):
     with pytest.raises(ValueError) as exc:
         parse_bfile(str(path))
     assert str(exc.value) == f"{path}:2: expected two integers, got '1 abc'"
+
+
+def test_the_parser_is_built_once(monkeypatch, capsys):
+    built = []
+    construct = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        construct(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    after = []
+    for argv in (["seq", "all", "--max", "3"], ["fixed", "--n", "4"], ["seq", "all", "--max", "3"]):
+        assert main(argv) == 0
+        after.append(len(built))
+    assert after[1] == after[2] == after[0]  # at most the first call builds it
+
+
+def test_the_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    target = tmp_path / "seq.txt"
+    assert main(["seq", "all", "--max", "3", "--out", str(target)]) == 0
+    assert main(["seq", "all", "--max", "3"]) == 0
+    assert capsys.readouterr().out == target.read_text() == "1 1\n2 3\n3 15\n"
+
+    assert main(["series", "wz", "--order", "3", "--z", "1"]) == 0
+    capsys.readouterr()
+    assert main(["series", "wz", "--order", "3"]) == 2
+    assert "needs --z" in capsys.readouterr().err
+
+    with pytest.raises(SystemExit) as refused:
+        main(["seq", "no-such-family"])
+    assert refused.value.code == 2
+    capsys.readouterr()
+    assert main(["seq", "loopless-chord", "--max", "4"]) == 0
+    assert [line.split()[1] for line in capsys.readouterr().out.splitlines()] == ["0", "1", "4", "31"]
 
 
 def test_render_sequence_formats():

@@ -26,6 +26,8 @@ SNAPSHOT = {
     "seq loopless-dihedral --max 200": "2f4c651945eb6401e718e3a3ca6ede0245619398a265a16363aebe9a5fae0e3e",
     "seq simple-cyclic --max 100": "e3468733e9cbee8eb29667d82b114a0c7e6dfaa3baa9b1675d3a44038573b569",
     "seq simple-dihedral --max 100": "0c243437abb42db60e0e399e70e5002050989ff76a9875260d35260d85c630b8",
+    "seq simple-cyclic --max 200": "3fe8b66b8ec24a1da44221dfd293e2b7b03d65d3c067b1d8c83590b9623ed6a1",
+    "seq simple-dihedral --max 200": "9ea4cdc439ba0205e8bf6faa450975bb14da5075a4008274e5ad035fa0075d54",
     "seq all --max 30": "c893c0ffd69967f70b67bdc00d3b3fa7338efe9f7853c48c9bc1ac96c7aa194d",
     "triangle a_nk": "3778a960beafc3d689632bd30420659ca9f3a13aa4d6dccf319c82d508bcf652",
     "triangle a_nkl": "56d9293101c58144e059100cbeb8b54a74803136161899088e25730f3f208ee3",
@@ -45,6 +47,7 @@ SNAPSHOT = {
     "series wzx --order 12 --z 1 --x 0": "30793dc3f303a3eaf9f7fd0f90ddb731937a96ea7842a535c95937261cea5ec8",
     "series wzx --order 12 --z 1 --x 1": "b300c7d5503f1dd986edd633b521e739268cbf7dbcba093d93fce44f2f583140",
     "fixed --n 12": "5e02ebc386c26c33588452dffc1d5321f63d67bb21b35f31f220e5fcccef335f",
+    "fixed --n 80": "e84df345d6ecdad12d40325f6dea29a60c55c6fdd6f9bf1a0ee8de4b67122f1c",
     "verify --tables": "63962bd86de0c78a3d5328ec1c509b5b867e9b0d2a13dadba2baf41976555f98",
     "verify --max 1": "5b3e99a3342faff1a7ccaedd40ec0e4956c524fb8f96ef22b3c7cc581ec91a1f",
     "verify --max 5": "dbd850162c5f3a2a27635f5b33f47d07abdb5a68fdbd27dc377b3eaec7d8682e",

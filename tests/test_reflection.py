@@ -19,6 +19,7 @@ from chordenum.reflection import (
     loopless_dihedral,
     simple_axes,
     simple_dihedral,
+    validate_mirror_terms,
 )
 from chordenum.symmetry import (
     RecurrenceValidationError,
@@ -121,6 +122,48 @@ def test_mirror_recurrence_rejects_wrong_coefficients(monkeypatch):
     )
     monkeypatch.setattr(reflection, "MIRROR_TERMS", broken)
     with pytest.raises(RecurrenceValidationError):
+        build_mirror_tables(7)
+
+
+def reference_mirror_tables(n_max: int) -> tuple[dict, dict]:
+    """(counts, end_chord) cell by cell through the term set: the spec the row kernel must equal."""
+    r = {(0, 0): 1}
+    s = {}
+    for n in range(1, n_max + 1):
+        for k in range(n + 1):
+            value = r.get((n - 1, k - 1), 0) - s.get((n - 1, k - 1), 0)
+            if value:
+                s[(n, k)] = value
+        for k in range(n + 1):
+            value = reflection._predicted_mirror_cell(r, s, n, k)
+            if value:
+                r[(n, k)] = value
+        if n == 2:
+            r[(2, 0)] = 1
+    return r, s
+
+
+def test_mirror_rows_equal_the_term_set_beyond_the_reference():
+    counts, end_chord = reference_mirror_tables(60)
+    tables = build_mirror_tables(60)
+    assert tables.counts == counts
+    assert tables.end_chord == end_chord
+
+
+def test_the_mirror_terms_reproduce_the_reference():
+    assert validate_mirror_terms(MIRROR_REFERENCE) == []
+
+
+def test_a_drifted_mirror_cell_fails_validation(monkeypatch):
+    build = reflection._mirror_rows
+
+    def drifted(n_max):
+        r, s = build(n_max)
+        r[4][2] += 1
+        return r, s
+
+    monkeypatch.setattr(reflection, "_mirror_rows", drifted)
+    with pytest.raises(RecurrenceValidationError, match=r"mirror count n=4 k=2: recurrence 6"):
         build_mirror_tables(7)
 
 

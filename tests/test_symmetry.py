@@ -191,6 +191,40 @@ def test_printed_term_set_fails_the_harness(monkeypatch):
     assert not validate_even_sector_terms(2, reference, EVEN_SECTOR_TERMS)
 
 
+def reference_even_sector_table(d: int, m_max: int) -> dict:
+    """The even-d table cell by cell through the term set: the spec the row kernel must equal."""
+    table = {(0, 0): 1}
+    for m in range(1, m_max + 1):
+        for k in range(m + 1):
+            value = symmetry.predicted_cell(table, m, k, d, EVEN_SECTOR_TERMS)
+            if value:
+                table[(m, k)] = value
+    return table
+
+
+def test_even_sector_rows_equal_the_term_set_beyond_the_reference():
+    for d in (2, 4, 6, 8):
+        table = reference_even_sector_table(d, 40)
+        column = simple_sector_counts(d, 40)
+        assert column.by_diameter == table, d
+        assert column.totals == tuple(
+            sum(table.get((m, k), 0) for k in range(m + 1)) for m in range(41)
+        ), d
+
+
+def test_a_drifted_even_sector_cell_fails_validation(monkeypatch):
+    build = symmetry._even_sector_rows
+
+    def drifted(d, m_max):
+        rows = build(d, m_max)
+        rows[3][1] += 1
+        return rows
+
+    monkeypatch.setattr(symmetry, "_even_sector_rows", drifted)
+    with pytest.raises(RecurrenceValidationError, match=r"d=2 m=3 k=1: table gives 2"):
+        simple_sector_counts(2, 6)
+
+
 def test_corrected_coefficient_is_pinned_by_enumeration():
     # the harness data determines the (m-4) coefficient as an affine
     # function of m, k and d: solving any three independent cells gives
