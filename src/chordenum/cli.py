@@ -182,18 +182,18 @@ def cmd_fixed(args) -> int:
 
 
 def cmd_octahedron(args) -> int:
-    cycles = octahedron.cycle_diagrams(args.n)
-    if args.list:  # one search: keep the cycles to list them after the counts
-        cycles = list(cycles)
-    labelled_count, orbit_count = octahedron.tally_cycles(cycles)
-    lines = [f"labelled {labelled_count}", f"orbits {orbit_count}"]
     if args.list:
-        texts = {}  # partner table -> text, once per diagram the cycles share
-        for cycle, diagram in cycles:
-            if diagram.pairing not in texts:
-                texts[diagram.pairing] = format_diagram(diagram)
-            path = "-".join(str(v) for v in cycle.vertices)
-            lines.append(f"cycle {path} {texts[diagram.pairing]}")
+        labelled_count, orbit_count, cycles = octahedron.list_cycles(args.n)
+    else:
+        labelled_count, orbit_count = octahedron.count_cycles(args.n)
+        cycles = []
+    lines = [f"labelled {labelled_count}", f"orbits {orbit_count}"]
+    texts = {}  # partner table -> text, once per diagram the cycles share
+    for cycle, diagram in cycles:
+        if diagram.pairing not in texts:
+            texts[diagram.pairing] = format_diagram(diagram)
+        path = "-".join(str(v) for v in cycle.vertices)
+        lines.append(f"cycle {path} {texts[diagram.pairing]}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -8,6 +8,7 @@ yields a loopless chord diagram; the construction inverts exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .diagram import CIRCULAR, DIHEDRAL, Diagram, canonical_code, classify
@@ -120,38 +121,90 @@ def diagram_to_cycle(diagram: Diagram) -> tuple[HamCycle, dict[int, int]]:
     return HamCycle.canonical(seq), labels
 
 
-def cycle_diagrams(n: int):
-    """Yield (cycle, diagram) for each Hamiltonian cycle, in search order.
+def _canonical_walks(n: int):
+    """Yield the canonical walk of each orbit, as a cycle (see ``count_cycles``).
 
-    The diagram and its loop check come once per distinct partner table,
-    from the first cycle that gives it; later cycles with that table share
-    the same diagram object.
+    Pair 1 is open from the start.  Each step either enters the next
+    unentered pair at its odd vertex or closes an open pair other than the
+    current vertex's at its even vertex, so no step joins antipodes.  The
+    second vertex is 3 and the last is an even vertex of at least 4, so
+    each walk is already in the form ``HamCycle.canonical`` gives it.
     """
+    m = 2 * n
+    path = [1]
+    closed = [False] * (n + 1)
+
+    def extend(entered):
+        if len(path) == m:
+            if path[-1] != 2:  # the last vertex must be adjacent to vertex 1
+                yield HamCycle(tuple(path))
+            return
+        if entered < n:
+            path.append(2 * entered + 1)
+            yield from extend(entered + 1)
+            path.pop()
+        current = (path[-1] + 1) // 2
+        for pair in range(1, entered + 1):
+            if pair != current and not closed[pair]:
+                closed[pair] = True
+                path.append(2 * pair)
+                yield from extend(entered)
+                path.pop()
+                closed[pair] = False
+
+    yield from extend(1)
+
+
+def _census(n: int) -> tuple[int, int, dict[tuple[int, ...], Diagram]]:
+    """(labelled count, orbit count, partner table -> diagram) from the canonical walks."""
     if n > CYCLE_CAP:
         raise ValueError(f"n={n} exceeds the cycle enumeration cap {CYCLE_CAP}")
-    diagrams = {}
-    for cycle in hamiltonian_cycles(n):
-        pairing = _pairing(cycle)
-        diagram = diagrams.get(pairing)
-        if diagram is None:
-            diagram = diagrams[pairing] = cycle_to_diagram(cycle)
-        yield cycle, diagram
-
-
-def tally_cycles(cycles) -> tuple[int, int]:
-    """(labelled cycle count, orbit count under graph automorphisms) of ``cycle_diagrams`` pairs.
-
-    Orbits are counted through the bijection: two cycles are isomorphic
-    exactly when their diagrams share a dihedral canonical code, which
-    comes once per distinct diagram.
-    """
-    labelled = 0
-    diagrams = {}  # partner table -> diagram
-    for labelled, (_, diagram) in enumerate(cycles, start=1):
+    if n < 1:
+        raise ValueError(f"dimension must be positive, got {n}")
+    diagrams = {}  # the walks give distinct partner tables, one per loopless diagram
+    for cycle in _canonical_walks(n):
+        diagram = cycle_to_diagram(cycle)
         diagrams[diagram.pairing] = diagram
-    return labelled, len({canonical_code(diagram, DIHEDRAL) for diagram in diagrams.values()})
+    labelled = len(diagrams) * 2 ** (n - 1) * math.factorial(n - 1) // 2
+    return labelled, len({canonical_code(diagram, DIHEDRAL) for diagram in diagrams.values()}), diagrams
 
 
 def count_cycles(n: int) -> tuple[int, int]:
-    """(labelled cycle count, orbit count under graph automorphisms), in one search."""
-    return tally_cycles(cycle_diagrams(n))
+    """(labelled cycle count, orbit count under graph automorphisms), with no cycle search.
+
+    Write each directed Hamiltonian cycle as its vertex sequence from
+    vertex 1.  The pair relabellings that fix vertices 1 and 2 (any
+    permutation of pairs 2..n, with or without a swap inside each) keep
+    adjacency, so they map such sequences to such sequences.  There are
+    2^(n-1) (n-1)! of them, and they act freely: a relabelling that fixes
+    a sequence fixes each of its vertices, which are all vertices.  Each
+    orbit holds exactly one sequence that enters pairs 2..n in increasing
+    order, each at its odd vertex (name the pairs by first visit, the
+    first-visited vertex odd), and ``_canonical_walks`` yields exactly
+    those.  Each undirected cycle gives two directed ones, so the labelled
+    count is walks * 2^(n-1) (n-1)! / 2.
+
+    Read as positions, a walk is the loopless diagram it draws, labelled as
+    ``diagram_to_cycle`` labels it; so the walks are the labelled loopless
+    diagrams, and two cycles are isomorphic exactly when their diagrams
+    share a dihedral canonical code.
+    """
+    labelled, orbits, _ = _census(n)
+    return labelled, orbits
+
+
+def list_cycles(n: int) -> tuple[int, int, list[tuple[HamCycle, Diagram]]]:
+    """``count_cycles``' counts, and each Hamiltonian cycle in search order with its diagram.
+
+    One search.  Each cycle takes its diagram from the walks' diagrams by
+    partner table, so each diagram is built once.
+    """
+    labelled, orbits, diagrams = _census(n)
+    cycles = []
+    for cycle in hamiltonian_cycles(n):
+        diagram = diagrams.get(_pairing(cycle))
+        if diagram is None:
+            path = "-".join(str(v) for v in cycle.vertices)
+            raise AssertionError(f"cycle {path} has a partner table that no walk gives")
+        cycles.append((cycle, diagram))
+    return labelled, orbits, cycles

@@ -140,14 +140,14 @@ def test_criterion_5_burnside_integrality_and_double_counting(sweeps):
 
 
 def test_criterion_6_octahedron_bijection():
-    b = loopless_chord(5)
-    dihedral = loopless_dihedral(5)
-    for n in range(1, 6):
+    b = loopless_chord(6)
+    dihedral = loopless_dihedral(6)
+    for n in range(1, 7):
         labelled, orbit = count_cycles(n)
         assert labelled * 4 * n == b[n] * 2**n * math.factorial(n)
         assert orbit == dihedral[n]
     assert count_cycles(3) == (16, 2)
-    report(6, "cycle counts satisfy the 4n identity and orbit counts to n=5")
+    report(6, "cycle counts satisfy the 4n identity and orbit counts to n=6")
 
 
 def test_criterion_7_bfile_prefix_agreement(tmp_path, capsys):

@@ -181,6 +181,40 @@ def test_octahedron_list_counts_and_lists_in_one_search(monkeypatch, capsys):
     assert calls["cycle_to_diagram"] == 31
 
 
+def test_octahedron_at_the_cap(capsys):
+    code, out = run(capsys, "octahedron", "--n", "6")
+    assert code == 0
+    assert out.splitlines() == ["labelled 6385920", "orbits 196"]
+
+
+def test_octahedron_above_the_cap_refuses_before_any_walk_or_search(monkeypatch, capsys):
+    calls = []
+    walks, search = octahedron._canonical_walks, octahedron.hamiltonian_cycles
+    monkeypatch.setattr(octahedron, "_canonical_walks", lambda n: calls.append(("walk", n)) or walks(n))
+    monkeypatch.setattr(octahedron, "hamiltonian_cycles", lambda n: calls.append(("search", n)) or search(n))
+    for argv in (["octahedron", "--n", "7"], ["octahedron", "--n", "7", "--list"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n=7 exceeds the cycle enumeration cap 6\n"
+    assert calls == []
+    assert main(["octahedron", "--n", "3", "--list"]) == 0  # the counters see a run below the cap
+    assert calls == [("walk", 3), ("search", 3)]
+
+
+def test_octahedron_list_refuses_a_cycle_no_walk_gives(monkeypatch, capsys):
+    # every walk starts 1-3; a searched cycle that starts otherwise gets a table no walk has
+    pairing = octahedron._pairing
+    monkeypatch.setattr(
+        octahedron, "_pairing", lambda cycle: pairing(cycle) if cycle.vertices[1] == 3 else (0,)
+    )
+    code = main(["octahedron", "--n", "3", "--list"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "internal error: cycle 1-4-2-5-3-6 has a partner table that no walk gives\n"
+
+
 def test_octahedron_list_formats_each_shared_diagram_once(monkeypatch, capsys):
     formatted = []
     format_diagram = cli.format_diagram

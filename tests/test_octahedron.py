@@ -3,10 +3,12 @@ import math
 import pytest
 
 from chordenum.diagram import DIHEDRAL, Diagram, canonical_code, classify, enumerate_matchings
-from chordenum.labelled import loopless_chord
+from chordenum.labelled import loopless_chord, loopless_linear
 from chordenum.octahedron import (
     HamCycle,
     OctahedronGraph,
+    _canonical_walks,
+    _pairing,
     count_cycles,
     cycle_to_diagram,
     diagram_to_cycle,
@@ -133,3 +135,76 @@ def test_search_yields_the_order_of_a_plain_adjacency_scan():
 
     for n in range(1, 5):
         assert [cycle.vertices for cycle in hamiltonian_cycles(n)] == scan(n)
+
+
+def test_count_cycles_at_the_cap():
+    assert count_cycles(6) == (6385920, 196)
+
+
+def test_walks_are_the_labelled_loopless_diagrams():
+    for n in range(1, 6):
+        tables = [_pairing(walk) for walk in _canonical_walks(n)]
+        assert len(set(tables)) == len(tables)
+        loopless = {d.pairing for d in enumerate_matchings(n) if classify(d)[0] == 0}
+        assert set(tables) == loopless
+        assert len(tables) == loopless_chord(5)[n]
+
+
+def test_each_walk_enters_pairs_in_order_at_their_odd_vertex():
+    for n in range(1, 6):
+        graph = OctahedronGraph(n)
+        for walk in _canonical_walks(n):
+            seq = walk.vertices
+            assert sorted(seq) == list(range(1, 2 * n + 1))
+            assert all(graph.adjacent(u, v) for u, v in zip(seq, seq[1:] + seq[:1]))
+            entries = [v for v in seq if graph.antipode(v) not in seq[: seq.index(v)]]
+            assert entries == [2 * pair - 1 for pair in range(1, n + 1)]
+            assert HamCycle.canonical(seq) == walk
+
+
+def test_count_cycles_equals_the_full_search_tally():
+    # the spec: tally every labelled cycle the search yields, one diagram per partner table
+    for n in range(1, 6):
+        labelled = 0
+        diagrams = {}
+        for labelled, cycle in enumerate(hamiltonian_cycles(n), start=1):
+            pairing = _pairing(cycle)
+            if pairing not in diagrams:
+                diagrams[pairing] = cycle_to_diagram(cycle)
+        codes = {canonical_code(diagram, DIHEDRAL) for diagram in diagrams.values()}
+        walk_codes = {canonical_code(cycle_to_diagram(walk), DIHEDRAL) for walk in _canonical_walks(n)}
+        assert walk_codes == codes
+        assert count_cycles(n) == (labelled, len(codes))
+
+
+def held_karp(n, starts):
+    """Directed Hamiltonian paths from the given start vertices, by end vertex.
+
+    Dynamic programming over (visited vertex set, end vertex), as in Held
+    and Karp (1962); it shares no code with the search or the walk.
+    """
+    graph = OctahedronGraph(n)
+    m = 2 * n
+    neighbours = [[w for w in range(m) if graph.adjacent(v + 1, w + 1)] for v in range(m)]
+    full = (1 << m) - 1
+    ways = [[0] * m for _ in range(full + 1)]
+    for start in starts:
+        ways[1 << (start - 1)][start - 1] = 1
+    for mask in range(full + 1):
+        row = ways[mask]
+        for v in range(m):
+            if row[v]:
+                for w in neighbours[v]:
+                    if not mask >> w & 1:
+                        ways[mask | 1 << w][w] += row[v]
+    return {v + 1: ways[full][v] for v in range(m)}
+
+
+def test_held_karp_paths_and_cycles():
+    linear = loopless_linear(6)
+    for n in range(1, 7):
+        paths = sum(held_karp(n, range(1, 2 * n + 1)).values())
+        assert paths == linear[n] * 2**n * math.factorial(n)  # the paper's claim for paths
+        graph = OctahedronGraph(n)
+        directed = sum(ways for end, ways in held_karp(n, [1]).items() if graph.adjacent(end, 1))
+        assert directed // 2 == count_cycles(n)[0] and directed % 2 == 0
