@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 
 def double_factorial(m: int) -> int:
@@ -41,19 +42,27 @@ class SequenceTable:
 
 @dataclass(frozen=True)
 class TriangleTable:
-    """A named count table keyed by a multi-index; absent entries are 0."""
+    """A named count table kept by row; absent entries are 0.
+
+    ``rows[n]`` maps the rest of each index ``(n, ...)`` to its count.
+    """
 
     name: str
-    entries: dict
-
-    def value(self, *index) -> int:
-        return self.entries.get(index, 0)
+    rows: tuple
 
     def row(self, n: int) -> dict:
-        return {key[1:]: v for key, v in self.entries.items() if key[0] == n}
+        return self.rows[n] if 0 <= n < len(self.rows) else {}
+
+    def value(self, n: int, *rest) -> int:
+        return self.row(n).get(rest, 0)
 
     def row_total(self, n: int) -> int:
         return sum(self.row(n).values())
+
+    @cached_property
+    def entries(self) -> dict:
+        """Every entry keyed by its full index ``(n, ...)``."""
+        return {(n, *rest): v for n, row in enumerate(self.rows) for rest, v in row.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -62,17 +71,19 @@ class TriangleTable:
 
 def loop_triangle(n_max: int) -> TriangleTable:
     """Linear diagrams with n chords counted by loop number k."""
-    entries = {(0, 0): 1}
+    rows = [{(0,): 1}]
     for n in range(n_max):
+        prev, row = rows[n], {}
         for k in range(n + 2):
             value = (
-                entries.get((n, k - 1), 0)
-                + (2 * n - k) * entries.get((n, k), 0)
-                + (k + 1) * entries.get((n, k + 1), 0)
+                prev.get((k - 1,), 0)
+                + (2 * n - k) * prev.get((k,), 0)
+                + (k + 1) * prev.get((k + 1,), 0)
             )
             if value:
-                entries[(n + 1, k)] = value
-    return TriangleTable("loop-triangle", entries)
+                row[(k,)] = value
+        rows.append(row)
+    return TriangleTable("loop-triangle", tuple(rows))
 
 
 def loopless_linear(n_max: int) -> SequenceTable:
@@ -112,20 +123,22 @@ def loop_parallel_triangle(n_max: int) -> TriangleTable:
 
     Entry (n, k, l) covers n + 1 chords; k runs to n + 1 and l to n.
     """
-    entries = {(0, 1, 0): 1}
+    rows = [{(1, 0): 1}]
     for n in range(n_max):
+        prev, row = rows[n], {}
         for k in range(n + 3):
             for l in range(n + 2):
                 value = (
-                    entries.get((n, k - 1, l), 0)
-                    + (2 * n + 1 - k - 2 * l) * entries.get((n, k, l), 0)
-                    + (k + 1) * entries.get((n, k + 1, l), 0)
-                    + 2 * (l + 1) * entries.get((n, k, l + 1), 0)
-                    + entries.get((n, k, l - 1), 0)
+                    prev.get((k - 1, l), 0)
+                    + (2 * n + 1 - k - 2 * l) * prev.get((k, l), 0)
+                    + (k + 1) * prev.get((k + 1, l), 0)
+                    + 2 * (l + 1) * prev.get((k, l + 1), 0)
+                    + prev.get((k, l - 1), 0)
                 )
                 if value:
-                    entries[(n + 1, k, l)] = value
-    return TriangleTable("loop-parallel-triangle", entries)
+                    row[(k, l)] = value
+        rows.append(row)
+    return TriangleTable("loop-parallel-triangle", tuple(rows))
 
 
 def parallel_triangle(n_max: int) -> TriangleTable:
@@ -136,17 +149,19 @@ def parallel_triangle(n_max: int) -> TriangleTable:
     fails the row-sum check (rows must total (2n+1)!!) and the exhaustive
     classifier.
     """
-    entries = {(0, 0): 1}
+    rows = [{(0,): 1}]
     for n in range(n_max):
+        prev, row = rows[n], {}
         for l in range(n + 2):
             value = (
-                entries.get((n, l - 1), 0)
-                + (2 * n + 2 - 2 * l) * entries.get((n, l), 0)
-                + 2 * (l + 1) * entries.get((n, l + 1), 0)
+                prev.get((l - 1,), 0)
+                + (2 * n + 2 - 2 * l) * prev.get((l,), 0)
+                + 2 * (l + 1) * prev.get((l + 1,), 0)
             )
             if value:
-                entries[(n + 1, l)] = value
-    return TriangleTable("parallel-triangle", entries)
+                row[(l,)] = value
+        rows.append(row)
+    return TriangleTable("parallel-triangle", tuple(rows))
 
 
 def simple_linear(n_max: int) -> SequenceTable:

@@ -8,23 +8,14 @@ yields a loopless chord diagram; the construction inverts exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .diagram import CIRCULAR, DIHEDRAL, Diagram, canonical_code, classify
 
 CYCLE_CAP = 6
-
-
-@dataclass(frozen=True)
-class OctahedronGraph:
-    n: int
-
-    def antipode(self, v: int) -> int:
-        return v + 1 if v % 2 else v - 1
-
-    def adjacent(self, u: int, v: int) -> bool:
-        return u != v and self.antipode(u) != v
 
 
 @dataclass(frozen=True)
@@ -40,42 +31,6 @@ class HamCycle:
         s = seq.index(min(seq))
         forward = seq[s:] + seq[:s]
         return cls(min(forward, forward[:1] + forward[:0:-1]))
-
-
-def hamiltonian_cycles(n: int):
-    """Yield each undirected Hamiltonian cycle exactly once.
-
-    The search starts every cycle at vertex 1 and keeps the orientation
-    with the smaller second vertex, so each cycle comes once and already
-    in the form ``HamCycle.canonical`` gives it.
-    """
-    if n < 1:
-        raise ValueError(f"dimension must be positive, got {n}")
-    graph = OctahedronGraph(n)
-    m = 2 * n
-    # ascending neighbours other than the start vertex, and which vertices close the cycle
-    neighbours = [()] + [
-        tuple(v for v in range(2, m + 1) if graph.adjacent(u, v)) for u in range(1, m + 1)
-    ]
-    closes = [False] + [graph.adjacent(u, 1) for u in range(1, m + 1)]
-    path = [1]
-    used = [False] * (m + 1)
-    used[1] = True
-
-    def extend():
-        if len(path) == m:
-            if closes[path[-1]] and path[1] < path[-1]:
-                yield HamCycle(tuple(path))
-            return
-        for v in neighbours[path[-1]]:
-            if not used[v]:
-                used[v] = True
-                path.append(v)
-                yield from extend()
-                path.pop()
-                used[v] = False
-
-    yield from extend()
 
 
 def _pairing(cycle: HamCycle) -> tuple[int, ...]:
@@ -155,18 +110,15 @@ def _canonical_walks(n: int):
     yield from extend(1)
 
 
-def _census(n: int) -> tuple[int, int, dict[tuple[int, ...], Diagram]]:
-    """(labelled count, orbit count, partner table -> diagram) from the canonical walks."""
+def _census(n: int) -> tuple[int, int, list[tuple[HamCycle, Diagram]]]:
+    """(labelled count, orbit count, each canonical walk with its diagram)."""
     if n > CYCLE_CAP:
         raise ValueError(f"n={n} exceeds the cycle enumeration cap {CYCLE_CAP}")
     if n < 1:
         raise ValueError(f"dimension must be positive, got {n}")
-    diagrams = {}  # the walks give distinct partner tables, one per loopless diagram
-    for cycle in _canonical_walks(n):
-        diagram = cycle_to_diagram(cycle)
-        diagrams[diagram.pairing] = diagram
-    labelled = len(diagrams) * 2 ** (n - 1) * math.factorial(n - 1) // 2
-    return labelled, len({canonical_code(diagram, DIHEDRAL) for diagram in diagrams.values()}), diagrams
+    walks = [(cycle, cycle_to_diagram(cycle)) for cycle in _canonical_walks(n)]
+    labelled = len(walks) * 2 ** (n - 1) * math.factorial(n - 1) // 2
+    return labelled, len({canonical_code(diagram, DIHEDRAL) for _, diagram in walks}), walks
 
 
 def count_cycles(n: int) -> tuple[int, int]:
@@ -196,15 +148,29 @@ def count_cycles(n: int) -> tuple[int, int]:
 def list_cycles(n: int) -> tuple[int, int, list[tuple[HamCycle, Diagram]]]:
     """``count_cycles``' counts, and each Hamiltonian cycle in search order with its diagram.
 
-    One search.  Each cycle takes its diagram from the walks' diagrams by
-    partner table, so each diagram is built once.
+    No search: the relabellings that fix vertices 1 and 2 act freely on
+    the directed cycles written from vertex 1, one walk per orbit (see
+    ``count_cycles``), so their images of the walks are each such cycle
+    exactly once.  An undirected cycle is two of them, one each way round,
+    and keeping the image whose second vertex is smaller than its last
+    keeps it once, in the form ``HamCycle.canonical`` gives it.  A search
+    from vertex 1 over ascending neighbours, depth first, would yield the
+    cycles in lexicographic order of their vertices, so sorting the images
+    gives the search order.  A relabelling moves no position, so each
+    image draws its walk's diagram, which is built once per walk.
     """
-    labelled, orbits, diagrams = _census(n)
-    cycles = []
-    for cycle in hamiltonian_cycles(n):
-        diagram = diagrams.get(_pairing(cycle))
-        if diagram is None:
-            path = "-".join(str(v) for v in cycle.vertices)
-            raise AssertionError(f"cycle {path} has a partner table that no walk gives")
-        cycles.append((cycle, diagram))
-    return labelled, orbits, cycles
+    labelled, orbits, walks = _census(n)
+    relabellings = [  # each relabelling as a table vertex -> image
+        [0, 1, 2] + [v for pair, swap in zip(order, swaps) for v in (2 * pair - 1 + swap, 2 * pair - swap)]
+        for order in itertools.permutations(range(2, n + 1))
+        for swaps in itertools.product((0, 1), repeat=n - 1)
+    ]
+    images = []
+    for walk, diagram in walks:
+        second, last = walk.vertices[1], walk.vertices[-1]
+        relabel = operator.itemgetter(*walk.vertices)  # a walk has at least four vertices
+        for image in relabellings:
+            if image[second] < image[last]:
+                images.append((relabel(image), diagram))
+    images.sort(key=operator.itemgetter(0))
+    return labelled, orbits, [(HamCycle(seq), diagram) for seq, diagram in images]

@@ -156,28 +156,28 @@ def test_octahedron_command(capsys):
 
 
 def test_octahedron_list_counts_and_lists_in_one_search(monkeypatch, capsys):
-    calls = {"hamiltonian_cycles": [], "cycle_to_diagram": 0}
-    search, to_diagram = octahedron.hamiltonian_cycles, octahedron.cycle_to_diagram
+    calls = {"_canonical_walks": [], "cycle_to_diagram": 0}
+    walks, to_diagram = octahedron._canonical_walks, octahedron.cycle_to_diagram
 
-    def counting_search(n):
-        calls["hamiltonian_cycles"].append(n)
-        return search(n)
+    def counting_walks(n):
+        calls["_canonical_walks"].append(n)
+        return walks(n)
 
     def counting_to_diagram(cycle):
         calls["cycle_to_diagram"] += 1
         return to_diagram(cycle)
 
-    monkeypatch.setattr(octahedron, "hamiltonian_cycles", counting_search)
+    monkeypatch.setattr(octahedron, "_canonical_walks", counting_walks)
     monkeypatch.setattr(octahedron, "cycle_to_diagram", counting_to_diagram)
-    assert main(["octahedron", "--n", "9", "--list"]) == 2  # the cap refuses before any search
-    assert calls["hamiltonian_cycles"] == []
+    assert main(["octahedron", "--n", "9", "--list"]) == 2  # the cap refuses before any walk
+    assert calls["_canonical_walks"] == []
     capsys.readouterr()
     code, out = run(capsys, "octahedron", "--n", "4", "--list")
     assert code == 0
     assert out.splitlines()[:2] == ["labelled 744", "orbits 7"]
     assert len(out.splitlines()) == 2 + 744
-    assert calls["hamiltonian_cycles"] == [4]
-    # one diagram per distinct partner table: the 31 loopless diagrams on 8 points
+    assert calls["_canonical_walks"] == [4]
+    # one diagram per walk: the 31 loopless diagrams on 8 points
     assert calls["cycle_to_diagram"] == 31
 
 
@@ -189,30 +189,16 @@ def test_octahedron_at_the_cap(capsys):
 
 def test_octahedron_above_the_cap_refuses_before_any_walk_or_search(monkeypatch, capsys):
     calls = []
-    walks, search = octahedron._canonical_walks, octahedron.hamiltonian_cycles
+    walks = octahedron._canonical_walks
     monkeypatch.setattr(octahedron, "_canonical_walks", lambda n: calls.append(("walk", n)) or walks(n))
-    monkeypatch.setattr(octahedron, "hamiltonian_cycles", lambda n: calls.append(("search", n)) or search(n))
     for argv in (["octahedron", "--n", "7"], ["octahedron", "--n", "7", "--list"]):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: n=7 exceeds the cycle enumeration cap 6\n"
     assert calls == []
-    assert main(["octahedron", "--n", "3", "--list"]) == 0  # the counters see a run below the cap
-    assert calls == [("walk", 3), ("search", 3)]
-
-
-def test_octahedron_list_refuses_a_cycle_no_walk_gives(monkeypatch, capsys):
-    # every walk starts 1-3; a searched cycle that starts otherwise gets a table no walk has
-    pairing = octahedron._pairing
-    monkeypatch.setattr(
-        octahedron, "_pairing", lambda cycle: pairing(cycle) if cycle.vertices[1] == 3 else (0,)
-    )
-    code = main(["octahedron", "--n", "3", "--list"])
-    captured = capsys.readouterr()
-    assert code == 3
-    assert captured.out == ""
-    assert captured.err == "internal error: cycle 1-4-2-5-3-6 has a partner table that no walk gives\n"
+    assert main(["octahedron", "--n", "3", "--list"]) == 0  # the counter sees a run below the cap
+    assert calls == [("walk", 3)]
 
 
 def test_octahedron_list_formats_each_shared_diagram_once(monkeypatch, capsys):

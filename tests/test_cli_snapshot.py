@@ -32,6 +32,8 @@ SNAPSHOT = {
     "triangle a_nk": "3778a960beafc3d689632bd30420659ca9f3a13aa4d6dccf319c82d508bcf652",
     "triangle a_nkl": "56d9293101c58144e059100cbeb8b54a74803136161899088e25730f3f208ee3",
     "triangle ahat_nl": "ad37f47da686209db1b28302f46e57eebdf958a2cb1fc8cf3c8a6955e7b2ee19",
+    "triangle a_nkl --max 12 --format csv": "058d5dd42b7c00aa65c37a23a8f7b3d2b2a752f767126290c63732775bd19646",
+    "triangle ahat_nl --max 60": "1d61cf92426f050cd4aea0d737c807a7e4557fa591645d65e2e05c86c389d0aa",
     "series b --order 12": "3c1c61f65bbab710c479c72c334eca405bc712f5515feb81e9ad11fa793f237e",
     "series phi --order 12": "59917cd39d9cd6912f7d1d815d1d5b303861fa36884c2c90a5ab297eec4c8b48",
     "series chi --order 12": "14f04b1038a686d506757c323f88736f6f0e5318cbbabf74a3f62564b358fb3d",

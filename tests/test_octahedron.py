@@ -1,3 +1,4 @@
+import functools
 import math
 
 import pytest
@@ -6,33 +7,61 @@ from chordenum.diagram import DIHEDRAL, Diagram, canonical_code, classify, enume
 from chordenum.labelled import loopless_chord, loopless_linear
 from chordenum.octahedron import (
     HamCycle,
-    OctahedronGraph,
     _canonical_walks,
     _pairing,
     count_cycles,
     cycle_to_diagram,
     diagram_to_cycle,
-    hamiltonian_cycles,
+    list_cycles,
 )
 from chordenum.reflection import loopless_dihedral
 
 
-def test_graph_shape():
-    g = OctahedronGraph(3)
-    for v in range(1, 7):
-        degree = sum(1 for u in range(1, 7) if g.adjacent(v, u))
-        assert degree == 4  # 2n - 2
-    non_edges = [
-        (u, v) for u in range(1, 7) for v in range(u + 1, 7) if not g.adjacent(u, v)
-    ]
-    assert non_edges == [(1, 2), (3, 4), (5, 6)]
+def adjacent(u, v):
+    """Octahedron adjacency: vertices 2i-1 and 2i form pair i, and only a pair is not an edge."""
+    return (u + 1) // 2 != (v + 1) // 2
+
+
+@functools.cache
+def scan(n):
+    """Each undirected Hamiltonian cycle, as a vertex tuple, by a plain scan.
+
+    The spec of ``list_cycles``' order: from vertex 1, extend the path by
+    each unused vertex 2..2n that ``adjacent`` allows, in ascending order,
+    and keep a closed path whose second vertex is below its last.
+    """
+    m = 2 * n
+    cycles = []
+    path = [1]
+    used = [False] * (m + 1)
+
+    def extend():
+        if len(path) == m:
+            if adjacent(path[-1], 1) and path[1] < path[-1]:
+                cycles.append(tuple(path))
+            return
+        for v in range(2, m + 1):
+            if not used[v] and adjacent(path[-1], v):
+                used[v] = True
+                path.append(v)
+                extend()
+                path.pop()
+                used[v] = False
+
+    extend()
+    return tuple(cycles)
+
+
+def listed(n):
+    return list_cycles(n)[2]
 
 
 def test_unique_cycle_on_two_pairs():
-    cycles = list(hamiltonian_cycles(2))
-    assert len(cycles) == 1
-    assert cycles[0].vertices == (1, 3, 2, 4)
-    assert cycle_to_diagram(cycles[0]).chords() == [(1, 3), (2, 4)]
+    assert scan(2) == ((1, 3, 2, 4),)
+    [(cycle, diagram)] = listed(2)
+    assert cycle.vertices == (1, 3, 2, 4)
+    assert cycle_to_diagram(cycle).chords() == [(1, 3), (2, 4)]
+    assert diagram.chords() == [(1, 3), (2, 4)]
 
 
 def test_no_cycles_on_one_pair():
@@ -50,14 +79,14 @@ def test_counts_and_identity():
 
 
 def test_every_cycle_gives_a_loopless_diagram():
-    for cycle in hamiltonian_cycles(3):
+    for cycle, _ in listed(3):
         loops, _ = classify(cycle_to_diagram(cycle))
         assert loops == 0
 
 
 def test_cycle_round_trip_preserves_canonical_forms():
     for n in (2, 3, 4):
-        for cycle in hamiltonian_cycles(n):
+        for cycle, _ in listed(n):
             diagram = cycle_to_diagram(cycle)
             back, labels = diagram_to_cycle(diagram)
             assert cycle_to_diagram(back) == diagram
@@ -101,13 +130,13 @@ def test_search_never_canonicalises(monkeypatch):
         return real(seq)
 
     monkeypatch.setattr(HamCycle, "canonical", classmethod(counting))
-    assert sum(1 for _ in hamiltonian_cycles(4)) == 744
+    assert len(listed(4)) == 744
     assert count_cycles(4) == (744, 7)
     assert calls == []
 
 
 def test_search_yields_each_cycle_in_canonical_form():
-    for cycle in hamiltonian_cycles(4):
+    for cycle, _ in listed(4):
         seq = cycle.vertices
         for s in range(len(seq)):
             rotated = seq[s:] + seq[:s]
@@ -116,25 +145,14 @@ def test_search_yields_each_cycle_in_canonical_form():
 
 
 def test_search_yields_the_order_of_a_plain_adjacency_scan():
-    # the spec of the search: extend the path by each unused vertex 2..2n
-    # that ``OctahedronGraph.adjacent`` allows, in ascending order
-    def scan(n):
-        graph = OctahedronGraph(n)
-        m = 2 * n
+    for n in range(1, 6):
+        assert tuple(cycle.vertices for cycle, _ in listed(n)) == scan(n)
 
-        def extend(path):
-            if len(path) == m:
-                if graph.adjacent(path[-1], 1) and path[1] < path[-1]:
-                    yield tuple(path)
-                return
-            for v in range(2, m + 1):
-                if v not in path and graph.adjacent(path[-1], v):
-                    yield from extend(path + [v])
 
-        return list(extend([1]))
-
+def test_each_listed_cycle_carries_its_own_diagram():
     for n in range(1, 5):
-        assert [cycle.vertices for cycle in hamiltonian_cycles(n)] == scan(n)
+        for cycle, diagram in listed(n):
+            assert diagram == cycle_to_diagram(cycle)
 
 
 def test_count_cycles_at_the_cap():
@@ -152,22 +170,22 @@ def test_walks_are_the_labelled_loopless_diagrams():
 
 def test_each_walk_enters_pairs_in_order_at_their_odd_vertex():
     for n in range(1, 6):
-        graph = OctahedronGraph(n)
         for walk in _canonical_walks(n):
             seq = walk.vertices
             assert sorted(seq) == list(range(1, 2 * n + 1))
-            assert all(graph.adjacent(u, v) for u, v in zip(seq, seq[1:] + seq[:1]))
-            entries = [v for v in seq if graph.antipode(v) not in seq[: seq.index(v)]]
+            assert all(adjacent(u, v) for u, v in zip(seq, seq[1:] + seq[:1]))
+            entries = [v for v in seq if all(adjacent(u, v) for u in seq[: seq.index(v)])]
             assert entries == [2 * pair - 1 for pair in range(1, n + 1)]
             assert HamCycle.canonical(seq) == walk
 
 
 def test_count_cycles_equals_the_full_search_tally():
-    # the spec: tally every labelled cycle the search yields, one diagram per partner table
+    # the spec: tally every labelled cycle the plain scan yields, one diagram per partner table
     for n in range(1, 6):
         labelled = 0
         diagrams = {}
-        for labelled, cycle in enumerate(hamiltonian_cycles(n), start=1):
+        for labelled, seq in enumerate(scan(n), start=1):
+            cycle = HamCycle(seq)
             pairing = _pairing(cycle)
             if pairing not in diagrams:
                 diagrams[pairing] = cycle_to_diagram(cycle)
@@ -181,11 +199,10 @@ def held_karp(n, starts):
     """Directed Hamiltonian paths from the given start vertices, by end vertex.
 
     Dynamic programming over (visited vertex set, end vertex), as in Held
-    and Karp (1962); it shares no code with the search or the walk.
+    and Karp (1962); it shares no code with the scan or the walk.
     """
-    graph = OctahedronGraph(n)
     m = 2 * n
-    neighbours = [[w for w in range(m) if graph.adjacent(v + 1, w + 1)] for v in range(m)]
+    neighbours = [[w for w in range(m) if adjacent(v + 1, w + 1)] for v in range(m)]
     full = (1 << m) - 1
     ways = [[0] * m for _ in range(full + 1)]
     for start in starts:
@@ -205,6 +222,5 @@ def test_held_karp_paths_and_cycles():
     for n in range(1, 7):
         paths = sum(held_karp(n, range(1, 2 * n + 1)).values())
         assert paths == linear[n] * 2**n * math.factorial(n)  # the paper's claim for paths
-        graph = OctahedronGraph(n)
-        directed = sum(ways for end, ways in held_karp(n, [1]).items() if graph.adjacent(end, 1))
+        directed = sum(ways for end, ways in held_karp(n, [1]).items() if adjacent(end, 1))
         assert directed // 2 == count_cycles(n)[0] and directed % 2 == 0
