@@ -222,12 +222,18 @@ def offset_code(pairing) -> tuple[int, ...]:
     return tuple((pairing[i] - i) % m for i in range(m))
 
 
-def _min_cyclic_shift(seq: tuple[int, ...]) -> tuple[int, ...]:
+def _min_cyclic_shift(seq):
+    """Least cyclic shift of a tuple or bytes, of the same type.
+
+    A least shift starts with the least entry, so only the shifts that
+    start at one of its occurrences are compared.
+    """
     m = len(seq)
     if m == 0:
         return seq
+    low = min(seq)
     doubled = seq + seq
-    return min(tuple(doubled[s:s + m]) for s in range(m))
+    return min([doubled[s:s + m] for s, x in enumerate(seq) if x == low])
 
 
 def canonical_pairing_code(pairing, kind: str) -> tuple[int, ...]:

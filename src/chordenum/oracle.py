@@ -1,8 +1,12 @@
 """Brute-force ground truth: one sweep, returned as (loops, parallels) tables only.
 
-``full_sweep`` enumerates all (2n-1)!! matchings once and only classifies
-them, on the circle and on the line, keyed also by cyclic canonical code;
-dihedral codes come once per cyclic orbit, from the matching its cyclic
+``full_sweep`` places the chords of all (2n-1)!! matchings in one
+recursive pass, ``_place_chords``, which counts loops and parallel pairs on
+the circle and on the line as each chord is placed, and keeps each cyclic
+orbit's least offset code (as bytes) with its circular class.  The pass
+gives the tables ``classify_pairing`` and the codes
+``canonical_pairing_code`` would give, and those two stay the definitions.
+Dihedral codes come once per cyclic orbit, from the matching its cyclic
 code rebuilds.  The fixed counts come from a second enumeration: the
 invariant matchings of one representative per conjugacy class (one
 rotation per order d | 2n, one axis through opposite points, one through
@@ -25,11 +29,11 @@ from .diagram import (
     CYCLIC,
     DIHEDRAL,
     LINEAR,
+    _min_cyclic_shift,
     canonical_pairing_code,
     classify_pairing,
     edge_reflection,
     enumerate_invariant_pairings,
-    enumerate_pairings,
     gap_flags,
     rotation,
     vertex_reflection,
@@ -98,8 +102,72 @@ class SweepResult:
         return sum(count for key, count in self.tables[view].items() if in_family(family, *key))
 
 
-def _bump(counts: dict, key):
-    counts[key] = counts.get(key, 0) + 1
+def _place_chords(m: int):
+    """Circular and linear tables of every matching on m points, and its cyclic orbits.
+
+    Chords are placed in ``enumerate_pairings`` order (the least free point
+    a, then each free partner b > a ascending), and the loops and parallel
+    pairs are counted as each chord is placed, so that every leaf reads
+    both (loops, parallels) keys off the counters; the tables equal the
+    ``classify_pairing`` tallies.  Chord (a, b) is a loop on both views
+    when b = a + 1, and on the circle only when it is (0, m - 1), which on
+    2 points is the same chord.  A parallel pair is counted when its second
+    chord is placed: the chord at a - 1 (point m - 1 when a = 0) with
+    partner (b + 1) mod m, or the chord at a + 1 with partner b - 1.  The
+    line drops the first kind when one of its gaps is the wrap gap, that
+    is when b = m - 1 (at a = 0 no other chord is placed yet).
+
+    ``o`` is the offset code, ``o[i] = (partner of i - i) mod m``.  Every
+    rotation of a matching is a matching too, so each orbit's least
+    rotation is the code of some leaf: a leaf stores its code, with its
+    circular key, only when the code is its own least rotation, which
+    needs ``o[0]`` to be its least entry.
+    """
+    if m == 0:
+        return {(0, 0): 1}, {(0, 0): 1}, {b"": (0, 0)}
+    circular, linear, cyclic = {}, {}, {}  # cyclic: least rotation -> circular key
+    last = m - 1
+    p = [-1] * m
+    o = bytearray(m)
+
+    def place(a, left, loops, wrap_loops, pairs, wrap_pairs):
+        # a is the least free point; loops and pairs count on both views,
+        # the wrap_ counters on the circle only
+        before, after = p[a - 1], p[a + 1]
+        for b in range(a + 1, m):
+            if p[b] != -1:
+                continue
+            lo, wl, pa, wp = loops, wrap_loops, pairs, wrap_pairs
+            if b == a + 1:
+                lo += 1
+            elif b == last and a == 0:
+                wl += 1
+            if before == b + 1:
+                pa += 1
+            elif before == 0 and b == last:
+                wp += 1
+            if after == b - 1:
+                pa += 1
+            o[a], o[b] = b - a, m - (b - a)
+            if left == 1:
+                key = (lo + wl, pa + wp)
+                circular[key] = circular.get(key, 0) + 1
+                linear[lo, pa] = linear.get((lo, pa), 0) + 1
+                if o[0] == min(o):
+                    code = bytes(o)
+                    if code == _min_cyclic_shift(code):
+                        cyclic[code] = key
+                return
+            p[a], p[b] = b, a
+            nxt = a + 1
+            while p[nxt] != -1:
+                nxt += 1
+            place(nxt, left - 1, lo, wl, pa, wp)
+            p[b] = -1
+        p[a] = -1
+
+    place(0, m // 2, 0, 0, 0, 0)
+    return circular, linear, cyclic
 
 
 def full_sweep(n: int, cap: int = DEFAULT_CAP) -> SweepResult:
@@ -112,17 +180,10 @@ def full_sweep(n: int, cap: int = DEFAULT_CAP) -> SweepResult:
     check_cap(n, cap)
     m = 2 * n
     circ_flags = gap_flags(m, CIRCULAR)
-    lin_flags = gap_flags(m, LINEAR)
     classes = _classes(n)
 
-    tables = {CIRCULAR: {}, LINEAR: {}}
-    cyclic = {}  # cyclic code -> circular (loops, parallels) of its orbit
-    for p in enumerate_pairings(m):
-        circ = classify_pairing(p, circ_flags)
-        _bump(tables[CIRCULAR], circ)
-        _bump(tables[LINEAR], classify_pairing(p, lin_flags))
-        cyclic[canonical_pairing_code(p, CYCLIC)] = circ
-
+    circular, linear, cyclic = _place_chords(m)
+    tables = {CIRCULAR: circular, LINEAR: linear}
     # a cyclic code is the offset code of a rotated image of its matchings
     dihedral = {
         canonical_pairing_code(tuple((i + o) % m for i, o in enumerate(c)), DIHEDRAL): key

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chordenum import oracle
@@ -11,6 +11,7 @@ from chordenum.diagram import (
     DIHEDRAL,
     LINEAR,
     Diagram,
+    _min_cyclic_shift,
     act,
     canonical_code,
     classify,
@@ -207,6 +208,22 @@ def test_canonical_code_matches_definition():
         for d in enumerate_matchings(n):
             for kind in (CYCLIC, DIHEDRAL):
                 assert canonical_code(d, kind) == naive_canonical_code(d, kind)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=3), max_size=10), st.booleans())
+@example([1, 3, 1, 3], False)
+@example([1, 3, 1, 3], True)
+@example([2, 1, 2, 1, 1, 2, 1], True)
+@example([1, 1, 1], False)
+@example([], False)
+@example([], True)
+def test_least_shift_is_the_least_of_all_shifts(entries, as_bytes):
+    # a small alphabet makes periodic sequences and repeated minima common
+    seq = bytes(entries) if as_bytes else tuple(entries)
+    every_shift = [seq[s:] + seq[:s] for s in range(len(seq))]
+    assert _min_cyclic_shift(seq) == min(every_shift, default=seq)
+    assert type(_min_cyclic_shift(seq)) is type(seq)
 
 
 def test_canonical_code_separates_orbits_exactly():

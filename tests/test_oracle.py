@@ -1,5 +1,6 @@
 import functools
 import math
+import os
 from collections import Counter
 
 import pytest
@@ -10,11 +11,13 @@ from chordenum.diagram import (
     CYCLIC,
     DIHEDRAL,
     LINEAR,
+    canonical_pairing_code,
     classify_pairing,
     edge_reflection,
     enumerate_pairings,
     gap_flags,
     group_elements,
+    offset_code,
     rotation,
     vertex_reflection,
 )
@@ -24,6 +27,9 @@ from chordenum.oracle import (
     full_sweep,
     in_family,
 )
+
+# CHORDENUM_ACCEPT_EXTENDED=1 runs the chord-placing pass check at n = 7 too
+EXTENDED = os.environ.get("CHORDENUM_ACCEPT_EXTENDED") == "1"
 
 
 @functools.lru_cache(maxsize=None)
@@ -130,6 +136,7 @@ def test_orbit_reports_satisfy_burnside(sweeps):
 
 
 def test_dihedral_codes_come_once_per_cyclic_orbit(monkeypatch):
+    # the chord-placing pass keys the cyclic orbits itself: no canonical code per matching
     calls = Counter()
     real = oracle.canonical_pairing_code
 
@@ -139,13 +146,14 @@ def test_dihedral_codes_come_once_per_cyclic_orbit(monkeypatch):
 
     monkeypatch.setattr(oracle, "canonical_pairing_code", counting)
     sweep = full_sweep(5)
-    assert calls == {CYCLIC: 945, DIHEDRAL: 105}
+    assert calls == {DIHEDRAL: 105}
     assert sweep.count(CYCLIC, "all") == 105
 
 
 def test_one_full_pass_and_one_invariant_pass_per_non_identity_class(monkeypatch):
-    calls = {"full": [], "invariant": []}
-    full, invariant = oracle.enumerate_pairings, oracle.enumerate_invariant_pairings
+    calls = {"full": [], "invariant": [], "classify": 0}
+    full, invariant = oracle._place_chords, oracle.enumerate_invariant_pairings
+    classify = oracle.classify_pairing
 
     def counting_full(point_count):
         calls["full"].append(point_count)
@@ -155,13 +163,42 @@ def test_one_full_pass_and_one_invariant_pass_per_non_identity_class(monkeypatch
         calls["invariant"].append(element)
         return invariant(point_count, element)
 
-    monkeypatch.setattr(oracle, "enumerate_pairings", counting_full)
+    def counting_classify(pairing, flags):
+        calls["classify"] += 1
+        return classify(pairing, flags)
+
+    monkeypatch.setattr(oracle, "_place_chords", counting_full)
     monkeypatch.setattr(oracle, "enumerate_invariant_pairings", counting_invariant)
-    full_sweep(5)
+    monkeypatch.setattr(oracle, "classify_pairing", counting_classify)
+    sweep = full_sweep(5)
     assert calls["full"] == [10]
     # rotations of order 2, 5 and 10 and the two axis types; the identity reads the full pass
     assert len(calls["invariant"]) == 5
     assert rotation(10, 0) not in calls["invariant"]
+    # the full pass counts loops and parallels itself: only invariant matchings are classified
+    invariant_labels = [label for label in oracle._classes(5) if label != ("rotation", 1)]
+    assert calls["classify"] == sum(sweep.count(label, "all") for label in invariant_labels)
+
+
+@pytest.mark.parametrize("n", range(8 if EXTENDED else 7))
+def test_chord_placing_pass_equals_the_classifier_and_the_canonical_codes(n):
+    m = 2 * n
+    circular, linear, cyclic = oracle._place_chords(m)
+    flags = {CIRCULAR: gap_flags(m, CIRCULAR), LINEAR: gap_flags(m, LINEAR)}
+    expected = {topology: Counter() for topology in flags}
+    codes = set()
+    for p in enumerate_pairings(m):
+        for topology, topology_flags in flags.items():
+            expected[topology][classify_pairing(p, topology_flags)] += 1
+        codes.add(canonical_pairing_code(p, CYCLIC))
+    assert circular == expected[CIRCULAR]
+    assert linear == expected[LINEAR]
+    assert {tuple(code) for code in cyclic} == codes
+    for code, key in cyclic.items():
+        # each orbit carries the circular key of the matching its code rebuilds
+        rebuilt = tuple((i + offset) % m for i, offset in enumerate(code))
+        assert offset_code(rebuilt) == tuple(code)
+        assert classify_pairing(rebuilt, flags[CIRCULAR]) == key
 
 
 def test_burnside_compares_two_enumerations(monkeypatch):
