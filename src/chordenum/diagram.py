@@ -236,6 +236,12 @@ def _min_cyclic_shift(seq):
     return min([doubled[s:s + m] for s, x in enumerate(seq) if x == low])
 
 
+def _mirrored(code):
+    """Offset code of the mirror image i -> -i, of the type of ``code``: entry i is entry -i negated."""
+    m = len(code)
+    return type(code)((m - code[-i]) % m for i in range(m))
+
+
 def canonical_pairing_code(pairing, kind: str) -> tuple[int, ...]:
     """Lexicographically least offset sequence over all group images.
 
@@ -247,10 +253,8 @@ def canonical_pairing_code(pairing, kind: str) -> tuple[int, ...]:
         raise ValueError(f"unknown group kind {kind!r}")
     o = offset_code(pairing)
     best = _min_cyclic_shift(o)
-    if kind == DIHEDRAL and len(o) > 0:
-        m = len(o)
-        mirrored = tuple((m - o[-i % m]) % m for i in range(m))
-        best = min(best, _min_cyclic_shift(mirrored))
+    if kind == DIHEDRAL:
+        best = min(best, _min_cyclic_shift(_mirrored(o)))
     return best
 
 

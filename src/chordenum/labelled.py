@@ -28,9 +28,8 @@ def double_factorial(m: int) -> int:
 
 @dataclass(frozen=True)
 class SequenceTable:
-    """A named integer sequence indexed by chord count from 0."""
+    """An integer sequence indexed by chord count from 0."""
 
-    name: str
     values: tuple
 
     def __getitem__(self, n: int) -> int:
@@ -42,12 +41,11 @@ class SequenceTable:
 
 @dataclass(frozen=True)
 class TriangleTable:
-    """A named count table kept by row; absent entries are 0.
+    """A count table kept by row; absent entries are 0.
 
     ``rows[n]`` maps the rest of each index ``(n, ...)`` to its count.
     """
 
-    name: str
     rows: tuple
 
     def row(self, n: int) -> dict:
@@ -83,7 +81,7 @@ def loop_triangle(n_max: int) -> TriangleTable:
             if value:
                 row[(k,)] = value
         rows.append(row)
-    return TriangleTable("loop-triangle", tuple(rows))
+    return TriangleTable(tuple(rows))
 
 
 def loopless_linear(n_max: int) -> SequenceTable:
@@ -91,7 +89,7 @@ def loopless_linear(n_max: int) -> SequenceTable:
     values = [1, 0]
     for n in range(1, n_max):
         values.append((2 * n + 1) * values[n] + values[n - 1])
-    return SequenceTable("loopless-linear", tuple(values[: n_max + 1]))
+    return SequenceTable(tuple(values[: n_max + 1]))
 
 
 def loopless_linear_binomial(n_max: int) -> SequenceTable:
@@ -102,7 +100,7 @@ def loopless_linear_binomial(n_max: int) -> SequenceTable:
         for k in range(1, n + 1):
             acc += math.comb(n, k) * double_factorial(2 * k - 3) * values[n - k]
         values.append(acc)
-    return SequenceTable("loopless-linear", tuple(values))
+    return SequenceTable(tuple(values))
 
 
 def loopless_chord(n_max: int) -> SequenceTable:
@@ -111,7 +109,7 @@ def loopless_chord(n_max: int) -> SequenceTable:
     values = [0, 0]
     for n in range(2, n_max + 1):
         values.append(a[n] - a[n - 1])
-    return SequenceTable("loopless-chord", tuple(values[: n_max + 1]))
+    return SequenceTable(tuple(values[: n_max + 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +136,7 @@ def loop_parallel_triangle(n_max: int) -> TriangleTable:
                 if value:
                     row[(k, l)] = value
         rows.append(row)
-    return TriangleTable("loop-parallel-triangle", tuple(rows))
+    return TriangleTable(tuple(rows))
 
 
 def parallel_triangle(n_max: int) -> TriangleTable:
@@ -161,7 +159,7 @@ def parallel_triangle(n_max: int) -> TriangleTable:
             if value:
                 row[(l,)] = value
         rows.append(row)
-    return TriangleTable("parallel-triangle", tuple(rows))
+    return TriangleTable(tuple(rows))
 
 
 def simple_linear(n_max: int) -> SequenceTable:
@@ -173,7 +171,7 @@ def simple_linear(n_max: int) -> SequenceTable:
             + (4 * n - 3) * values[n - 2]
             + (2 * n - 4) * (values[n - 3] if n >= 3 else 0)
         )
-    return SequenceTable("simple-linear", tuple(values[: n_max + 1]))
+    return SequenceTable(tuple(values[: n_max + 1]))
 
 
 @dataclass(frozen=True)
@@ -198,8 +196,8 @@ def simple_chain(n_max: int) -> SimpleChain:
         b.append(q[n] - b[n - 1])
     return SimpleChain(
         linear=linear,
-        no_end_chord=SequenceTable("simple-linear-open", tuple(q)),
-        chord=SequenceTable("simple-chord", tuple(b)),
+        no_end_chord=SequenceTable(tuple(q)),
+        chord=SequenceTable(tuple(b)),
     )
 
 

@@ -6,12 +6,13 @@ the circle and on the line as each chord is placed, and keeps each cyclic
 orbit's least offset code (as bytes) with its circular class.  The pass
 gives the tables ``classify_pairing`` and the codes
 ``canonical_pairing_code`` would give, and those two stay the definitions.
-Dihedral codes come once per cyclic orbit, from the matching its cyclic
-code rebuilds.  The fixed counts come from a second enumeration: the
-invariant matchings of one representative per conjugacy class (one
-rotation per order d | 2n, one axis through opposite points, one through
-opposite gaps), classified on the circle; the identity reads the full
-table.  Every count is one lookup, ``SweepResult.count(view, family)``, a
+Each cyclic code gives its orbit's dihedral code without rebuilding a
+matching: the lesser of the code and the least rotation of its mirror
+image, ``diagram._mirrored``.  The fixed counts come from a second
+enumeration: the invariant matchings of one representative per conjugacy
+class (one rotation per order d | 2n, one axis through opposite points,
+one through opposite gaps), classified on the circle; the identity reads
+the full table.  Every count is one lookup, ``SweepResult.count(view, family)``, a
 family sum over one table.  Burnside's identity compares the two
 enumerations before the sweep is returned.  Class sizes come from
 counting element orders here, not from the recurrence modules, which are
@@ -30,7 +31,7 @@ from .diagram import (
     DIHEDRAL,
     LINEAR,
     _min_cyclic_shift,
-    canonical_pairing_code,
+    _mirrored,
     classify_pairing,
     edge_reflection,
     enumerate_invariant_pairings,
@@ -184,11 +185,7 @@ def full_sweep(n: int, cap: int = DEFAULT_CAP) -> SweepResult:
 
     circular, linear, cyclic = _place_chords(m)
     tables = {CIRCULAR: circular, LINEAR: linear}
-    # a cyclic code is the offset code of a rotated image of its matchings
-    dihedral = {
-        canonical_pairing_code(tuple((i + o) % m for i, o in enumerate(c)), DIHEDRAL): key
-        for c, key in cyclic.items()
-    }
+    dihedral = {min(c, _min_cyclic_shift(_mirrored(c))): key for c, key in cyclic.items()}
     tables[CYCLIC] = Counter(cyclic.values())
     tables[DIHEDRAL] = Counter(dihedral.values())
     for label, (element, _) in classes.items():

@@ -50,10 +50,10 @@ def loopless_axes(n_max: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def loopless_dihedral(n_max: int) -> SequenceTable:
     """Loopless chord diagrams up to rotation and reflection, from ``loopless_cyclic`` and the axes."""
-    return _dihedral_average("loopless-dihedral", loopless_cyclic(n_max), *loopless_axes(n_max))
+    return _dihedral_average(loopless_cyclic(n_max), *loopless_axes(n_max))
 
 
-def _dihedral_average(name: str, cyclic, vertex, edge) -> SequenceTable:
+def _dihedral_average(cyclic, vertex, edge) -> SequenceTable:
     """Burnside average over the 4n symmetries, reduced to (2 cyclic + vertex + edge) / 4.
 
     The 2n rotations fix 2n * cyclic[n] diagrams in all; each axis type has n reflections.
@@ -64,7 +64,7 @@ def _dihedral_average(name: str, cyclic, vertex, edge) -> SequenceTable:
         if total % 4:
             raise ArithmeticError(f"dihedral average is not integral at n={n}: {total}/4")
         values.append(total // 4)
-    return SequenceTable(name, tuple(values))
+    return SequenceTable(tuple(values))
 
 
 # ---------------------------------------------------------------------------
@@ -101,29 +101,23 @@ MIRROR_REFERENCE = {
 class MirrorTables:
     """Simple mirror-symmetric cut diagrams by self-paired chord count.
 
-    ``counts[(n, k)]`` is the number of simple diagrams on 2n points, cut
-    at the gaps (2n, 1) and (n, n+1), fixed by the reflection through
-    those two gap midpoints, with k chords mapped to themselves;
-    ``end_chord[(n, k)]`` the subset containing the chord {1, 2n}.
+    ``rows[n][k]`` is the number of simple diagrams on 2n points, cut at
+    the gaps (2n, 1) and (n, n+1), fixed by the reflection through those
+    two gap midpoints, with k chords mapped to themselves, k = 0..n;
+    ``end_chord_rows[n][k]`` the subset containing the chord {1, 2n}.  The
+    views ``counts`` and ``end_chord`` (nonzero cells by (n, k)) are built on first read.
     """
 
-    counts: dict
-    end_chord: dict
-
-    def row_total(self, n: int) -> int:
-        return self._totals[0].get(n, 0)
-
-    def end_chord_total(self, n: int) -> int:
-        return self._totals[1].get(n, 0)
+    rows: list
+    end_chord_rows: list
 
     @cached_property
-    def _totals(self) -> tuple[dict[int, int], dict[int, int]]:
-        """Row sums of ``counts`` and ``end_chord``, one pass over each on first use."""
-        totals: tuple[dict[int, int], dict[int, int]] = ({}, {})
-        for cells, by_row in zip((self.counts, self.end_chord), totals):
-            for (n, _), value in cells.items():
-                by_row[n] = by_row.get(n, 0) + value
-        return totals
+    def counts(self) -> dict:
+        return _nonzero_cells(self.rows)
+
+    @cached_property
+    def end_chord(self) -> dict:
+        return _nonzero_cells(self.end_chord_rows)
 
 
 def _predicted_mirror_cell(r, s, n, k) -> int:
@@ -204,21 +198,17 @@ def build_mirror_tables(n_max: int) -> MirrorTables:
     r_rows, s_rows = _mirror_rows(n_max)
     reference = {n: split for n, split in MIRROR_REFERENCE.items() if n <= n_max}
     problems = validate_mirror_terms(reference)
-    for n, (r_ref, s_ref) in reference.items():
-        for k in range(n + 1):
-            got = r_rows[n][k]
-            want = r_ref.get(k, 0)
-            if got != want:
-                problems.append(f"mirror count n={n} k={k}: recurrence {got}, enumeration {want}")
-            got = s_rows[n][k]
-            want = s_ref.get(k, 0)
-            if got != want:
-                problems.append(f"end-chord count n={n} k={k}: recurrence {got}, enumeration {want}")
+    for n, refs in reference.items():
+        for label, rows, ref in zip(("mirror count", "end-chord count"), (r_rows, s_rows), refs):
+            problems += [
+                f"{label} n={n} k={k}: recurrence {got}, enumeration {ref.get(k, 0)}"
+                for k, got in enumerate(rows[n]) if got != ref.get(k, 0)
+            ]
     if problems:
         raise RecurrenceValidationError(
             "mirror recurrence failed validation:\n" + "\n".join(problems)
         )
-    return MirrorTables(counts=_nonzero_cells(r_rows), end_chord=_nonzero_cells(s_rows))
+    return MirrorTables(rows=r_rows, end_chord_rows=s_rows)
 
 
 def simple_axes(n_max: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -231,17 +221,17 @@ def simple_axes(n_max: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     turn a mirrored chord pair into a parallel pair.
     """
     tables = build_mirror_tables(n_max)
+    totals = [sum(row) for row in tables.rows]
+    end_chord_totals = [sum(row) for row in tables.end_chord_rows]
     vertex = [0, 0]
     loopless_glued = [0, 0]
     for n in range(2, n_max + 1):
-        vertex.append(tables.row_total(n - 1) - vertex[n - 2])
-        loopless_glued.append(
-            tables.row_total(n) - 2 * tables.end_chord_total(n) + loopless_glued[n - 2]
-        )
+        vertex.append(totals[n - 1] - vertex[n - 2])
+        loopless_glued.append(totals[n] - 2 * end_chord_totals[n] + loopless_glued[n - 2])
     edge = [0] + [loopless_glued[n] - vertex[n - 1] for n in range(1, n_max + 1)]
     return tuple(vertex[: n_max + 1]), tuple(edge)
 
 
 def simple_dihedral(n_max: int) -> SequenceTable:
     """Simple chord diagrams up to rotation and reflection, from ``simple_cyclic`` and the axes."""
-    return _dihedral_average("simple-dihedral", simple_cyclic(n_max), *simple_axes(n_max))
+    return _dihedral_average(simple_cyclic(n_max), *simple_axes(n_max))

@@ -11,6 +11,7 @@ chain per d, for the ``*_cyclic`` orbit averages.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .labelled import SequenceTable, simple_chord
 
@@ -85,7 +86,7 @@ def loopless_rotation_fixed(n: int) -> dict[int, int]:
 
 def loopless_cyclic(n_max: int) -> SequenceTable:
     """Loopless chord diagrams up to rotation, by the divisor average."""
-    return _rotation_average("loopless-cyclic", rotation_totals(loopless_fixed_chain, n_max))
+    return _rotation_average(rotation_totals(loopless_fixed_chain, n_max))
 
 
 # ---------------------------------------------------------------------------
@@ -119,13 +120,13 @@ def rotation_totals(fixed_chain, n_max: int) -> list[int]:
     return totals
 
 
-def _rotation_average(name: str, totals: list[int]) -> SequenceTable:
+def _rotation_average(totals: list[int]) -> SequenceTable:
     values = [1]
     for n in range(1, len(totals)):
         if totals[n] % (2 * n):
             raise ArithmeticError(f"rotation average is not integral at n={n}: {totals[n]}/{2 * n}")
         values.append(totals[n] // (2 * n))
-    return SequenceTable(name, tuple(values))
+    return SequenceTable(tuple(values))
 
 
 # ---------------------------------------------------------------------------
@@ -201,10 +202,18 @@ def validate_even_sector_terms(d: int, reference: dict, terms=EVEN_SECTOR_TERMS)
 
 @dataclass(frozen=True)
 class SectorColumn:
-    """Simple d-sector counts: totals by m, and the split by diameter class."""
+    """Simple d-sector counts: totals by m and, for even d, the split by diameter class.
+
+    ``rows`` is ``_even_sector_rows`` (None for odd d); ``by_diameter``, its
+    nonzero cells as an (m, k) -> count dict, is built on first read.
+    """
 
     totals: tuple
-    by_diameter: dict | None  # (m, k) -> count, even d only
+    rows: list | None
+
+    @cached_property
+    def by_diameter(self) -> dict | None:
+        return None if self.rows is None else _nonzero_cells(self.rows)
 
 
 def _even_sector_rows(d: int, m_max: int) -> list[list[int]]:
@@ -280,7 +289,7 @@ def simple_sector_counts(d: int, m_max: int) -> SectorColumn:
             raise RecurrenceValidationError(
                 "even-sector recurrence failed validation:\n" + "\n".join(problems)
             )
-    return SectorColumn(tuple(sum(row) for row in rows), _nonzero_cells(rows))
+    return SectorColumn(tuple(sum(row) for row in rows), rows)
 
 
 def _nonzero_cells(rows: list[list[int]]) -> dict[tuple[int, int], int]:
@@ -347,4 +356,4 @@ def simple_rotation_fixed(n: int) -> dict[int, int]:
 
 def simple_cyclic(n_max: int) -> SequenceTable:
     """Simple chord diagrams up to rotation, by the divisor average."""
-    return _rotation_average("simple-cyclic", rotation_totals(simple_fixed_chain, n_max))
+    return _rotation_average(rotation_totals(simple_fixed_chain, n_max))

@@ -3,6 +3,7 @@ import errno
 import json
 import os
 import stat
+import sys
 
 import pytest
 
@@ -47,6 +48,20 @@ def test_every_family_matches_the_published_tables():
     ):
         values = family_values(family, 20)
         assert values == [table[n][col] for n in range(1, 21)]
+
+
+def test_counts_past_4300_digits_print(capsys):
+    # the interpreter's default int-to-str limit is 4,300 digits; main lifts it
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(4300)
+    try:
+        code, out = run(capsys, "seq", "loopless-chord", "--max", "1424")
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    assert code == 0
+    assert len(out.splitlines()[-1].split()[1]) > 4300
 
 
 def test_unknown_family_is_a_usage_error(capsys):

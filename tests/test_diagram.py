@@ -12,6 +12,7 @@ from chordenum.diagram import (
     LINEAR,
     Diagram,
     _min_cyclic_shift,
+    _mirrored,
     act,
     canonical_code,
     classify,
@@ -224,6 +225,21 @@ def test_least_shift_is_the_least_of_all_shifts(entries, as_bytes):
     every_shift = [seq[s:] + seq[:s] for s in range(len(seq))]
     assert _min_cyclic_shift(seq) == min(every_shift, default=seq)
     assert type(_min_cyclic_shift(seq)) is type(seq)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=5).flatmap(lambda n: st.permutations(range(2 * n))), st.booleans())
+@example([], False)
+@example([], True)
+def test_mirrored_code_is_the_code_of_the_mirror_image(order, as_bytes):
+    # consecutive entries of a point order are the chords of a random matching
+    pairing = [0] * len(order)
+    for a, b in zip(order[::2], order[1::2]):
+        pairing[a], pairing[b] = b, a
+    code = bytes(offset_code(pairing)) if as_bytes else offset_code(pairing)
+    image = act(Diagram(tuple(pairing)), vertex_reflection(len(pairing), 0)).pairing
+    assert _mirrored(code) == type(code)(offset_code(image))
+    assert type(_mirrored(code)) is type(code)
 
 
 def test_canonical_code_separates_orbits_exactly():

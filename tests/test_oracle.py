@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from chordenum import oracle
+from chordenum import diagram, oracle
 from chordenum.diagram import (
     CIRCULAR,
     CYCLIC,
@@ -136,17 +136,23 @@ def test_orbit_reports_satisfy_burnside(sweeps):
 
 
 def test_dihedral_codes_come_once_per_cyclic_orbit(monkeypatch):
-    # the chord-placing pass keys the cyclic orbits itself: no canonical code per matching
+    # the chord-placing pass keys the cyclic orbits itself, and each cyclic code
+    # is mirrored once: no canonical code, per matching or per orbit
     calls = Counter()
-    real = oracle.canonical_pairing_code
+    canonical, mirrored = diagram.canonical_pairing_code, oracle._mirrored
 
-    def counting(pairing, kind):
-        calls[kind] += 1
-        return real(pairing, kind)
+    def counting_canonical(pairing, kind):
+        calls["canonical"] += 1
+        return canonical(pairing, kind)
 
-    monkeypatch.setattr(oracle, "canonical_pairing_code", counting)
+    def counting_mirrored(code):
+        calls["mirrored"] += 1
+        return mirrored(code)
+
+    monkeypatch.setattr(diagram, "canonical_pairing_code", counting_canonical)
+    monkeypatch.setattr(oracle, "_mirrored", counting_mirrored)
     sweep = full_sweep(5)
-    assert calls == {DIHEDRAL: 105}
+    assert calls == {"mirrored": 105}
     assert sweep.count(CYCLIC, "all") == 105
 
 
@@ -187,10 +193,12 @@ def test_chord_placing_pass_equals_the_classifier_and_the_canonical_codes(n):
     flags = {CIRCULAR: gap_flags(m, CIRCULAR), LINEAR: gap_flags(m, LINEAR)}
     expected = {topology: Counter() for topology in flags}
     codes = set()
+    dihedral = {}  # dihedral code -> circular key
     for p in enumerate_pairings(m):
         for topology, topology_flags in flags.items():
             expected[topology][classify_pairing(p, topology_flags)] += 1
         codes.add(canonical_pairing_code(p, CYCLIC))
+        dihedral[canonical_pairing_code(p, DIHEDRAL)] = classify_pairing(p, flags[CIRCULAR])
     assert circular == expected[CIRCULAR]
     assert linear == expected[LINEAR]
     assert {tuple(code) for code in cyclic} == codes
@@ -199,6 +207,8 @@ def test_chord_placing_pass_equals_the_classifier_and_the_canonical_codes(n):
         rebuilt = tuple((i + offset) % m for i, offset in enumerate(code))
         assert offset_code(rebuilt) == tuple(code)
         assert classify_pairing(rebuilt, flags[CIRCULAR]) == key
+    # the sweep's dihedral table tallies each dihedral orbit's circular key once
+    assert full_sweep(n).tables[DIHEDRAL] == Counter(dihedral.values())
 
 
 def test_burnside_compares_two_enumerations(monkeypatch):

@@ -97,7 +97,7 @@ def test_mirror_reference_regenerates():
 
 def test_mirror_tables_validate_and_match_reference():
     tables = build_mirror_tables(9)
-    assert [tables.row_total(n) for n in range(8)] == [1, 1, 1, 4, 11, 37, 140, 557]
+    assert [sum(tables.rows[n]) for n in range(8)] == [1, 1, 1, 4, 11, 37, 140, 557]
     assert tables.counts.get((7, 3)) == 95  # 14-point regression value
     assert tables.counts.get((2, 0)) == 1  # boundary override
     assert tables.counts.get((1, 1)) == 1 and tables.end_chord.get((1, 1)) == 1
@@ -108,9 +108,10 @@ def test_mirror_tables_validate_and_match_reference():
 
 def test_mirror_row_totals_equal_a_scan_over_the_cells():
     tables = build_mirror_tables(30)
-    for n in range(32):
-        assert tables.row_total(n) == sum(v for (nn, _), v in tables.counts.items() if nn == n)
-        assert tables.end_chord_total(n) == sum(
+    assert len(tables.rows) == len(tables.end_chord_rows) == 31
+    for n in range(31):
+        assert sum(tables.rows[n]) == sum(v for (nn, _), v in tables.counts.items() if nn == n)
+        assert sum(tables.end_chord_rows[n]) == sum(
             v for (nn, _), v in tables.end_chord.items() if nn == n
         )
 
