@@ -1,7 +1,8 @@
 """Command-line interface: sequence emission, verification sweeps, regressions.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error (including an
-output path that cannot be written), 3 internal error: every internal
+Exit codes: 0 success, 1 verification failure (a failed ``verify`` check or
+a triangle row off its (2m-1)!! total), 2 usage error (including an output
+path that cannot be written), 3 internal error: every internal
 assertion, such as a recurrence's own integrality or validation check, the
 oracle's Burnside identity or the octahedron's loop check.
 """
@@ -149,25 +150,27 @@ def cmd_triangle(args) -> int:
     build, chord_offset, key_names = TRIANGLES[args.name]
     table = build(args.max)
 
-    lines = []
-    if args.format == "csv":
-        lines.append(",".join(("n", *key_names, "value")))
-        for n in range(args.max + 1):
-            for key, value in sorted(table.row(n).items()):
-                lines.append(",".join(str(i) for i in (n, *key, value)))
-    else:
-        for n in range(args.max + 1):
-            row_total = table.row_total(n)
-            expected = double_factorial(2 * (n + chord_offset) - 1)
-            status = "ok" if row_total == expected else "MISMATCH"
-            lines.append(
-                f"n={n} chords={n + chord_offset} total={row_total} expected={expected} {status}"
-            )
-            for key, value in sorted(table.row(n).items()):
+    lines = [",".join(("n", *key_names, "value"))] if args.format == "csv" else []
+    failed = []
+    for n in range(args.max + 1):
+        # each row sums to the matchings on its chords, (2m-1)!!
+        row_total = table.row_total(n)
+        expected = double_factorial(2 * (n + chord_offset) - 1)
+        status = "ok" if row_total == expected else "MISMATCH"
+        if status != "ok":
+            failed.append(f"row n={n}: total={row_total} expected={expected} {status}")
+        cells = sorted(table.row(n).items())
+        if args.format == "csv":
+            lines.extend(",".join(str(i) for i in (n, *key, value)) for key, value in cells)
+        else:
+            lines.append(f"n={n} chords={n + chord_offset} total={row_total} expected={expected} {status}")
+            for key, value in cells:
                 label = " ".join(f"{name}={i}" for name, i in zip(key_names, key))
                 lines.append(f"  {label}: {value}")
     _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    for line in failed:
+        print(line, file=sys.stderr)
+    return 1 if failed else 0
 
 
 def cmd_fixed(args) -> int:

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from .diagram import CIRCULAR, DIHEDRAL, Diagram, canonical_code, classify
 
 CYCLE_CAP = 6
+# --list holds every cycle: 56,256 at n = 5 in about 50 MB, 6,385,920 at n = 6
+LIST_CAP = 5
 
 
 @dataclass(frozen=True)
@@ -159,6 +161,8 @@ def list_cycles(n: int) -> tuple[int, int, list[tuple[HamCycle, Diagram]]]:
     gives the search order.  A relabelling moves no position, so each
     image draws its walk's diagram, which is built once per walk.
     """
+    if LIST_CAP < n <= CYCLE_CAP:  # above CYCLE_CAP, _census gives its own refusal
+        raise ValueError(f"n={n} exceeds the cycle listing cap {LIST_CAP}; the counts alone go to {CYCLE_CAP}")
     labelled, orbits, walks = _census(n)
     relabellings = [  # each relabelling as a table vertex -> image
         [0, 1, 2] + [v for pair, swap in zip(order, swaps) for v in (2 * pair - 1 + swap, 2 * pair - swap)]

@@ -6,8 +6,8 @@ polynomials in the formal markers z and x with rational coefficients
 t^(order+1); precondition violations raise ``SeriesError`` rather than
 truncating silently.
 
-Products, exponentials and reciprocals run in the ``_Egf`` kernel, on the EGF
-scale a_n = n! [t^n] f.
+Products and exponentials run in the ``_Egf`` kernel, on the EGF scale
+a_n = n! [t^n] f; the powers of sqrt(1-2t) are written down in closed form.
 Every named closed form is an exponential generating function, so there its
 a_n are integers: the named series and the PDE residuals are built in ints,
 and ``Fraction``s are made once, when the result becomes a ``TruncatedSeries``.
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, factorial
 
 
@@ -189,15 +190,6 @@ class _Egf(tuple):
             e.append(sum((comb(n - 1, k - 1) * self[k] * e[n - k] for k in range(1, n + 1) if self[k]), 0))
         return _Egf(e)
 
-    def reciprocal(self) -> "_Egf":
-        """r_n = -sum_k C(n, k) f_k r_(n-k), from f r = 1."""
-        if self[0] != 1:
-            raise SeriesError("reciprocal requires constant term 1")
-        r = [1]
-        for n in range(1, len(self)):
-            r.append(-sum((comb(n, k) * self[k] * r[n - k] for k in range(1, n + 1) if self[k]), 0))
-        return _Egf(r)
-
     def marker_derivative(self, marker: str) -> "_Egf":
         return _Egf(a.differentiate(marker) if isinstance(a, MarkerPoly) else 0 for a in self)
 
@@ -250,32 +242,38 @@ MARKERS_OF = {"wz": "z", "wx": "x", "wzx": "zx"}  # the markers each series carr
 MARKER_SERIES = tuple(MARKERS_OF)
 
 
+def _sqrt_power(k: int, order: int) -> _Egf:
+    """Scaled coefficients of (1-2t)^(k/2), by the binomial theorem: a_n = a_(n-1) (2(n-1) - k).
+
+    k = 1 gives -(2n-3)!!, k = -1 (2n-1)!!, k = -2 2^n n! and k = -3 (2n+1)!!.
+    """
+    return _Egf(accumulate(range(order), lambda a, m: a * (2 * m - k), initial=1))
+
+
 def _closed_form(name: str, order: int, z, x) -> _Egf:
     """Scaled coefficients of a named series, in ints; z and x are ints or markers."""
     t = _Egf((0, 1) + (0,) * (order - 1))
     one = _Egf((1,) + (0,) * order)
-    s = [1, -1]  # sqrt(1-2t): a_n = -(2n-3)!!
-    for n in range(2, order + 1):
-        s.append(s[-1] * (2 * n - 3))
-    s = _Egf(s)
+    s = _sqrt_power(1, order)
 
     if name == "b":
-        return s.reciprocal()
+        return _sqrt_power(-1, order)
     if name == "phi":
-        return (s - 1).exp() * s.reciprocal()
+        return (s - 1).exp() * _sqrt_power(-1, order)
     if name == "chi":
         return one - t - (s - 1).exp()
     if name == "psi":
-        return (s - 1).exp() * s.reciprocal() - 2 + t + (s - 1).exp()
+        e = (s - 1).exp()
+        return e * _sqrt_power(-1, order) - 2 + t + e
     if name == "W":
-        return (one - s) * (s * s * s).reciprocal() * (s - 1 - t).exp()
+        return (_sqrt_power(-3, order) - _sqrt_power(-2, order)) * (s - 1 - t).exp()
     if name == "U":
-        return (s - 1 - t).exp() * s.reciprocal() * (one + s) + (t - 2) * (-t).exp()
+        return (s - 1 - t).exp() * (_sqrt_power(-1, order) + 1) + (t - 2) * (-t).exp()
     if name == "wz":
-        return ((s - 1) * (1 - z)).exp() * s.reciprocal()
+        return ((s - 1) * (1 - z)).exp() * _sqrt_power(-1, order)
     if name == "wx":
-        return (s * s * s).reciprocal() * (t * (x - 1)).exp()
-    prefactor = (s * (z - 1) + 1) * (s * s * s).reciprocal()
+        return _sqrt_power(-3, order) * (t * (x - 1)).exp()
+    prefactor = _sqrt_power(-2, order) * (z - 1) + _sqrt_power(-3, order)
     series = prefactor * ((one - s) * (z - 1) + t * (x - 1)).exp()
     if series[0] != z:
         raise SeriesError("classifier does not start from a single loop chord")

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from chordenum import cli, octahedron, oracle, reflection, symmetry
+from chordenum import cli, labelled, octahedron, oracle, reflection, symmetry
 from chordenum.cli import family_values, main, render_sequence
 from chordenum.diagram import vertex_reflection
 from chordenum.golden import LOOPLESS_TABLE, SIMPLE_TABLE
@@ -146,6 +146,28 @@ def test_triangle_command_prints_row_totals(capsys):
     assert totals[3] == "n=3 chords=4 total=105 expected=105 ok"
 
 
+@pytest.mark.parametrize("fmt", ["table", "csv"])
+def test_a_triangle_row_off_its_total_exits_1(monkeypatch, capsys, fmt):
+    build = labelled.loop_triangle
+
+    def off_by_one(n_max):
+        rows = [dict(row) for row in build(n_max).rows]
+        rows[2][(1,)] += 1
+        return labelled.TriangleTable(tuple(rows))
+
+    monkeypatch.setattr(labelled, "loop_triangle", off_by_one)
+    code = main(["triangle", "a_nk", "--max", "3", "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "row n=2: total=4 expected=3 MISMATCH\n"
+    if fmt == "table":
+        totals = [line for line in captured.out.splitlines() if line.startswith("n=")]
+        assert totals[2] == "n=2 chords=2 total=4 expected=3 MISMATCH"
+        assert [line.endswith(" ok") for line in totals] == [True, True, False, True]
+    else:
+        assert "2,1,2" in captured.out.splitlines()
+
+
 def test_fixed_command(capsys):
     code, out = run(capsys, "fixed", "--n", "4")
     assert code == 0
@@ -214,6 +236,15 @@ def test_octahedron_above_the_cap_refuses_before_any_walk_or_search(monkeypatch,
     assert calls == []
     assert main(["octahedron", "--n", "3", "--list"]) == 0  # the counter sees a run below the cap
     assert calls == [("walk", 3)]
+
+
+def test_octahedron_list_refuses_above_its_cap_before_any_walk(monkeypatch, capsys):
+    assert octahedron.LIST_CAP == 5
+    monkeypatch.setattr(octahedron, "_canonical_walks", lambda n: pytest.fail("walked above the list cap"))
+    assert main(["octahedron", "--n", "6", "--list"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: n=6 exceeds the cycle listing cap 5")
 
 
 def test_octahedron_list_formats_each_shared_diagram_once(monkeypatch, capsys):

@@ -40,6 +40,10 @@ SNAPSHOT = {
     "series psi --order 12": "32e04388e6364a5fbcdabfa8e38e94fd26005a2f724733d9451b60bb2be0cac9",
     "series W --order 12": "b49404a6fa839a99cdfdf81ad55c9ec0ce13685cdce686990e71e1fb0acc6231",
     "series U --order 12": "6ced3cc088188ddd82c5bc4f4c434d44b81e22c54e377860a36b7e207f15aad9",
+    "series b --order 200": "d905b898c10f974a6dbc0426fdd41b81a629c5200bdb210272db4c6da8eeaabd",
+    "series psi --order 60": "498c853cba8831422c0d56b3f38ebad2d24005588b978a220840164f57ecb21d",
+    "series W --order 60": "cf1ae16127de7f5f65b19afca88c903a033b20816cc58d84ec3bc6789d25bb1b",
+    "series U --order 150": "181d0beebfb2f4879481fe9e8ddd702772ed4d028c50cc29cd0925da70acc104",
     "series wz --order 12 --z 0": "59917cd39d9cd6912f7d1d815d1d5b303861fa36884c2c90a5ab297eec4c8b48",
     "series wz --order 12 --z 1": "3c1c61f65bbab710c479c72c334eca405bc712f5515feb81e9ad11fa793f237e",
     "series wx --order 12 --x 0": "30793dc3f303a3eaf9f7fd0f90ddb731937a96ea7842a535c95937261cea5ec8",
