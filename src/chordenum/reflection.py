@@ -14,6 +14,7 @@ from functools import cached_property
 from .labelled import SequenceTable
 from .symmetry import (
     RecurrenceValidationError,
+    _kept_prefixes,
     _nonzero_cells,
     loopless_cyclic,
     loopless_sector_counts,
@@ -211,6 +212,7 @@ def build_mirror_tables(n_max: int) -> MirrorTables:
     return MirrorTables(rows=r_rows, end_chord_rows=s_rows)
 
 
+@_kept_prefixes
 def simple_axes(n_max: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(vertex, edge): simple diagrams fixed by each reflection type, from one mirror build.
 

@@ -5,13 +5,15 @@ A d-fold symmetric sectored diagram lives on m*d points cut into d sectors;
 ``*_fixed_chain`` turn one column into the counts of chord diagrams fixed by
 a rotation of order d, for every size at once; ``*_rotation_fixed`` read
 them per divisor, and ``rotation_totals`` sums them over the divisors, one
-chain per d, for the ``*_cyclic`` orbit averages.
+chain per d, for the ``*_cyclic`` orbit averages.  Each process keeps the
+longest chain built so far per d and answers shorter requests with its
+prefix (``_kept_prefixes``); the sector tables behind a chain are not kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 
 from .labelled import SequenceTable, simple_chord
 
@@ -39,6 +41,38 @@ def divisors(m: int) -> list[int]:
     return [d for d in range(1, m + 1) if m % d == 0]
 
 
+def _kept_prefixes(build):
+    """Serve ``build(*key, size)`` from the longest result built so far for ``key``.
+
+    A chain is filled upward from entry 0, so entry m does not depend on how
+    far it was built: a request for ``size`` gets the first size + 1 entries
+    of a longer build (of each chain, when the result is a tuple of chains).
+    A longer request builds again and replaces the entry.  An entry is
+    stored only once its build has returned, so a build that fails
+    validation stores nothing, and callers racing on one key can cost a
+    rebuild but never a wrong entry.  ``built`` maps key -> (size, result).
+    """
+    built = {}
+
+    @wraps(build)
+    def serve(*args):
+        key, size = args[:-1], args[-1]
+        kept = built.get(key)
+        if kept is None or kept[0] < size:
+            kept = built[key] = (size, build(*args))
+        return _prefix(kept[1], size)
+
+    serve.built = built
+    return serve
+
+
+def _prefix(result: tuple, size: int) -> tuple:
+    """Entries 0..size of a chain, or of each chain in a tuple of chains."""
+    if result and isinstance(result[0], tuple):
+        return tuple(chain[: size + 1] for chain in result)
+    return result[: size + 1]
+
+
 # ---------------------------------------------------------------------------
 # Loopless family
 
@@ -63,6 +97,7 @@ def loopless_sector_counts(d: int, m_max: int) -> tuple[int, ...]:
     return tuple(values)
 
 
+@_kept_prefixes
 def loopless_fixed_chain(d: int, m_max: int) -> tuple[int, ...]:
     """Loopless chord diagrams on m*d points fixed by a rotation of order d.
 
@@ -328,6 +363,7 @@ def _half_turn_fixed_chain(m_max: int) -> tuple[int, ...]:
     return tuple(f)
 
 
+@_kept_prefixes
 def simple_fixed_chain(d: int, m_max: int) -> tuple[int, ...]:
     """Simple chord diagrams on m*d points fixed by a rotation of order d.
 

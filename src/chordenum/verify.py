@@ -1,14 +1,15 @@
 """The verify report: recurrences against the oracle, the golden tables, b-files.
 
 Every check is one ``CHECK name n=N expected=E got=G OK|FAIL`` line.  The
-recurrence tables are built once, before the sweeps, but each family comes
-from its own builder to max(N, 20) and the axes are built again to N.  So
-each family's rotation sum is built twice (its cyclic builder, and its
-dihedral builder through the cyclic counts), the loopless 2-sector column to
-max(N, 20) three times (both sums and the loopless-dihedral axes), and the
-mirror tables twice (to 20 for simple-dihedral, to N for the simple axes).
-The classified triangle is built once; the rotation-fixed counts are built
-per n, because their chains follow the divisors of 2n.
+recurrence tables are built before the sweeps: each family from its own
+builder to max(N, 20), then the axes and the per-n rotation-fixed counts to
+N.  The rotation chains and the simple axes are kept per process, so each
+chain and the mirror tables are built once (to max(N, 20)), and the later
+requests read their prefixes; each family's rotation sum, a sum over the
+kept chains, still runs twice (its cyclic builder, and its dihedral builder
+through the cyclic counts).  ``loopless_axes`` reads the loopless 2-sector
+column directly, so that N-entry column is built again for each axes call.
+The classified triangle is built once.
 """
 
 from __future__ import annotations
