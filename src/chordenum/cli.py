@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import stat
 import sys
-import tempfile
 
 from . import labelled, octahedron, oracle, reflection, symmetry, verify
 from .diagram import format_diagram
@@ -72,6 +70,7 @@ def render_sequence(family: str, values: list[int], fmt: str) -> str:
         for n, v in enumerate(values, start=1):
             lines.append(f"{n} {v}")
     elif fmt == "json":
+        import json  # imported here: no other command needs it
         payload = {
             "name": family,
             "offset": 1,
@@ -102,6 +101,7 @@ def _emit(text: str, out_path):
             with open(out_path, "w") as handle:
                 handle.write(text)
             return
+        import tempfile  # imported here: only --out needs it
         # beside the target, so that the rename stays on one filesystem
         fd, partial = tempfile.mkstemp(dir=os.path.dirname(out_path) or ".", suffix=".tmp")
         try:

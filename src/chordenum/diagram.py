@@ -17,7 +17,8 @@ The ``topology`` decides which consecutive points count as neighbours:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+
+from ._record import Record
 
 CIRCULAR = "circular"
 LINEAR = "linear"
@@ -70,8 +71,7 @@ def gap_flags(point_count: int, topology) -> tuple[bool, ...]:
     return tuple(flags)
 
 
-@dataclass(frozen=True)
-class Diagram:
+class Diagram(Record):
     """An immutable perfect matching on 2n points with a topology flag."""
 
     pairing: tuple[int, ...]

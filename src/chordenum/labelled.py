@@ -11,8 +11,9 @@ classifier series ``wzx`` and ``W``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
+
+from ._record import Record
 
 
 def double_factorial(m: int) -> int:
@@ -26,8 +27,7 @@ def double_factorial(m: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class SequenceTable:
+class SequenceTable(Record):
     """An integer sequence indexed by chord count from 0."""
 
     values: tuple
@@ -39,8 +39,7 @@ class SequenceTable:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class TriangleTable:
+class TriangleTable(Record):
     """A count table kept by row; absent entries are 0.
 
     ``rows[n]`` maps the rest of each index ``(n, ...)`` to its count.
@@ -174,8 +173,7 @@ def simple_linear(n_max: int) -> SequenceTable:
     return SequenceTable(tuple(values[: n_max + 1]))
 
 
-@dataclass(frozen=True)
-class SimpleChain:
+class SimpleChain(Record):
     """Simple linear counts and the two gluing corrections toward chord counts.
 
     ``no_end_chord[n]`` counts simple linear diagrams with n chords and no

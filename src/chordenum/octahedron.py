@@ -11,8 +11,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 
+from ._record import Record
 from .diagram import CIRCULAR, DIHEDRAL, Diagram, canonical_code, classify
 
 CYCLE_CAP = 6
@@ -20,8 +20,7 @@ CYCLE_CAP = 6
 LIST_CAP = 5
 
 
-@dataclass(frozen=True)
-class HamCycle:
+class HamCycle(Record):
     """A Hamiltonian cycle stored as its least rotation/direction."""
 
     vertices: tuple[int, ...]

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 
+from ._record import Record
 from .diagram import (
     CIRCULAR,
     CYCLIC,
@@ -85,8 +85,7 @@ def _classes(n: int) -> dict:
     return classes
 
 
-@dataclass
-class SweepResult:
+class SweepResult(Record):
     """Every view of one sweep as a {(loops, parallels): count} table.
 
     The views are CIRCULAR and LINEAR (the labelled matchings), each class

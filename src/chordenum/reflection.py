@@ -8,9 +8,9 @@ need the mirror-symmetric table built here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
+from ._record import Record
 from .labelled import SequenceTable
 from .symmetry import (
     RecurrenceValidationError,
@@ -98,8 +98,7 @@ MIRROR_REFERENCE = {
 }
 
 
-@dataclass(frozen=True)
-class MirrorTables:
+class MirrorTables(Record):
     """Simple mirror-symmetric cut diagrams by self-paired chord count.
 
     ``rows[n][k]`` is the number of simple diagrams on 2n points, cut at

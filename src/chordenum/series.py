@@ -15,10 +15,12 @@ and ``Fraction``s are made once, when the result becomes a ``TruncatedSeries``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, factorial
+from math import factorial
+from operator import add
+
+from ._record import Record
 
 
 class SeriesError(ValueError):
@@ -152,6 +154,14 @@ MARKERS = _MarkerRing()
 # (Flajolet & Sedgewick, Analytic Combinatorics, ch. II)
 
 
+def _pascal_rows(count: int):
+    """Rows 0..count-1 of Pascal's triangle, row n holding C(n, 0..n), each by addition from the last."""
+    row = [1]
+    for _ in range(count):
+        yield row
+        row = [1, *map(add, row, row[1:]), 1]
+
+
 class _Egf(tuple):
     """Scaled coefficients a_n = n! [t^n] f of a truncated series.
 
@@ -175,8 +185,8 @@ class _Egf(tuple):
         if not isinstance(other, _Egf):
             return _Egf(other * a for a in self)
         return _Egf(
-            sum((comb(n, i) * self[i] * other[n - i] for i in range(n + 1) if self[i] and other[n - i]), 0)
-            for n in range(min(len(self), len(other)))
+            sum((c * self[i] * other[n - i] for i, c in enumerate(row) if self[i] and other[n - i]), 0)
+            for n, row in enumerate(_pascal_rows(min(len(self), len(other))))
         )
 
     __rmul__ = __mul__
@@ -186,8 +196,8 @@ class _Egf(tuple):
         if self[0]:
             raise SeriesError("exponential requires constant term 0")
         e = [1]
-        for n in range(1, len(self)):
-            e.append(sum((comb(n - 1, k - 1) * self[k] * e[n - k] for k in range(1, n + 1) if self[k]), 0))
+        for n, row in enumerate(_pascal_rows(len(self) - 1), start=1):  # row n - 1 holds C(n-1, k-1) at k - 1
+            e.append(sum((c * self[k] * e[n - k] for k, c in enumerate(row, start=1) if self[k]), 0))
         return _Egf(e)
 
     def marker_derivative(self, marker: str) -> "_Egf":
@@ -199,8 +209,7 @@ class _Egf(tuple):
         return TruncatedSeries(ring, tuple(coeffs))
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(Record):
     """Coefficients of a formal power series in t, exact modulo t^(order+1)."""
 
     ring: object

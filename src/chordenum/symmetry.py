@@ -12,9 +12,9 @@ prefix (``_kept_prefixes``); the sector tables behind a chain are not kept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, wraps
 
+from ._record import Record
 from .labelled import SequenceTable, simple_chord
 
 
@@ -235,8 +235,7 @@ def validate_even_sector_terms(d: int, reference: dict, terms=EVEN_SECTOR_TERMS)
     return problems
 
 
-@dataclass(frozen=True)
-class SectorColumn:
+class SectorColumn(Record):
     """Simple d-sector counts: totals by m and, for even d, the split by diameter class.
 
     ``rows`` is ``_even_sector_rows`` (None for odd d); ``by_diameter``, its

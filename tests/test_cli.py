@@ -3,6 +3,7 @@ import errno
 import json
 import os
 import stat
+import subprocess
 import sys
 
 import pytest
@@ -596,3 +597,17 @@ def test_a_loop_on_a_cycle_diagram_exits_3(monkeypatch, capsys):
     assert code == 3
     assert captured.out == ""
     assert captured.err == "internal error: antipodal vertices were adjacent on the cycle\n"
+
+
+def test_start_up_imports_only_what_every_command_runs():
+    """Records need no dataclasses; json and tempfile wait for the one path that uses each."""
+    probe = (
+        "import sys; before = set(sys.modules); import chordenum.cli; chordenum.cli.build_parser(); "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "chordenum.cli" in added
+    assert added.isdisjoint({"dataclasses", "inspect", "json", "tempfile"}), sorted(added)
