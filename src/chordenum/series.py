@@ -11,6 +11,8 @@ a_n = n! [t^n] f; the powers of sqrt(1-2t) are written down in closed form.
 Every named closed form is an exponential generating function, so there its
 a_n are integers: the named series and the PDE residuals are built in ints,
 and ``Fraction``s are made once, when the result becomes a ``TruncatedSeries``.
+A free marker is built in ints too, by Kronecker substitution: it takes a
+power of two, and each a_n is decoded from the packed int into a ``MarkerPoly``.
 """
 
 from __future__ import annotations
@@ -31,10 +33,10 @@ class MarkerPoly:
     """Polynomial in the markers z and x.
 
     Stored as a map (z degree, x degree) -> nonzero coefficient: a Fraction
-    in every public series, an int inside the integer kernel.  Degrees stay
-    naturally bounded in every construction here (the t^n coefficient of a
-    generating function never exceeds z-degree n+1 and x-degree n), so no
-    truncation in the markers is applied.
+    in every public series, an int when decoded from the packed ints.
+    Degrees stay naturally bounded in every construction here (the t^n
+    coefficient of a generating function never exceeds z-degree n+1 and
+    x-degree n), so no truncation in the markers is applied.
     """
 
     __slots__ = ("terms",)
@@ -135,14 +137,16 @@ class MarkerPoly:
 
 class _RationalRing:
     @staticmethod
-    def embed(value) -> Fraction:
-        return Fraction(value)
+    def embed(value, divisor: int) -> Fraction:
+        return Fraction(value, divisor)
 
 
 class _MarkerRing:
     @staticmethod
-    def embed(value) -> MarkerPoly:
-        return value if isinstance(value, MarkerPoly) else MarkerPoly.constant(Fraction(value))
+    def embed(value, divisor: int) -> MarkerPoly:
+        if isinstance(value, MarkerPoly):
+            return MarkerPoly({k: Fraction(v, divisor) for k, v in value.terms.items()})
+        return MarkerPoly.constant(Fraction(value, divisor))
 
 
 RATIONAL = _RationalRing()
@@ -205,7 +209,7 @@ class _Egf(tuple):
 
     def series(self, ring) -> "TruncatedSeries":
         """The ordinary coefficients a_n / n!."""
-        coeffs = (ring.embed(a * Fraction(1, factorial(n))) for n, a in enumerate(self))
+        coeffs = (ring.embed(a, factorial(n)) for n, a in enumerate(self))
         return TruncatedSeries(ring, tuple(coeffs))
 
 
@@ -259,8 +263,8 @@ def _sqrt_power(k: int, order: int) -> _Egf:
     return _Egf(accumulate(range(order), lambda a, m: a * (2 * m - k), initial=1))
 
 
-def _closed_form(name: str, order: int, z, x) -> _Egf:
-    """Scaled coefficients of a named series, in ints; z and x are ints or markers."""
+def _closed_form(name: str, order: int, z: int, x: int) -> _Egf:
+    """Scaled coefficients of a named series, in ints, at the given marker values."""
     t = _Egf((0, 1) + (0,) * (order - 1))
     one = _Egf((1,) + (0,) * order)
     s = _sqrt_power(1, order)
@@ -277,7 +281,8 @@ def _closed_form(name: str, order: int, z, x) -> _Egf:
     if name == "W":
         return (_sqrt_power(-3, order) - _sqrt_power(-2, order)) * (s - 1 - t).exp()
     if name == "U":
-        return (s - 1 - t).exp() * (_sqrt_power(-1, order) + 1) + (t - 2) * (-t).exp()
+        tail = _Egf((-1) ** (n + 1) * (n + 2) for n in range(order + 1))  # (t - 2) e^(-t)
+        return (s - 1 - t).exp() * (_sqrt_power(-1, order) + 1) + tail
     if name == "wz":
         return ((s - 1) * (1 - z)).exp() * _sqrt_power(-1, order)
     if name == "wx":
@@ -287,6 +292,58 @@ def _closed_form(name: str, order: int, z, x) -> _Egf:
     if series[0] != z:
         raise SeriesError("classifier does not start from a single loop chord")
     return series
+
+
+def _marker_form(name: str, order: int, z, x) -> _Egf:
+    """Scaled coefficients of a marker series whose free markers are None, as MarkerPolys of ints.
+
+    The classifiers count diagrams, so no coefficient of a_n exceeds a_n at
+    z = x = 1; a slot holds that many bits, a sign bit and a bit of margin,
+    in whole bytes.
+    """
+    at_one = _closed_form(name, order, 1 if z is None else z, 1 if x is None else x)
+    width = 8 * ((max(map(abs, at_one)).bit_length() + 9) // 8)
+    return _unpacked_form(name, order, z, x, width, order + 2 if z is None else 1, at_one)
+
+
+def _unpacked_form(name: str, order: int, z, x, width: int, z_slots: int, at_one: _Egf) -> _Egf:
+    """Build at the packed point z = 2^width, x = 2^(width z_slots) and decode each a_n.
+
+    Evaluation is a ring homomorphism from Z[z, x], so the int kernel runs
+    unchanged.  The t^n coefficient has z-degree at most n+1 and x-degree at
+    most n: z_slots = order + 2 and order + 1 x-slots hold any a_n, and a
+    coefficient in [-2^(width-1), 2^(width-1)) fits its slot.  Each decoded
+    a_n must agree with the plain-int builds at z = x = 1 (``at_one``; a slot
+    overflow fails it) and at z = 2, x = 3 (a degree past its slots fails it).
+    An assigned marker keeps its value and gets one slot.
+    """
+    x_slots = order + 1 if x is None else 1
+    size, row = width // 8, width // 8 * z_slots  # bytes per slot and per x-degree
+    half = 1 << (width - 1)
+    halves = half * ((1 << width * z_slots * x_slots) - 1) // ((1 << width) - 1)  # half in every slot
+    threes = [3**l for l in range(x_slots)]
+    packed = _closed_form(
+        name, order, 1 << width if z is None else z, 1 << width * z_slots if x is None else x
+    )
+    at_two = _closed_form(name, order, 2 if z is None else z, 3 if x is None else x)
+    coeffs = []
+    for n, a in enumerate(packed):
+        # shifted by half, each slot holds c + half >= 0; the xor turns it into c in two's complement
+        try:
+            raw = ((a + halves) ^ halves).to_bytes(row * x_slots, "little")
+        except OverflowError:
+            raise SeriesError(f"a_{n} runs past its slots") from None
+        terms = {}
+        for l, start in enumerate(range(0, len(raw.rstrip(b"\0")), row)):  # zero slots are zero bytes
+            for k, i in enumerate(range(start, start + len(raw[start : start + row].rstrip(b"\0")), size)):
+                if v := int.from_bytes(raw[i : i + size], "little", signed=True):
+                    terms[k, l] = v
+        if sum(terms.values()) != at_one[n]:
+            raise SeriesError(f"a coefficient of a_{n} does not fit {width} bits")
+        if sum((v << k) * threes[l] for (k, l), v in terms.items()) != at_two[n]:
+            raise SeriesError(f"a_{n} has a marker degree past its slots")
+        coeffs.append(MarkerPoly(terms))
+    return _Egf(coeffs)
 
 
 def named_series(name: str, order: int, z=None, x=None) -> TruncatedSeries:
@@ -321,10 +378,10 @@ def named_series(name: str, order: int, z=None, x=None) -> TruncatedSeries:
     for marker, value in values.items():
         if value is not None and marker not in carried:
             raise SeriesError(f"series {name} carries no marker {marker} to assign")
-    ring = MARKERS if any(values[m] is None for m in carried) else RATIONAL
-    z = MarkerPoly.marker("z") if z is None else z
-    x = MarkerPoly.marker("x") if x is None else x
-    return _closed_form(name, order, z, x).series(ring)
+    z, x = (values[m] if m in carried else 0 for m in "zx")  # a marker not carried takes no slot
+    if None in (z, x):
+        return _marker_form(name, order, z, x).series(MARKERS)
+    return _closed_form(name, order, z, x).series(RATIONAL)
 
 
 def _times_factorial(c, n: int, where) -> int:
@@ -369,7 +426,7 @@ def loop_pde_residual(order: int) -> TruncatedSeries:
     the returned series is the left side minus the right side.
     """
     z = MarkerPoly.marker("z")
-    w = _closed_form("wz", order + 1, z, None)
+    w = _marker_form("wz", order + 1, None, 0)
     wt, w, t_wt = _Egf(w[1:]), _Egf(w[:-1]), _Egf(n * a for n, a in enumerate(w[:-1]))
     residual = wt - w * z - 2 * t_wt - w.marker_derivative("z") * (1 - z)
     return residual.series(MARKERS)
@@ -382,7 +439,7 @@ def full_pde_residual(order: int) -> TruncatedSeries:
     w_t = (z+x+1) w + 2t w_t - (z-1) w_z - 2(x-1) w_x with w(0,z,x) = z.
     """
     z, x = MarkerPoly.marker("z"), MarkerPoly.marker("x")
-    w = _closed_form("wzx", order + 1, z, x)
+    w = _marker_form("wzx", order + 1, None, None)
     wt, w, t_wt = _Egf(w[1:]), _Egf(w[:-1]), _Egf(n * a for n, a in enumerate(w[:-1]))
     wz, wx = w.marker_derivative("z"), w.marker_derivative("x")
     residual = wt - w * (z + x + 1) - 2 * t_wt + wz * (z - 1) + wx * (2 * (x - 1))

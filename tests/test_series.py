@@ -14,8 +14,10 @@ from chordenum.series import (
     MarkerPoly,
     SeriesError,
     TruncatedSeries,
+    _closed_form,
     _Egf,
     _sqrt_power,
+    _unpacked_form,
     full_pde_residual,
     integer_coeffs,
     loop_pde_residual,
@@ -428,3 +430,34 @@ def test_a_marker_the_series_does_not_carry_is_refused():
         named_series("wx", 3, z=1, x=1)
     with pytest.raises(SeriesError, match="carries no marker z"):
         named_series("phi", 3, z=0)
+
+
+# ---------------------------------------------------------------------------
+# free markers: built in ints at a packed point and decoded
+
+
+def test_free_markers_build_without_marker_poly_products(monkeypatch):
+    cases = [("wzx", 12, {}), ("wz", 12, {}), ("wx", 12, {}), ("wzx", 10, {"z": 0})]
+    expected = [reference_series(name, order, **markers) for name, order, markers in cases]
+    for method in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(MarkerPoly, method, lambda *args: pytest.fail("a MarkerPoly product"))
+    for (name, order, markers), reference in zip(cases, expected):
+        series = named_series(name, order, **markers)
+        assert series.ring is MARKERS
+        assert series.coeffs == reference, (name, markers)
+
+
+def test_a_slot_too_narrow_for_a_coefficient_is_refused():
+    at_one = _closed_form("wzx", 10, 1, 1)
+    with pytest.raises(SeriesError, match="does not fit"):
+        _unpacked_form("wzx", 10, None, None, 8, 12, at_one)
+
+
+def test_a_marker_degree_past_its_slots_is_refused():
+    # a_10 holds z^11 in wzx (eleven loops) and z^10 in wz (ten): one z-slot short of each
+    at_one = _closed_form("wzx", 10, 1, 1)
+    with pytest.raises(SeriesError, match="degree past its slots"):
+        _unpacked_form("wzx", 10, None, None, 64, 11, at_one)  # z^11 lands on x
+    at_one = _closed_form("wz", 10, 1, 0)
+    with pytest.raises(SeriesError, match="runs past its slots"):
+        _unpacked_form("wz", 10, None, 0, 64, 10, at_one)  # z^10 lands past the top
