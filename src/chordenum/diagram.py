@@ -16,6 +16,7 @@ The ``topology`` decides which consecutive points count as neighbours:
 
 from __future__ import annotations
 
+import functools
 import re
 
 from ._record import Record
@@ -236,9 +237,17 @@ def _min_cyclic_shift(seq):
     return min([doubled[s:s + m] for s, x in enumerate(seq) if x == low])
 
 
+@functools.cache
+def _negation(m: int) -> bytes:
+    """``bytes.translate`` table of x -> (m - x) mod m."""
+    return bytes((m - x) % m for x in range(256))
+
+
 def _mirrored(code):
     """Offset code of the mirror image i -> -i, of the type of ``code``: entry i is entry -i negated."""
     m = len(code)
+    if isinstance(code, bytes):
+        return (code[:1] + code[:0:-1]).translate(_negation(m)) if m else code
     return type(code)((m - code[-i]) % m for i in range(m))
 
 

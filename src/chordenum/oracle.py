@@ -1,11 +1,15 @@
 """Brute-force ground truth: one sweep, returned as (loops, parallels) tables only.
 
-``full_sweep`` places the chords of all (2n-1)!! matchings in one
-recursive pass, ``_place_chords``, which counts loops and parallel pairs on
-the circle and on the line as each chord is placed, and keeps each cyclic
-orbit's least offset code (as bytes) with its circular class.  The pass
-gives the tables ``classify_pairing`` and the codes
-``canonical_pairing_code`` would give, and those two stay the definitions.
+``full_sweep`` covers all (2n-1)!! matchings in one recursive pass,
+``_place_chords``, which places the chords of one matching per rotation
+orbit, its least rotation, and weights it by its period, the orbit size.
+The pass counts loops and parallel pairs on the circle as each chord is
+placed, tallies them into the circular table, derives the line's table
+from which gaps of one period cut a loop or a parallel pair, and keeps
+each cyclic orbit's least offset code (as bytes) with its circular class.
+It gives the tables ``classify_pairing`` and the codes
+``canonical_pairing_code`` would give over every matching, and those two
+stay the definitions.
 Each cyclic code gives its orbit's dihedral code without rebuilding a
 matching: the lesser of the code and the least rotation of its mirror
 image, ``diagram._mirrored``.  The fixed counts come from a second
@@ -14,7 +18,8 @@ class (one rotation per order d | 2n, one axis through opposite points,
 one through opposite gaps), classified on the circle; the identity reads
 the full table.  Every count is one lookup, ``SweepResult.count(view, family)``, a
 family sum over one table.  Burnside's identity compares the two
-enumerations before the sweep is returned.  Class sizes come from
+enumerations before the sweep is returned; its identity term is the sum
+of the pass's orbit weights, so it checks them too.  Class sizes come from
 counting element orders here, not from the recurrence modules, which are
 validated against these counts before their tables are trusted.
 """
@@ -105,68 +110,77 @@ class SweepResult(Record):
 def _place_chords(m: int):
     """Circular and linear tables of every matching on m points, and its cyclic orbits.
 
-    Chords are placed in ``enumerate_pairings`` order (the least free point
-    a, then each free partner b > a ascending), and the loops and parallel
-    pairs are counted as each chord is placed, so that every leaf reads
-    both (loops, parallels) keys off the counters; the tables equal the
-    ``classify_pairing`` tallies.  Chord (a, b) is a loop on both views
-    when b = a + 1, and on the circle only when it is (0, m - 1), which on
-    2 points is the same chord.  A parallel pair is counted when its second
-    chord is placed: the chord at a - 1 (point m - 1 when a = 0) with
-    partner (b + 1) mod m, or the chord at a + 1 with partner b - 1.  The
-    line drops the first kind when one of its gaps is the wrap gap, that
-    is when b = m - 1 (at a = 0 no other chord is placed yet).
+    ``o`` is the offset code, ``o[i] = (partner of i - i) mod m``, and
+    ``d = o[0]``.  A least rotation starts at its least entry, so the pass
+    places only chords (a, b) that keep both ``o[a] = b - a`` and
+    ``o[b] = m - (b - a)`` at least d: the root chord is (0, d) with
+    d = 1..m/2, and every later chord has b in a + d .. min(a + m - d,
+    m - 1).  Chords are otherwise placed in ``enumerate_pairings`` order
+    (the least free point a, then each free partner b ascending), and the
+    pass reaches only the matchings whose code starts at its least entry
+    (1,456 of 10,395 at m = 12).  A leaf whose code is also its own least
+    rotation stands for its orbit: it stores the code with its circular
+    key, and the orbit's q matchings, q the code's period, are tallied in
+    one step.  Every matching is a rotation of exactly one such leaf.
 
-    ``o`` is the offset code, ``o[i] = (partner of i - i) mod m``.  Every
-    rotation of a matching is a matching too, so each orbit's least
-    rotation is the code of some leaf: a leaf stores its code, with its
-    circular key, only when the code is its own least rotation, which
-    needs ``o[0]`` to be its least entry.
+    Loops and parallel pairs are counted on the circle as each chord is
+    placed.  Chord (a, b) is a loop when b = a + 1; the loop (0, m - 1)
+    across the wrap gap is never placed, as o[0] = m - 1 is not least.  A
+    parallel pair is counted when its second chord is placed: the chord
+    at a - 1 (placed earlier, since a is the least free point) with
+    partner b + 1, or partner 0 when b = m - 1.
+
+    The line is the circle cut at one gap, and the q rotations of an orbit
+    cut it at q consecutive gaps, one period.  For m >= 4 a loop spans one
+    gap, a parallel pair has two end gaps, and no gap is both, so of a
+    circular key (L, P) the q cuts give L*q/m keys (L - 1, P), 2P*q/m keys
+    (L, P - 1) and (L, P) for the rest.  On 2 points the single chord is a
+    loop on both views.
     """
-    if m == 0:
-        return {(0, 0): 1}, {(0, 0): 1}, {b"": (0, 0)}
+    if m <= 2:
+        key = (m // 2, 0)
+        return {key: 1}, {key: 1}, {bytes([1] * m): key}
     circular, linear, cyclic = {}, {}, {}  # cyclic: least rotation -> circular key
     last = m - 1
     p = [-1] * m
     o = bytearray(m)
 
-    def place(a, left, loops, wrap_loops, pairs, wrap_pairs):
-        # a is the least free point; loops and pairs count on both views,
-        # the wrap_ counters on the circle only
-        before, after = p[a - 1], p[a + 1]
-        for b in range(a + 1, m):
+    def place(a, left, loops, pairs):
+        # a > 0 is the least free point; loops and pairs count on the circle
+        before = p[a - 1]
+        for b in range(a + d, min(a + m - d, last) + 1):
             if p[b] != -1:
                 continue
-            lo, wl, pa, wp = loops, wrap_loops, pairs, wrap_pairs
-            if b == a + 1:
-                lo += 1
-            elif b == last and a == 0:
-                wl += 1
-            if before == b + 1:
-                pa += 1
-            elif before == 0 and b == last:
-                wp += 1
-            if after == b - 1:
-                pa += 1
+            lo = loops + 1 if b == a + 1 else loops
+            pa = pairs + 1 if before == b + 1 or (before == 0 and b == last) else pairs
             o[a], o[b] = b - a, m - (b - a)
             if left == 1:
-                key = (lo + wl, pa + wp)
-                circular[key] = circular.get(key, 0) + 1
-                linear[lo, pa] = linear.get((lo, pa), 0) + 1
-                if o[0] == min(o):
-                    code = bytes(o)
-                    if code == _min_cyclic_shift(code):
-                        cyclic[code] = key
+                code = bytes(o)
+                if code == _min_cyclic_shift(code):
+                    key = (lo, pa)
+                    q = (code + code).find(code, 1)  # the period, which is the orbit size
+                    cyclic[code] = key
+                    circular[key] = circular.get(key, 0) + q
+                    # the q cuts of one period: through a loop, a parallel pair, neither
+                    cuts = {(lo - 1, pa): lo * q // m, (lo, pa - 1): 2 * pa * q // m}
+                    cuts[key] = q - sum(cuts.values())
+                    for cut, count in cuts.items():
+                        if count:
+                            linear[cut] = linear.get(cut, 0) + count
                 return
             p[a], p[b] = b, a
             nxt = a + 1
             while p[nxt] != -1:
                 nxt += 1
-            place(nxt, left - 1, lo, wl, pa, wp)
+            place(nxt, left - 1, lo, pa)
             p[b] = -1
         p[a] = -1
 
-    place(0, m // 2, 0, 0, 0, 0)
+    for d in range(1, m // 2 + 1):
+        p[0], p[d] = d, 0
+        o[0], o[d] = d, m - d
+        place(2 if d == 1 else 1, m // 2 - 1, int(d == 1), 0)
+        p[d] = -1
     return circular, linear, cyclic
 
 

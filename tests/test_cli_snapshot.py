@@ -58,6 +58,7 @@ SNAPSHOT = {
     "verify --max 1": "5b3e99a3342faff1a7ccaedd40ec0e4956c524fb8f96ef22b3c7cc581ec91a1f",
     "verify --max 5": "dbd850162c5f3a2a27635f5b33f47d07abdb5a68fdbd27dc377b3eaec7d8682e",
     "verify --max 6": "eeb27102236f64193ac1ff3f2dfe92aae53839129f26937bfb0aaf1b5fdc6751",
+    "verify --max 7": "f241c32f821d6289d15bb255336282fb28c09fb42bdad7ba8fb767731dea237f",
     "octahedron --n 1": "2c4f87419b443a046192d9760e51f334883b4856f68f0213736c27cc7cf37648",
     "octahedron --n 5": "6fa61f93f9f14f9af41ba54a66c366b634f69a312da0c791f6feb1adc0097412",
     "octahedron --n 2 --list": "258abd7dfc9ad238e728474aea289bf38d98289acae66f7d90141679ed6790a6",

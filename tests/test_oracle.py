@@ -211,6 +211,22 @@ def test_chord_placing_pass_equals_the_classifier_and_the_canonical_codes(n):
     assert full_sweep(n).tables[DIHEDRAL] == Counter(dihedral.values())
 
 
+@pytest.mark.parametrize("n", range(8))
+def test_orbit_weights_are_periods_that_cover_every_matching(n):
+    # the pass weights each cyclic code by its period: the periods must sum to
+    # (2n-1)!!, and each must be the number of distinct rotations of its matching
+    m = 2 * n
+    _, _, cyclic = oracle._place_chords(m)
+    periods = {code: (code + code).find(code, 1) if code else 1 for code in cyclic}
+    assert sum(periods.values()) == math.prod(range(2 * n - 1, 0, -2))
+    if n > 6:
+        return
+    for code, period in periods.items():
+        pairing = [(i + offset) % m for i, offset in enumerate(code)]
+        rotations = {tuple((pairing[(i - s) % m] + s) % m for i in range(m)) for s in range(m)}
+        assert period == max(len(rotations), 1)
+
+
 def test_burnside_compares_two_enumerations(monkeypatch):
     # drop one matching fixed by the vertex axis: the orbit codes no longer agree
     axis = vertex_reflection(8, 0)
