@@ -318,7 +318,8 @@ def enumerate_invariant_pairings(point_count: int, element: tuple[int, ...]):
     is joined to a candidate partner and the chord's orbit under the
     permutation is closed, rejecting any overlap.  Equivalent to filtering
     ``enumerate_pairings`` by invariance, but explores only the fixed
-    subspace.
+    subspace.  One plain recursion collects the matchings into a list,
+    which is yielded from once the first one is asked for.
     """
     if point_count % 2 != 0:
         raise ValueError(f"point count must be even, got {point_count}")
@@ -340,12 +341,14 @@ def enumerate_invariant_pairings(point_count: int, element: tuple[int, ...]):
             if (x, y) == (a, b) or (x, y) == (b, a):
                 return added
 
-    def fill():
-        a = 0
+    found = []
+
+    def fill(a):
+        # every point below a is matched
         while a < point_count and p[a] != -1:
             a += 1
         if a == point_count:
-            yield tuple(p)
+            found.append(tuple(p))
             return
         for b in range(a + 1, point_count):
             if p[b] != -1:
@@ -353,9 +356,10 @@ def enumerate_invariant_pairings(point_count: int, element: tuple[int, ...]):
             added = close_orbit(a, b)
             if added is None:
                 continue
-            yield from fill()
+            fill(a + 1)
             for u in added:
                 v = p[u]
                 p[u] = p[v] = -1
 
-    yield from fill()
+    fill(0)
+    yield from found

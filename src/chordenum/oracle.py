@@ -3,16 +3,20 @@
 ``full_sweep`` covers all (2n-1)!! matchings in one recursive pass,
 ``_place_chords``, which places the chords of one matching per rotation
 orbit, its least rotation, and weights it by its period, the orbit size.
+A leaf is tested against the rotations that start at the points whose
+offset equals its least entry, which the pass tracks as it places chords.
 The pass counts loops and parallel pairs on the circle as each chord is
-placed, tallies them into the circular table, derives the line's table
-from which gaps of one period cut a loop or a parallel pair, and keeps
-each cyclic orbit's least offset code (as bytes) with its circular class.
+placed, tallies them into the circular table, and keeps each cyclic
+orbit's least offset code (as bytes) with its circular class; the line's
+table comes afterwards from the circular keys, by which share of each
+key's matchings a cut at one gap passes through a loop or a parallel pair.
 It gives the tables ``classify_pairing`` and the codes
 ``canonical_pairing_code`` would give over every matching, and those two
 stay the definitions.
-Each cyclic code gives its orbit's dihedral code without rebuilding a
-matching: the lesser of the code and the least rotation of its mirror
-image, ``diagram._mirrored``.  The fixed counts come from a second
+The dihedral table comes from the cyclic codes without rebuilding a
+matching: an orbit is achiral when its mirror image, ``diagram._mirrored``,
+is one of its rotations, and per circular class the dihedral orbits are
+(cyclic + achiral) / 2.  The fixed counts come from a second
 enumeration: the invariant matchings of one representative per conjugacy
 class (one rotation per order d | 2n, one axis through opposite points,
 one through opposite gaps), classified on the circle; the identity reads
@@ -35,7 +39,6 @@ from .diagram import (
     CYCLIC,
     DIHEDRAL,
     LINEAR,
-    _min_cyclic_shift,
     _mirrored,
     classify_pairing,
     edge_reflection,
@@ -118,32 +121,36 @@ def _place_chords(m: int):
     m - 1).  Chords are otherwise placed in ``enumerate_pairings`` order
     (the least free point a, then each free partner b ascending), and the
     pass reaches only the matchings whose code starts at its least entry
-    (1,456 of 10,395 at m = 12).  A leaf whose code is also its own least
-    rotation stands for its orbit: it stores the code with its circular
-    key, and the orbit's q matchings, q the code's period, are tallied in
-    one step.  Every matching is a rotation of exactly one such leaf.
+    (1,456 of 10,395 at m = 12).
+
+    Every entry is at least d, so a rotation can be less than the code only
+    if it starts at a point i > 0 with ``o[i] = d``.  The pass keeps those
+    points on the stack ``starts`` as it places chords: chord (a, b) puts d
+    at a when b - a = d and at b when b - a = m - d, and the root chord puts
+    d at d when d = m/2 (the all-diameter matching, whose code is
+    constant).  A leaf is its own least rotation when no rotation at the
+    last chord's start or at a point of ``starts`` is less than it.  Such a
+    leaf stands for its orbit: it stores the code with its circular key,
+    and the orbit's q matchings, q the code's period, are tallied in one
+    step.  Every matching is a rotation of exactly one such leaf.
 
     Loops and parallel pairs are counted on the circle as each chord is
     placed.  Chord (a, b) is a loop when b = a + 1; the loop (0, m - 1)
     across the wrap gap is never placed, as o[0] = m - 1 is not least.  A
     parallel pair is counted when its second chord is placed: the chord
     at a - 1 (placed earlier, since a is the least free point) with
-    partner b + 1, or partner 0 when b = m - 1.
-
-    The line is the circle cut at one gap, and the q rotations of an orbit
-    cut it at q consecutive gaps, one period.  For m >= 4 a loop spans one
-    gap, a parallel pair has two end gaps, and no gap is both, so of a
-    circular key (L, P) the q cuts give L*q/m keys (L - 1, P), 2P*q/m keys
-    (L, P - 1) and (L, P) for the rest.  On 2 points the single chord is a
+    partner b + 1, or partner 0 when b = m - 1.  The line's table is
+    ``_line_table`` of the circular one; on 2 points the single chord is a
     loop on both views.
     """
     if m <= 2:
         key = (m // 2, 0)
         return {key: 1}, {key: 1}, {bytes([1] * m): key}
-    circular, linear, cyclic = {}, {}, {}  # cyclic: least rotation -> circular key
+    circular, cyclic = {}, {}  # cyclic: least rotation -> circular key
     last = m - 1
     p = [-1] * m
     o = bytearray(m)
+    starts = []  # the placed points i > 0 with o[i] = d
 
     def place(a, left, loops, pairs):
         # a > 0 is the least free point; loops and pairs count on the circle
@@ -153,35 +160,68 @@ def _place_chords(m: int):
                 continue
             lo = loops + 1 if b == a + 1 else loops
             pa = pairs + 1 if before == b + 1 or (before == 0 and b == last) else pairs
-            o[a], o[b] = b - a, m - (b - a)
+            span = b - a
+            o[a], o[b] = span, m - span
             if left == 1:
                 code = bytes(o)
-                if code == _min_cyclic_shift(code):
-                    key = (lo, pa)
-                    q = (code + code).find(code, 1)  # the period, which is the orbit size
-                    cyclic[code] = key
-                    circular[key] = circular.get(key, 0) + q
-                    # the q cuts of one period: through a loop, a parallel pair, neither
-                    cuts = {(lo - 1, pa): lo * q // m, (lo, pa - 1): 2 * pa * q // m}
-                    cuts[key] = q - sum(cuts.values())
-                    for cut, count in cuts.items():
-                        if count:
-                            linear[cut] = linear.get(cut, 0) + count
+                doubled = code + code
+                if span == d and doubled[a:a + m] < code or span == m - d and doubled[b:b + m] < code:
+                    return
+                for i in starts:
+                    if doubled[i:i + m] < code:
+                        return
+                key = (lo, pa)
+                cyclic[code] = key
+                # the period, which is the orbit size
+                circular[key] = circular.get(key, 0) + doubled.find(code, 1)
                 return
             p[a], p[b] = b, a
+            k = len(starts)
+            if span == d:
+                starts.append(a)
+            if span == m - d:
+                starts.append(b)
             nxt = a + 1
             while p[nxt] != -1:
                 nxt += 1
             place(nxt, left - 1, lo, pa)
+            del starts[k:]
             p[b] = -1
         p[a] = -1
 
     for d in range(1, m // 2 + 1):
         p[0], p[d] = d, 0
         o[0], o[d] = d, m - d
+        if 2 * d == m:
+            starts.append(d)
         place(2 if d == 1 else 1, m // 2 - 1, int(d == 1), 0)
+        starts.clear()
         p[d] = -1
-    return circular, linear, cyclic
+    return circular, _line_table(circular, m), cyclic
+
+
+def _line_table(circular: dict, m: int) -> dict:
+    """The linear table of the matchings on m >= 4 points from their circular table.
+
+    The line is the circle cut at one gap.  The C matchings of a circular
+    key (L, P) are closed under rotation, so each gap holds a loop in L*C/m
+    of them and ends a parallel pair in 2P*C/m; for m >= 4 no gap is both.
+    Cutting them all at the wrap gap gives L*C/m keys (L - 1, P), 2P*C/m
+    keys (L, P - 1) and (L, P) for the rest; a share that is not whole
+    raises ``AssertionError``.
+    """
+    linear = {}
+    for key, count in circular.items():
+        loops, pairs = key
+        through_loop, loop_rest = divmod(loops * count, m)
+        through_pair, pair_rest = divmod(2 * pairs * count, m)
+        if loop_rest or pair_rest:
+            raise AssertionError(f"the {count} matchings of key {key} on {m} points do not cut evenly")
+        rest = count - through_loop - through_pair
+        for cut, share in ((loops - 1, pairs), through_loop), ((loops, pairs - 1), through_pair), (key, rest):
+            if share:
+                linear[cut] = linear.get(cut, 0) + share
+    return linear
 
 
 def full_sweep(n: int, cap: int = DEFAULT_CAP) -> SweepResult:
@@ -189,7 +229,10 @@ def full_sweep(n: int, cap: int = DEFAULT_CAP) -> SweepResult:
 
     For each group and family, the orbit count times the group order must
     equal the fixed counts summed over the classes, each class counted as
-    its size times its representative's count.
+    its size times its representative's count.  A circular key whose
+    cyclic and achiral orbit counts do not sum to an even number is refused
+    first; given the cyclic identity, the dihedral one compares twice the
+    achiral orbits with the vertex and edge axes' fixed counts.
     """
     check_cap(n, cap)
     m = 2 * n
@@ -197,10 +240,17 @@ def full_sweep(n: int, cap: int = DEFAULT_CAP) -> SweepResult:
     classes = _classes(n)
 
     circular, linear, cyclic = _place_chords(m)
-    tables = {CIRCULAR: circular, LINEAR: linear}
-    dihedral = {min(c, _min_cyclic_shift(_mirrored(c))): key for c, key in cyclic.items()}
-    tables[CYCLIC] = Counter(cyclic.values())
-    tables[DIHEDRAL] = Counter(dihedral.values())
+    tables = {CIRCULAR: circular, LINEAR: linear, CYCLIC: Counter(cyclic.values())}
+    # a dihedral orbit is one achiral cyclic orbit or two mirror-image ones
+    achiral = Counter(key for c, key in cyclic.items() if _mirrored(c) in c + c)
+    dihedral = tables[DIHEDRAL] = Counter()
+    for key, count in tables[CYCLIC].items():
+        orbits, odd = divmod(count + achiral[key], 2)
+        if odd:
+            raise AssertionError(
+                f"odd dihedral tally for n={n} key {key}: {count} cyclic + {achiral[key]} achiral orbits"
+            )
+        dihedral[key] = orbits
     for label, (element, _) in classes.items():
         tables[label] = tables[CIRCULAR] if label == ("rotation", 1) else Counter(
             classify_pairing(p, circ_flags) for p in enumerate_invariant_pairings(m, element)

@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from chordenum import diagram, oracle
+from chordenum.cli import main
 from chordenum.diagram import (
     CIRCULAR,
     CYCLIC,
@@ -241,6 +242,51 @@ def test_burnside_compares_two_enumerations(monkeypatch):
     monkeypatch.setattr(oracle, "enumerate_invariant_pairings", dropping)
     with pytest.raises(AssertionError, match="Burnside identity fails for n=4"):
         full_sweep(4)
+
+
+@pytest.mark.parametrize(
+    "flipped, refusal",
+    [(1, "odd dihedral tally for n=4 key "), (2, "Burnside identity fails for n=4 dihedral all: ")],
+)
+def test_a_wrong_achiral_verdict_is_refused(monkeypatch, capsys, flipped, refusal):
+    # call achiral orbits of one circular key chiral: one flip leaves an odd tally,
+    # two leave an even one that the dihedral Burnside identity must catch
+    mirrored = oracle._mirrored
+    _, _, cyclic = oracle._place_chords(8)
+    achiral = [(key, code) for code, key in cyclic.items() if mirrored(code) in code + code]
+    key = next(key for key, count in Counter(key for key, _ in achiral).items() if count >= 2)
+    targets = [code for k, code in achiral if k == key][:flipped]
+
+    def flipping(code):
+        # no offset is 0, so the all-zero code is never a rotation
+        return bytes(len(code)) if code in targets else mirrored(code)
+
+    monkeypatch.setattr(oracle, "_mirrored", flipping)
+    with pytest.raises(AssertionError, match=refusal):
+        full_sweep(4)
+    assert main(["verify", "--max", "4"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"internal error: {refusal}")
+
+
+def test_an_uneven_cut_of_a_circular_key_is_refused(monkeypatch, capsys):
+    # one matching too many under a key with loops: its loops no longer spread
+    # evenly over the gaps, and the line's table is refused
+    real = oracle._line_table
+
+    def padding(circular, m):
+        key = next(key for key in circular if key[0])
+        return real({**circular, key: circular[key] + 1}, m)
+
+    monkeypatch.setattr(oracle, "_line_table", padding)
+    with pytest.raises(AssertionError, match="on 8 points do not cut evenly"):
+        full_sweep(4)
+    assert main(["verify", "--max", "4"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: the ")
+    assert captured.err.endswith(" on 4 points do not cut evenly\n")
 
 
 def test_cap_is_enforced():
