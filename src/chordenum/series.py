@@ -1,22 +1,25 @@
-"""Exact truncated formal power series in t over rationals or marker polynomials.
+"""Exact truncated formal power series in t: the paper's generating functions.
 
-Coefficients live in one of two rings: plain ``Fraction``s, or bivariate
-polynomials in the formal markers z and x with rational coefficients
-(``MarkerPoly``).  A ``TruncatedSeries`` holds the coefficients, exact modulo
-t^(order+1); precondition violations raise ``SeriesError`` rather than
-truncating silently.
+A ``TruncatedSeries`` holds rational coefficients (``Fraction``s), exact
+modulo t^(order+1); precondition violations raise ``SeriesError`` rather than
+truncating silently.  A series with a free marker z or x is a
+``MarkerTriangle``: n! [t^n z^k x^l] as ints keyed (n, k, l).
 
 Products and exponentials run in the ``_Egf`` kernel, on the EGF scale
-a_n = n! [t^n] f; the powers of sqrt(1-2t) are written down in closed form.
-Every named closed form is an exponential generating function, so there its
+a_n = n! [t^n] f; the powers of s = sqrt(1-2t) are written down in closed
+form.  Every named closed form is an exponential generating function, so its
 a_n are integers: the named series and the PDE residuals are built in ints,
 and ``Fraction``s are made once, when the result becomes a ``TruncatedSeries``.
-A free marker is built in ints too, by Kronecker substitution: it takes a
-power of two, and each a_n is decoded from the packed int into a ``MarkerPoly``.
+Since s' = -1/s, phi, psi, W and U are each one exponential and its
+derivatives, and a derivative is a left shift of the a_n: none takes a
+product.  A free marker is built in ints too, by Kronecker substitution: it
+takes a power of two, and each a_n is decoded from the packed int straight
+into the triangle's cells, on which the PDE residuals are index shifts.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
 from math import factorial
@@ -29,128 +32,11 @@ class SeriesError(ValueError):
     pass
 
 
-class MarkerPoly:
-    """Polynomial in the markers z and x.
-
-    Stored as a map (z degree, x degree) -> nonzero coefficient: a Fraction
-    in every public series, an int when decoded from the packed ints.
-    Degrees stay naturally bounded in every construction here (the t^n
-    coefficient of a generating function never exceeds z-degree n+1 and
-    x-degree n), so no truncation in the markers is applied.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {k: v for k, v in (terms or {}).items() if v != 0}
-
-    @classmethod
-    def constant(cls, value) -> "MarkerPoly":
-        return cls({(0, 0): value})
-
-    @classmethod
-    def marker(cls, name: str) -> "MarkerPoly":
-        if name == "z":
-            return cls({(1, 0): 1})
-        if name == "x":
-            return cls({(0, 1): 1})
-        raise SeriesError(f"unknown marker {name!r}")
-
-    def _coerce(self, other):
-        if isinstance(other, MarkerPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return MarkerPoly.constant(other)
-        return NotImplemented
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) + v
-        return MarkerPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return MarkerPoly({k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return MarkerPoly({k: v * other for k, v in self.terms.items()})
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = {}
-        for (a, b), u in self.terms.items():
-            for (c, d), v in other.terms.items():
-                k = (a + c, b + d)
-                out[k] = out.get(k, 0) + u * v
-        return MarkerPoly(out)
-
-    __rmul__ = __mul__
-
-    def differentiate(self, marker: str) -> "MarkerPoly":
-        pos = 0 if marker == "z" else 1
-        out = {}
-        for (a, b), v in self.terms.items():
-            deg = (a, b)[pos]
-            if deg == 0:
-                continue
-            k = (a - 1, b) if pos == 0 else (a, b - 1)
-            out[k] = out.get(k, 0) + v * deg
-        return MarkerPoly(out)
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for (a, b), v in sorted(self.terms.items()):
-            part = str(v)
-            if a:
-                part += f"*z^{a}" if a > 1 else "*z"
-            if b:
-                part += f"*x^{b}" if b > 1 else "*x"
-            bits.append(part)
-        return " + ".join(bits)
-
-
 class _RationalRing:
-    @staticmethod
-    def embed(value, divisor: int) -> Fraction:
-        return Fraction(value, divisor)
-
-
-class _MarkerRing:
-    @staticmethod
-    def embed(value, divisor: int) -> MarkerPoly:
-        if isinstance(value, MarkerPoly):
-            return MarkerPoly({k: Fraction(v, divisor) for k, v in value.terms.items()})
-        return MarkerPoly.constant(Fraction(value, divisor))
+    """The coefficient ring of every ``TruncatedSeries``: ``Fraction``s."""
 
 
 RATIONAL = _RationalRing()
-MARKERS = _MarkerRing()
 
 
 # ---------------------------------------------------------------------------
@@ -204,13 +90,9 @@ class _Egf(tuple):
             e.append(sum((c * self[k] * e[n - k] for k, c in enumerate(row, start=1) if self[k]), 0))
         return _Egf(e)
 
-    def marker_derivative(self, marker: str) -> "_Egf":
-        return _Egf(a.differentiate(marker) if isinstance(a, MarkerPoly) else 0 for a in self)
-
-    def series(self, ring) -> "TruncatedSeries":
+    def series(self) -> "TruncatedSeries":
         """The ordinary coefficients a_n / n!."""
-        coeffs = (ring.embed(a, factorial(n)) for n, a in enumerate(self))
-        return TruncatedSeries(ring, tuple(coeffs))
+        return TruncatedSeries(RATIONAL, tuple(Fraction(a, factorial(n)) for n, a in enumerate(self)))
 
 
 class TruncatedSeries(Record):
@@ -237,14 +119,25 @@ class TruncatedSeries(Record):
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
             return TruncatedSeries(self.ring, tuple(c * other for c in self.coeffs))
-        if other.ring is not self.ring:
-            raise SeriesError("mixed coefficient rings; lift explicitly")
-        return (self._scaled() * other._scaled()).series(self.ring)
+        return (self._scaled() * other._scaled()).series()
 
     __rmul__ = __mul__
 
     def exp(self) -> "TruncatedSeries":
-        return self._scaled().exp().series(self.ring)
+        return self._scaled().exp().series()
+
+
+class MarkerTriangle(Record):
+    """A series with a free marker, as n! [t^n z^k x^l] keyed (n, k, l), exact modulo t^(order+1).
+
+    ``cells`` holds ints and leaves out every zero cell.
+    """
+
+    order: int
+    cells: dict
+
+    def is_zero(self) -> bool:
+        return not any(self.cells.values())
 
 
 # ---------------------------------------------------------------------------
@@ -263,26 +156,38 @@ def _sqrt_power(k: int, order: int) -> _Egf:
     return _Egf(accumulate(range(order), lambda a, m: a * (2 * m - k), initial=1))
 
 
+def _identity(order: int) -> _Egf:
+    """Scaled coefficients of t."""
+    return _Egf((0, 1) + (0,) * (order - 1))
+
+
 def _closed_form(name: str, order: int, z: int, x: int) -> _Egf:
-    """Scaled coefficients of a named series, in ints, at the given marker values."""
-    t = _Egf((0, 1) + (0,) * (order - 1))
+    """Scaled coefficients of a named series, in ints, at the given marker values.
+
+    phi, psi, U and W divide by powers of s = sqrt(1-2t).  Since s' = -1/s,
+    e = exp(s-1) has e/s = -e' and E = exp(s-1-t) has E/s = -E' - E, so each
+    is one exponential and its derivatives.  On scaled coefficients d/dt is a
+    left shift, so the exponential is built one order longer per derivative.
+    """
+    t = _identity(order)
     one = _Egf((1,) + (0,) * order)
     s = _sqrt_power(1, order)
 
     if name == "b":
         return _sqrt_power(-1, order)
-    if name == "phi":
-        return (s - 1).exp() * _sqrt_power(-1, order)
+    if name in ("phi", "psi"):
+        e = (_sqrt_power(1, order + 1) - 1).exp()
+        phi = -_Egf(e[1:])  # e/s
+        return phi if name == "phi" else phi - 2 + t + e
     if name == "chi":
         return one - t - (s - 1).exp()
-    if name == "psi":
-        e = (s - 1).exp()
-        return e * _sqrt_power(-1, order) - 2 + t + e
-    if name == "W":
-        return (_sqrt_power(-3, order) - _sqrt_power(-2, order)) * (s - 1 - t).exp()
     if name == "U":
+        E = (_sqrt_power(1, order + 1) - 1 - _identity(order + 1)).exp()
         tail = _Egf((-1) ** (n + 1) * (n + 2) for n in range(order + 1))  # (t - 2) e^(-t)
-        return (s - 1 - t).exp() * (_sqrt_power(-1, order) + 1) + tail
+        return tail - _Egf(E[1:])  # E/s (1 + s) = -E'
+    if name == "W":
+        E = (_sqrt_power(1, order + 2) - 1 - _identity(order + 2)).exp()
+        return _Egf(-a - 2 * b - c for a, b, c in zip(E[2:], E[1:], E))  # (s^-3 - s^-2) E = -E'' - 2E' - E
     if name == "wz":
         return ((s - 1) * (1 - z)).exp() * _sqrt_power(-1, order)
     if name == "wx":
@@ -294,8 +199,8 @@ def _closed_form(name: str, order: int, z: int, x: int) -> _Egf:
     return series
 
 
-def _marker_form(name: str, order: int, z, x) -> _Egf:
-    """Scaled coefficients of a marker series whose free markers are None, as MarkerPolys of ints.
+def _marker_form(name: str, order: int, z, x) -> dict:
+    """n! [t^n z^k x^l] of a marker series whose free markers are None, as ints keyed (n, k, l).
 
     The classifiers count diagrams, so no coefficient of a_n exceeds a_n at
     z = x = 1; a slot holds that many bits, a sign bit and a bit of margin,
@@ -306,8 +211,8 @@ def _marker_form(name: str, order: int, z, x) -> _Egf:
     return _unpacked_form(name, order, z, x, width, order + 2 if z is None else 1, at_one)
 
 
-def _unpacked_form(name: str, order: int, z, x, width: int, z_slots: int, at_one: _Egf) -> _Egf:
-    """Build at the packed point z = 2^width, x = 2^(width z_slots) and decode each a_n.
+def _unpacked_form(name: str, order: int, z, x, width: int, z_slots: int, at_one: _Egf) -> dict:
+    """Build at the packed point z = 2^width, x = 2^(width z_slots) and decode each a_n into its cells.
 
     Evaluation is a ring homomorphism from Z[z, x], so the int kernel runs
     unchanged.  The t^n coefficient has z-degree at most n+1 and x-degree at
@@ -326,7 +231,7 @@ def _unpacked_form(name: str, order: int, z, x, width: int, z_slots: int, at_one
         name, order, 1 << width if z is None else z, 1 << width * z_slots if x is None else x
     )
     at_two = _closed_form(name, order, 2 if z is None else z, 3 if x is None else x)
-    coeffs = []
+    cells = {}
     for n, a in enumerate(packed):
         # shifted by half, each slot holds c + half >= 0; the xor turns it into c in two's complement
         try:
@@ -337,16 +242,16 @@ def _unpacked_form(name: str, order: int, z, x, width: int, z_slots: int, at_one
         for l, start in enumerate(range(0, len(raw.rstrip(b"\0")), row)):  # zero slots are zero bytes
             for k, i in enumerate(range(start, start + len(raw[start : start + row].rstrip(b"\0")), size)):
                 if v := int.from_bytes(raw[i : i + size], "little", signed=True):
-                    terms[k, l] = v
+                    terms[n, k, l] = v
         if sum(terms.values()) != at_one[n]:
             raise SeriesError(f"a coefficient of a_{n} does not fit {width} bits")
-        if sum((v << k) * threes[l] for (k, l), v in terms.items()) != at_two[n]:
+        if sum((v << k) * threes[l] for (_, k, l), v in terms.items()) != at_two[n]:
             raise SeriesError(f"a_{n} has a marker degree past its slots")
-        coeffs.append(MarkerPoly(terms))
-    return _Egf(coeffs)
+        cells.update(terms)
+    return cells
 
 
-def named_series(name: str, order: int, z=None, x=None) -> TruncatedSeries:
+def named_series(name: str, order: int, z=None, x=None) -> TruncatedSeries | MarkerTriangle:
     """Construct one of the closed-form generating functions exactly.
 
     Univariate names (rational coefficients):
@@ -358,7 +263,7 @@ def named_series(name: str, order: int, z=None, x=None) -> TruncatedSeries:
     * ``W``   -- simple linear diagrams, coefficient n holding n+1 chords;
     * ``U``   -- simple chord diagrams.
 
-    Marker names (MarkerPoly coefficients):
+    Marker names (a ``MarkerTriangle`` of ints while a marker is free):
 
     * ``wz``  -- loopless-side classifier, z marking loops;
     * ``wzx`` -- full classifier, z marking loops, x marking parallel pairs,
@@ -366,8 +271,9 @@ def named_series(name: str, order: int, z=None, x=None) -> TruncatedSeries:
     * ``wx``  -- classifier by parallel pairs only.
 
     ``z`` and ``x`` give a marker its value (0 or 1) during the
-    construction; once every marker of the series has one, the coefficients
-    are rational.  A value for a marker the series does not carry raises.
+    construction; once every marker of the series has one, the result is a
+    ``TruncatedSeries`` with rational coefficients.  A value for a marker the
+    series does not carry raises.
     """
     if order < 1:
         raise SeriesError("order must be at least 1")
@@ -380,16 +286,8 @@ def named_series(name: str, order: int, z=None, x=None) -> TruncatedSeries:
             raise SeriesError(f"series {name} carries no marker {marker} to assign")
     z, x = (values[m] if m in carried else 0 for m in "zx")  # a marker not carried takes no slot
     if None in (z, x):
-        return _marker_form(name, order, z, x).series(MARKERS)
-    return _closed_form(name, order, z, x).series(RATIONAL)
-
-
-def _times_factorial(c, n: int, where) -> int:
-    """c * n!, read off c's lowest terms; it must be an integer."""
-    fact = factorial(n)
-    if fact % c.denominator:
-        raise SeriesError(f"coefficient {where} times {n}! is not an integer: {c * fact}")
-    return c.numerator * (fact // c.denominator)
+        return MarkerTriangle(order, _marker_form(name, order, z, x))
+    return _closed_form(name, order, z, x).series()
 
 
 def integer_coeffs(series: TruncatedSeries) -> list[int]:
@@ -398,49 +296,63 @@ def integer_coeffs(series: TruncatedSeries) -> list[int]:
     A marker series needs every marker assigned first (``named_series`` with
     ``z=``/``x=``).  A non-integer value signals a construction bug and raises.
     """
-    if series.ring is not RATIONAL:
+    if not isinstance(series, TruncatedSeries):
         raise SeriesError("integer coefficients need every marker assigned")
-    return [_times_factorial(c, n, n) for n, c in enumerate(series.coeffs)]
-
-
-def marker_triangle(series: TruncatedSeries) -> dict:
-    """n! times each coefficient of t^n z^k x^l, as integers keyed (n, k, l)."""
-    if series.ring is not MARKERS:
-        raise SeriesError("marker triangle requires marker coefficients")
-    out = {}
-    for n, poly in enumerate(series.coeffs):
-        for (k, l), v in poly.terms.items():
-            out[(n, k, l)] = _times_factorial(v, n, f"({n},{k},{l})")
+    out = []
+    for n, c in enumerate(series.coeffs):
+        fact = factorial(n)
+        if fact % c.denominator:
+            raise SeriesError(f"coefficient {n} times {n}! is not an integer: {c * fact}")
+        out.append(c.numerator * (fact // c.denominator))
     return out
 
 
+def marker_triangle(series: MarkerTriangle) -> dict:
+    """n! times each coefficient of t^n z^k x^l, as integers keyed (n, k, l)."""
+    if not isinstance(series, MarkerTriangle):
+        raise SeriesError("marker triangle requires marker coefficients")
+    return series.cells
+
+
 # ---------------------------------------------------------------------------
-# Defining-equation residuals (sanity checks for the closed forms), built in
-# the kernel: d/dt is a left shift of the scaled coefficients, t d/dt is n a_n
+# Defining-equation residuals (sanity checks for the closed forms), on the
+# triangle w(n, k, l) = n! [t^n z^k x^l] w: d/dt reads w(n+1, k, l), t d/dt
+# n w(n, k, l), d/dz (k+1) w(n, k+1, l) and d/dx (l+1) w(n, k, l+1).  Each
+# cell of w is added, with its weight, into every residual cell that reads it.
 
 
-def loop_pde_residual(order: int) -> TruncatedSeries:
+def _residual(order: int, cells: Counter) -> MarkerTriangle:
+    """The nonzero residual cells up to t^order; a cell n = order + 1 lacks its d/dt term."""
+    return MarkerTriangle(order, {key: v for key, v in cells.items() if v and 0 <= key[0] <= order})
+
+
+def loop_pde_residual(order: int) -> MarkerTriangle:
     """Residual of the defining PDE of ``wz``, exact to the given order.
 
     The classifier satisfies w_t = z w + 2t w_t + (1-z) w_z with w(z,0)=1;
-    the returned series is the left side minus the right side.
+    the returned triangle is the left side minus the right side.
     """
-    z = MarkerPoly.marker("z")
-    w = _marker_form("wz", order + 1, None, 0)
-    wt, w, t_wt = _Egf(w[1:]), _Egf(w[:-1]), _Egf(n * a for n, a in enumerate(w[:-1]))
-    residual = wt - w * z - 2 * t_wt - w.marker_derivative("z") * (1 - z)
-    return residual.series(MARKERS)
+    r = Counter()
+    for (n, k, l), v in _marker_form("wz", order + 1, None, 0).items():
+        r[n - 1, k, l] += v  # w_t
+        r[n, k + 1, l] -= v  # z w
+        r[n, k, l] += (k - 2 * n) * v  # 2t w_t and z w_z
+        r[n, k - 1, l] -= k * v  # w_z
+    return _residual(order, r)
 
 
-def full_pde_residual(order: int) -> TruncatedSeries:
+def full_pde_residual(order: int) -> MarkerTriangle:
     """Residual of the defining PDE of ``wzx``, exact to the given order.
 
     The classifier satisfies
     w_t = (z+x+1) w + 2t w_t - (z-1) w_z - 2(x-1) w_x with w(0,z,x) = z.
     """
-    z, x = MarkerPoly.marker("z"), MarkerPoly.marker("x")
-    w = _marker_form("wzx", order + 1, None, None)
-    wt, w, t_wt = _Egf(w[1:]), _Egf(w[:-1]), _Egf(n * a for n, a in enumerate(w[:-1]))
-    wz, wx = w.marker_derivative("z"), w.marker_derivative("x")
-    residual = wt - w * (z + x + 1) - 2 * t_wt + wz * (z - 1) + wx * (2 * (x - 1))
-    return residual.series(MARKERS)
+    r = Counter()
+    for (n, k, l), v in _marker_form("wzx", order + 1, None, None).items():
+        r[n - 1, k, l] += v  # w_t
+        r[n, k + 1, l] -= v  # z w
+        r[n, k, l + 1] -= v  # x w
+        r[n, k, l] += (k + 2 * l - 2 * n - 1) * v  # w, 2t w_t, z w_z and 2x w_x
+        r[n, k - 1, l] -= k * v  # w_z
+        r[n, k, l - 1] -= 2 * l * v  # 2 w_x
+    return _residual(order, r)

@@ -44,6 +44,7 @@ SNAPSHOT = {
     "series W --order 12": "b49404a6fa839a99cdfdf81ad55c9ec0ce13685cdce686990e71e1fb0acc6231",
     "series U --order 12": "6ced3cc088188ddd82c5bc4f4c434d44b81e22c54e377860a36b7e207f15aad9",
     "series b --order 200": "d905b898c10f974a6dbc0426fdd41b81a629c5200bdb210272db4c6da8eeaabd",
+    "series phi --order 60": "1f3f3d4717e141b7ad3013b6ab460c26e1e2a5ebc69f755d0921984a3b4ece69",
     "series psi --order 60": "498c853cba8831422c0d56b3f38ebad2d24005588b978a220840164f57ecb21d",
     "series W --order 60": "cf1ae16127de7f5f65b19afca88c903a033b20816cc58d84ec3bc6789d25bb1b",
     "series U --order 150": "181d0beebfb2f4879481fe9e8ddd702772ed4d028c50cc29cd0925da70acc104",

@@ -14,7 +14,7 @@ from chordenum.labelled import SequenceTable, SimpleChain, TriangleTable
 from chordenum.octahedron import HamCycle
 from chordenum.oracle import SweepResult
 from chordenum.reflection import MirrorTables
-from chordenum.series import RATIONAL, TruncatedSeries
+from chordenum.series import RATIONAL, MarkerTriangle, TruncatedSeries
 from chordenum.symmetry import SectorColumn
 
 SEQ = SequenceTable((0, 1, 3))
@@ -50,10 +50,15 @@ CASES = {
         TruncatedSeries(RATIONAL, (Fraction(1),)),
         f"TruncatedSeries(ring={RATIONAL!r}, coeffs=(Fraction(1, 1), Fraction(3, 2)))",
     ),
+    MarkerTriangle: (
+        {"order": 1, "cells": {(0, 1, 0): 1}},
+        MarkerTriangle(1, {(0, 1, 0): 2}),
+        "MarkerTriangle(order=1, cells={(0, 1, 0): 1})",
+    ),
     SectorColumn: ({"totals": (1, 0, 2), "rows": None}, SectorColumn((1, 0, 3), None), "SectorColumn(totals=(1, 0, 2), rows=None)"),
 }
 # records whose fields hold dicts or lists cannot be hashed
-UNHASHABLE = {TriangleTable, SweepResult, MirrorTables}
+UNHASHABLE = {TriangleTable, SweepResult, MirrorTables, MarkerTriangle}
 
 
 @pytest.mark.parametrize("cls", list(CASES), ids=lambda cls: cls.__name__)

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chordenum import series as series_module
 from chordenum.series import (
-    MARKERS,
     MARKERS_OF,
     RATIONAL,
     SERIES_NAMES,
-    MarkerPoly,
+    MarkerTriangle,
     SeriesError,
     TruncatedSeries,
     _closed_form,
@@ -39,9 +39,82 @@ series_strategy = st.lists(rationals, min_size=4, max_size=9).map(rational_serie
 
 # ---------------------------------------------------------------------------
 # The reference: the closed forms in ordinary coefficients, as plain tuples
-# of Fractions or MarkerPolys, with the Cauchy product and the
+# of Fractions or marker polynomials, with the Cauchy product and the
 # ordinary-coefficient reciprocal, exponential and square root.  It shares no
-# code with the library but MarkerPoly; the EGF kernel must reproduce it.
+# code with the library; the EGF kernel must reproduce it.
+
+
+class Poly:
+    """Polynomial in the markers z and x: (z degree, x degree) -> nonzero coefficient."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = {k: v for k, v in (terms or {}).items() if v != 0}
+
+    @classmethod
+    def constant(cls, value):
+        return cls({(0, 0): value})
+
+    @classmethod
+    def marker(cls, name):
+        return cls({{"z": (1, 0), "x": (0, 1)}[name]: 1})
+
+    @staticmethod
+    def of(value):
+        return value if isinstance(value, Poly) else Poly.constant(value)
+
+    def __eq__(self, other):
+        return self.terms == Poly.of(other).terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for k, v in Poly.of(other).terms.items():
+            out[k] = out.get(k, 0) + v
+        return Poly(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Poly({k: -v for k, v in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        out = {}
+        for (a, b), u in self.terms.items():
+            for (c, d), v in Poly.of(other).terms.items():
+                out[a + c, b + d] = out.get((a + c, b + d), 0) + u * v
+        return Poly(out)
+
+    __rmul__ = __mul__
+
+    def differentiate(self, marker):
+        pos = "zx".index(marker)
+        out = {}
+        for degrees, v in self.terms.items():
+            if degrees[pos]:
+                lower = (degrees[0] - 1, degrees[1]) if pos == 0 else (degrees[0], degrees[1] - 1)
+                out[lower] = out.get(lower, 0) + v * degrees[pos]
+        return Poly(out)
+
+
+def triangle_of(reference):
+    """n! [t^n z^k x^l] of a reference series, as ints keyed (n, k, l)."""
+    cells = {}
+    for n, coefficient in enumerate(reference):
+        for (k, l), v in Poly.of(coefficient).terms.items():
+            scaled_value = v * math.factorial(n)
+            assert scaled_value.denominator == 1, (n, k, l)
+            cells[n, k, l] = int(scaled_value)
+    return cells
 
 
 def plus(a, b):
@@ -109,7 +182,7 @@ def identity(order):
 
 
 def lifted(a):
-    return tuple(MarkerPoly.constant(c) for c in a)
+    return tuple(Poly.constant(c) for c in a)
 
 
 def reference_series(name, order, z=None, x=None):
@@ -137,8 +210,8 @@ def reference_series(name, order, z=None, x=None):
     carried = MARKERS_OF[name]
     if (z is None and "z" in carried) or (x is None and "x" in carried):
         t, s, one, cube = (lifted(series) for series in (t, s, one, cube))
-    z = MarkerPoly.marker("z") if z is None else z
-    x = MarkerPoly.marker("x") if x is None else x
+    z = Poly.marker("z") if z is None else z
+    x = Poly.marker("x") if x is None else x
     if name == "wz":
         return mul(exp(scaled(minus(s, 1), 1 - z)), recip(s))
     if name == "wx":
@@ -149,7 +222,7 @@ def reference_series(name, order, z=None, x=None):
 
 def reference_loop_pde_residual(order):
     w = reference_series("wz", order + 1)
-    z = MarkerPoly.marker("z")
+    z = Poly.marker("z")
     t = lifted(identity(order))
     wt = derivative(w)
     w = w[: order + 1]
@@ -159,8 +232,8 @@ def reference_loop_pde_residual(order):
 
 def reference_full_pde_residual(order):
     w = reference_series("wzx", order + 1)
-    z = MarkerPoly.marker("z")
-    x = MarkerPoly.marker("x")
+    z = Poly.marker("z")
+    x = Poly.marker("x")
     t = lifted(identity(order))
     wt = derivative(w)
     w = w[: order + 1]
@@ -254,33 +327,26 @@ def test_exp_of_zero_is_one():
     assert zero.exp().coeffs == (1, 0, 0, 0, 0, 0, 0)
 
 
-def test_mixed_ring_arithmetic_is_rejected():
-    t = TruncatedSeries(RATIONAL, identity(4))
-    tm = TruncatedSeries(MARKERS, lifted(identity(4)))
-    with pytest.raises(SeriesError):
-        t * tm
+def test_a_scalar_factor_scales_each_coefficient(monkeypatch):
+    series = TruncatedSeries(RATIONAL, (Fraction(2), Fraction(1, 3), Fraction(0)))
+    monkeypatch.setattr(_Egf, "__mul__", lambda *args: pytest.fail("labelled product for a scalar"))
+    assert (series * Fraction(3, 2)).coeffs == (3, Fraction(1, 2), 0)
+    assert (3 * series).coeffs == (series * 3).coeffs == (6, 1, 0)
 
 
 # ---------------------------------------------------------------------------
-# marker polynomials
+# the reference's marker polynomials
 
 
 def test_marker_poly_arithmetic():
-    z = MarkerPoly.marker("z")
-    x = MarkerPoly.marker("x")
+    z = Poly.marker("z")
+    x = Poly.marker("x")
     p = (z + x) * (z - x)
     assert p == z * z - x * x
     assert (z * x).differentiate("z") == x
     assert (z * z).differentiate("z") == 2 * z
-
-
-def test_a_marker_poly_factor_scales_each_coefficient(monkeypatch):
-    z = MarkerPoly.marker("z")
-    two = MarkerPoly.constant(Fraction(2))
-    series = TruncatedSeries(MARKERS, (two, z, z * z + 1))
-    monkeypatch.setattr(_Egf, "__mul__", lambda *args: pytest.fail("labelled product for a scalar"))
-    assert (series * z).coeffs == (two * z, z * z, z * z * z + z)
-    assert (z * series).coeffs == (series * z).coeffs
+    assert 1 - z == -(z - 1) and not z - z
+    assert triangle_of((z + 1, 0, Fraction(1, 2) * x * z)) == {(0, 1, 0): 1, (0, 0, 0): 1, (2, 1, 1): 1}
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +387,7 @@ def test_marker_substitutions():
 
 def test_classifier_starts_from_the_single_loop():
     wzx = named_series("wzx", 3)
-    assert wzx[0] == MarkerPoly.marker("z")
+    assert {key: v for key, v in wzx.cells.items() if key[0] == 0} == {(0, 1, 0): 1}
 
 
 def test_integer_coeffs_rejects_leftover_markers_and_nonintegers():
@@ -343,6 +409,21 @@ def test_all_named_series_extract_nonnegative_integers():
             assert all(v >= 0 for v in integer_coeffs(named_series("wzx", 9, z=z, x=x)))
     for x in (0, 1):
         assert all(v >= 0 for v in integer_coeffs(named_series("wx", 9, x=x)))
+
+
+def test_loopless_and_simple_series_take_one_exponential_and_no_product(monkeypatch):
+    calls = {}
+    for method in ("exp", "__mul__", "__rmul__"):
+
+        def counted(*args, method=method, original=getattr(_Egf, method)):
+            calls[method] += 1
+            return original(*args)
+
+        monkeypatch.setattr(_Egf, method, counted)
+    for name in ("phi", "psi", "W", "U"):
+        calls.update(exp=0, __mul__=0, __rmul__=0)
+        named_series(name, 30)
+        assert calls == {"exp": 1, "__mul__": 0, "__rmul__": 0}, name
 
 
 # ---------------------------------------------------------------------------
@@ -405,22 +486,21 @@ def test_integer_coeffs_match_the_reference_to_order_40(name):
 
 
 def test_marker_triangle_matches_the_reference_to_order_20():
-    reference = reference_series("wzx", 20)
-    expected = marker_triangle(TruncatedSeries(MARKERS, reference))
+    expected = triangle_of(reference_series("wzx", 20))
     for order in range(1, 21):
         series = named_series("wzx", order)
-        assert series.coeffs == reference[: order + 1], order
+        assert series.order == order
         assert marker_triangle(series) == {k: v for k, v in expected.items() if k[0] <= order}, order
 
 
 def test_free_and_partly_assigned_markers_match_the_reference():
     for name in ("wz", "wx"):
-        assert named_series(name, 15).coeffs == reference_series(name, 15)
+        assert marker_triangle(named_series(name, 15)) == triangle_of(reference_series(name, 15))
     for marker in ("z", "x"):
         for value in (0, 1):
             series = named_series("wzx", 10, **{marker: value})
-            assert series.ring is MARKERS
-            assert series.coeffs == reference_series("wzx", 10, **{marker: value})
+            assert isinstance(series, MarkerTriangle)
+            assert series.cells == triangle_of(reference_series("wzx", 10, **{marker: value}))
 
 
 def test_a_marker_the_series_does_not_carry_is_refused():
@@ -436,15 +516,17 @@ def test_a_marker_the_series_does_not_carry_is_refused():
 # free markers: built in ints at a packed point and decoded
 
 
-def test_free_markers_build_without_marker_poly_products(monkeypatch):
+def test_free_markers_build_without_fractions(monkeypatch):
+    # the packed ints are decoded straight into the triangle, and the PDE residuals shift its cells
     cases = [("wzx", 12, {}), ("wz", 12, {}), ("wx", 12, {}), ("wzx", 10, {"z": 0})]
-    expected = [reference_series(name, order, **markers) for name, order, markers in cases]
-    for method in ("__mul__", "__rmul__"):
-        monkeypatch.setattr(MarkerPoly, method, lambda *args: pytest.fail("a MarkerPoly product"))
+    expected = [triangle_of(reference_series(name, order, **markers)) for name, order, markers in cases]
+    monkeypatch.setattr(series_module, "Fraction", lambda *args: pytest.fail("a Fraction was made"))
+    with pytest.raises(pytest.fail.Exception):
+        named_series("phi", 3)  # the patch is seen: a rational series needs its Fractions
     for (name, order, markers), reference in zip(cases, expected):
-        series = named_series(name, order, **markers)
-        assert series.ring is MARKERS
-        assert series.coeffs == reference, (name, markers)
+        assert marker_triangle(named_series(name, order, **markers)) == reference, (name, markers)
+    assert loop_pde_residual(10).is_zero()
+    assert full_pde_residual(10).is_zero()
 
 
 def test_a_slot_too_narrow_for_a_coefficient_is_refused():
