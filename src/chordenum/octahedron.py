@@ -4,6 +4,7 @@ The n-dimensional octahedron (cocktail-party graph) has vertices 1..2n in
 antipodal pairs (2i-1, 2i) and every edge except within pairs.  Drawing a
 Hamiltonian cycle as a circle and joining the antipodal pairs by chords
 yields a loopless chord diagram; the construction inverts exactly.
+The counts read each walk's offset code; only the listing builds diagrams.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 import operator
 
 from ._record import Record
-from .diagram import CIRCULAR, DIHEDRAL, Diagram, canonical_code, classify
+from .diagram import CIRCULAR, DIHEDRAL, Diagram, _least_code, classify
 
 CYCLE_CAP = 6
 # --list holds every cycle: 56,256 at n = 5 in about 50 MB, 6,385,920 at n = 6
@@ -36,23 +37,14 @@ class HamCycle(Record):
 
 def _pairing(cycle: HamCycle) -> tuple[int, ...]:
     """Partner table whose chords join the positions of each antipodal pair."""
-    seq = cycle.vertices
-    m = len(seq)
-    position = [0] * (m + 1)  # vertex -> its index along the cycle
-    for i, v in enumerate(seq):
-        position[v] = i
-    pairing = [0] * m
-    for i in range(1, m, 2):
-        a, b = position[i], position[i + 1]
-        pairing[a], pairing[b] = b, a
-    return tuple(pairing)
+    position = {v: i for i, v in enumerate(cycle.vertices)}
+    return tuple(position[((v - 1) ^ 1) + 1] for v in cycle.vertices)  # the antipode of v
 
 
 def cycle_to_diagram(cycle: HamCycle) -> Diagram:
     """Chords join the positions of each antipodal pair along the cycle."""
     diagram = Diagram(_pairing(cycle), CIRCULAR)
-    loops, _ = classify(diagram)
-    if loops:
+    if classify(diagram)[0]:
         raise AssertionError("antipodal vertices were adjacent on the cycle")
     return diagram
 
@@ -66,60 +58,69 @@ def diagram_to_cycle(diagram: Diagram) -> tuple[HamCycle, dict[int, int]]:
     """
     if diagram.topology != CIRCULAR:
         raise ValueError("only circular diagrams correspond to cycles")
-    loops, _ = classify(diagram)
-    if loops:
+    if classify(diagram)[0]:
         raise ValueError("diagrams with loops have no corresponding cycle")
     labels = {}
     for j, (a, b) in enumerate(diagram.chords(), start=1):
-        labels[a] = 2 * j - 1
-        labels[b] = 2 * j
+        labels[a], labels[b] = 2 * j - 1, 2 * j
     seq = tuple(labels[i] for i in range(1, diagram.point_count + 1))
     return HamCycle.canonical(seq), labels
 
 
-def _canonical_walks(n: int):
-    """Yield the canonical walk of each orbit, as a cycle (see ``count_cycles``).
+def _canonical_walks(n: int) -> list[tuple[HamCycle, bytes]]:
+    """The canonical walk of each orbit, as a cycle with its offset code (see ``count_cycles``).
 
     Pair 1 is open from the start.  Each step either enters the next
     unentered pair at its odd vertex or closes an open pair other than the
     current vertex's at its even vertex, so no step joins antipodes.  The
     second vertex is 3 and the last is an even vertex of at least 4, so
     each walk is already in the form ``HamCycle.canonical`` gives it.
+    The pair entered at position a and closed at i is the chord (a, i): it
+    writes i - a at a and m - (i - a) at i of ``offset_code(_pairing(walk))``.
     """
     m = 2 * n
     path = [1]
-    closed = [False] * (n + 1)
+    entry = [0] * (n + 1)  # pair -> the position of its odd vertex while it is open, else -1
+    code = bytearray(m)
+    walks = []
 
     def extend(entered):
-        if len(path) == m:
+        i = len(path)
+        if i == m:
             if path[-1] != 2:  # the last vertex must be adjacent to vertex 1
-                yield HamCycle(tuple(path))
+                walks.append((HamCycle(tuple(path)), bytes(code)))
             return
         if entered < n:
+            entry[entered + 1] = i
             path.append(2 * entered + 1)
-            yield from extend(entered + 1)
+            extend(entered + 1)
             path.pop()
         current = (path[-1] + 1) // 2
         for pair in range(1, entered + 1):
-            if pair != current and not closed[pair]:
-                closed[pair] = True
+            a = entry[pair]
+            if pair != current and a >= 0:
+                entry[pair] = -1
+                code[a], code[i] = i - a, m - i + a
                 path.append(2 * pair)
-                yield from extend(entered)
+                extend(entered)
                 path.pop()
-                closed[pair] = False
+                entry[pair] = a
 
-    yield from extend(1)
+    extend(1)
+    return walks
 
 
-def _census(n: int) -> tuple[int, int, list[tuple[HamCycle, Diagram]]]:
-    """(labelled count, orbit count, each canonical walk with its diagram)."""
+def _tally(n: int) -> tuple[int, int, list[tuple[HamCycle, bytes]]]:
+    """(labelled count, orbit count, the canonical walks with their codes), read from the codes."""
     if n > CYCLE_CAP:
         raise ValueError(f"n={n} exceeds the cycle enumeration cap {CYCLE_CAP}")
     if n < 1:
         raise ValueError(f"dimension must be positive, got {n}")
-    walks = [(cycle, cycle_to_diagram(cycle)) for cycle in _canonical_walks(n)]
-    labelled = len(walks) * 2 ** (n - 1) * math.factorial(n - 1) // 2
-    return labelled, len({canonical_code(diagram, DIHEDRAL) for _, diagram in walks}), walks
+    walks = _canonical_walks(n)
+    if any(1 in code for _, code in walks):  # a chord on neighbouring positions, the wrap included
+        raise AssertionError("antipodal vertices were adjacent on the cycle")
+    orbits = len({_least_code(code, DIHEDRAL) for _, code in walks})
+    return len(walks) * 2 ** (n - 1) * math.factorial(n - 1) // 2, orbits, walks
 
 
 def count_cycles(n: int) -> tuple[int, int]:
@@ -140,10 +141,10 @@ def count_cycles(n: int) -> tuple[int, int]:
     Read as positions, a walk is the loopless diagram it draws, labelled as
     ``diagram_to_cycle`` labels it; so the walks are the labelled loopless
     diagrams, and two cycles are isomorphic exactly when their diagrams
-    share a dihedral canonical code.
+    share a dihedral canonical code.  No diagram is built: an entry 1 in a
+    walk's offset code would be a loop, and the orbits are its least codes.
     """
-    labelled, orbits, _ = _census(n)
-    return labelled, orbits
+    return _tally(n)[:2]
 
 
 def list_cycles(n: int) -> tuple[int, int, list[tuple[HamCycle, Diagram]]]:
@@ -160,20 +161,19 @@ def list_cycles(n: int) -> tuple[int, int, list[tuple[HamCycle, Diagram]]]:
     gives the search order.  A relabelling moves no position, so each
     image draws its walk's diagram, which is built once per walk.
     """
-    if LIST_CAP < n <= CYCLE_CAP:  # above CYCLE_CAP, _census gives its own refusal
+    if LIST_CAP < n <= CYCLE_CAP:  # above CYCLE_CAP, _tally gives its own refusal
         raise ValueError(f"n={n} exceeds the cycle listing cap {LIST_CAP}; the counts alone go to {CYCLE_CAP}")
-    labelled, orbits, walks = _census(n)
+    labelled, orbits, walks = _tally(n)
     relabellings = [  # each relabelling as a table vertex -> image
         [0, 1, 2] + [v for pair, swap in zip(order, swaps) for v in (2 * pair - 1 + swap, 2 * pair - swap)]
         for order in itertools.permutations(range(2, n + 1))
         for swaps in itertools.product((0, 1), repeat=n - 1)
     ]
     images = []
-    for walk, diagram in walks:
+    for walk, _ in walks:
+        diagram = cycle_to_diagram(walk)
         second, last = walk.vertices[1], walk.vertices[-1]
         relabel = operator.itemgetter(*walk.vertices)  # a walk has at least four vertices
-        for image in relabellings:
-            if image[second] < image[last]:
-                images.append((relabel(image), diagram))
+        images += [(relabel(image), diagram) for image in relabellings if image[second] < image[last]]
     images.sort(key=operator.itemgetter(0))
     return labelled, orbits, [(HamCycle(seq), diagram) for seq, diagram in images]

@@ -1,6 +1,6 @@
 import pytest
 
-from chordenum import oracle, reflection, symmetry
+from chordenum import octahedron, oracle, reflection, symmetry
 
 SWEEP_MAX = 6
 
@@ -20,3 +20,17 @@ def fresh_chains():
 def sweeps():
     """Oracle full sweeps for n = 1..6, shared across the whole run."""
     return {n: oracle.full_sweep(n) for n in range(1, SWEEP_MAX + 1)}
+
+
+@pytest.fixture
+def loop_in_a_walk(monkeypatch):
+    """Give the octahedron kernel's first walk a code with an entry 1: a chord on neighbouring positions."""
+    walks = octahedron._canonical_walks
+
+    def looped(n):
+        found = walks(n)
+        walk, code = found[0]
+        found[0] = walk, b"\x01" + code[1:]
+        return found
+
+    monkeypatch.setattr(octahedron, "_canonical_walks", looped)

@@ -590,8 +590,7 @@ def test_a_failed_burnside_identity_exits_3(monkeypatch, capsys):
     assert captured.err == "internal error: Burnside identity fails for n=1 dihedral all: 1 * 4 != 3\n"
 
 
-def test_a_loop_on_a_cycle_diagram_exits_3(monkeypatch, capsys):
-    monkeypatch.setattr(octahedron, "classify", lambda diagram: (1, 0))
+def test_a_loop_on_a_cycle_diagram_exits_3(loop_in_a_walk, capsys):
     code = main(["octahedron", "--n", "3"])
     captured = capsys.readouterr()
     assert code == 3

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from chordenum.diagram import DIHEDRAL, Diagram, canonical_code, classify, enumerate_matchings
+from chordenum.diagram import DIHEDRAL, Diagram, canonical_code, classify, enumerate_matchings, offset_code
 from chordenum.labelled import loopless_chord, loopless_linear
 from chordenum.octahedron import (
     HamCycle,
@@ -161,7 +161,7 @@ def test_count_cycles_at_the_cap():
 
 def test_walks_are_the_labelled_loopless_diagrams():
     for n in range(1, 6):
-        tables = [_pairing(walk) for walk in _canonical_walks(n)]
+        tables = [_pairing(walk) for walk, _ in _canonical_walks(n)]
         assert len(set(tables)) == len(tables)
         loopless = {d.pairing for d in enumerate_matchings(n) if classify(d)[0] == 0}
         assert set(tables) == loopless
@@ -170,7 +170,7 @@ def test_walks_are_the_labelled_loopless_diagrams():
 
 def test_each_walk_enters_pairs_in_order_at_their_odd_vertex():
     for n in range(1, 6):
-        for walk in _canonical_walks(n):
+        for walk, _ in _canonical_walks(n):
             seq = walk.vertices
             assert sorted(seq) == list(range(1, 2 * n + 1))
             assert all(adjacent(u, v) for u, v in zip(seq, seq[1:] + seq[:1]))
@@ -190,9 +190,29 @@ def test_count_cycles_equals_the_full_search_tally():
             if pairing not in diagrams:
                 diagrams[pairing] = cycle_to_diagram(cycle)
         codes = {canonical_code(diagram, DIHEDRAL) for diagram in diagrams.values()}
-        walk_codes = {canonical_code(cycle_to_diagram(walk), DIHEDRAL) for walk in _canonical_walks(n)}
+        walk_codes = {canonical_code(cycle_to_diagram(walk), DIHEDRAL) for walk, _ in _canonical_walks(n)}
         assert walk_codes == codes
         assert count_cycles(n) == (labelled, len(codes))
+
+
+def test_each_walk_carries_the_offset_code_of_its_diagram():
+    for n in range(1, 7):
+        walks = _canonical_walks(n)
+        assert [code for _, code in walks] == [bytes(offset_code(_pairing(walk))) for walk, _ in walks]
+
+
+def test_orbit_count_is_the_number_of_dihedral_codes_of_the_walks():
+    # up to the cap, where the full-search tally above is out of reach
+    for n in range(1, 7):
+        codes = {canonical_code(cycle_to_diagram(walk), DIHEDRAL) for walk, _ in _canonical_walks(n)}
+        assert count_cycles(n)[1] == len(codes)
+
+
+def test_a_code_with_a_loop_is_refused(loop_in_a_walk):
+    for run in (count_cycles, list_cycles):
+        with pytest.raises(AssertionError) as refused:
+            run(3)
+        assert refused.value.args == ("antipodal vertices were adjacent on the cycle",)
 
 
 def held_karp(n, starts):
