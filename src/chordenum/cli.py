@@ -15,27 +15,10 @@ import os
 import stat
 import sys
 
-from . import labelled, octahedron, oracle, reflection, symmetry, verify
+from . import labelled, octahedron, oracle, symmetry, verify
 from .diagram import format_diagram
 from .labelled import double_factorial
 from .series import MARKERS_OF, SERIES_NAMES, SeriesError, integer_coeffs, named_series
-
-# family -> (builder to n_max, index offset): the builder's table holds the
-# count for n chords at entry n - offset.  Each builder looks its function up
-# on the module at call time, so a wrapper installed there (perfbench's
-# tracer) sees the call.
-SEQ_BUILDERS = {
-    "loopless-linear": (lambda n_max: labelled.loopless_linear(n_max), 0),
-    "loopless-chord": (lambda n_max: labelled.loopless_chord(n_max), 0),
-    "loopless-cyclic": (lambda n_max: symmetry.loopless_cyclic(n_max), 0),
-    "loopless-dihedral": (lambda n_max: reflection.loopless_dihedral(n_max), 0),
-    "simple-linear": (lambda n_max: labelled.simple_linear(n_max), 1),
-    "simple-chord": (lambda n_max: labelled.simple_chord(n_max), 0),
-    "simple-cyclic": (lambda n_max: symmetry.simple_cyclic(n_max), 0),
-    "simple-dihedral": (lambda n_max: reflection.simple_dihedral(n_max), 0),
-    "all": (lambda n_max: [double_factorial(2 * n - 1) for n in range(n_max + 1)], 0),
-}
-SEQ_FAMILIES = tuple(SEQ_BUILDERS)
 
 # name -> (builder to n_max, chord offset, key names): row n holds diagrams
 # with n + offset chords, keyed by the named statistics.
@@ -45,15 +28,6 @@ TRIANGLES = {
     "ahat_nl": (lambda n_max: labelled.parallel_triangle(n_max), 1, ("l",)),
 }
 TRIANGLE_NAMES = tuple(TRIANGLES)
-
-
-def family_values(family: str, n_max: int) -> list[int]:
-    """Values for chord counts 1..n_max."""
-    if family not in SEQ_BUILDERS:
-        raise ValueError(f"unknown family {family!r}")
-    build, offset = SEQ_BUILDERS[family]
-    table = build(n_max)
-    return [table[n - offset] for n in range(1, n_max + 1)]
 
 
 def render_sequence(family: str, values: list[int], fmt: str) -> str:
@@ -127,7 +101,7 @@ def _umask() -> int:
 def cmd_seq(args) -> int:
     if args.max < 1:
         raise ValueError("--max must be at least 1")
-    values = family_values(args.family, args.max)
+    values = verify.family_values(args.family, args.max)
     _emit(render_sequence(args.family, values, args.format), args.out)
     return 0
 
@@ -205,7 +179,7 @@ def cmd_verify(args) -> int:
     if args.max < 0:
         raise ValueError("--max must be at least 0")
     depth = 0 if args.tables else args.max
-    text, ok = verify.report(family_values, depth, args.oracle_cap, args.bfile, args.bfile_family)
+    text, ok = verify.report(depth, args.oracle_cap, args.bfile, args.bfile_family)
     _emit(text, args.out)
     return 0 if ok else 1
 
@@ -223,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("seq", help="emit a counting sequence for chord counts 1..N")
-    p.add_argument("family", choices=SEQ_FAMILIES)
+    p.add_argument("family", choices=tuple(verify.FAMILIES))
     p.add_argument("--max", type=int, default=20, metavar="N")
     p.add_argument("--format", choices=("table", "csv", "json", "bfile"), default="table")
     p.add_argument("--out", metavar="PATH")

@@ -159,19 +159,21 @@ def list_cycles(n: int) -> tuple[int, int, list[tuple[HamCycle, Diagram]]]:
     from vertex 1 over ascending neighbours, depth first, would yield the
     cycles in lexicographic order of their vertices, so sorting the images
     gives the search order.  A relabelling moves no position, so each
-    image draws its walk's diagram, which is built once per walk.
+    image draws its walk's diagram, read once per walk off its offset code:
+    the partner of position i is i + o[i] mod m.
     """
     if LIST_CAP < n <= CYCLE_CAP:  # above CYCLE_CAP, _tally gives its own refusal
         raise ValueError(f"n={n} exceeds the cycle listing cap {LIST_CAP}; the counts alone go to {CYCLE_CAP}")
     labelled, orbits, walks = _tally(n)
+    m = 2 * n
     relabellings = [  # each relabelling as a table vertex -> image
         [0, 1, 2] + [v for pair, swap in zip(order, swaps) for v in (2 * pair - 1 + swap, 2 * pair - swap)]
         for order in itertools.permutations(range(2, n + 1))
         for swaps in itertools.product((0, 1), repeat=n - 1)
     ]
     images = []
-    for walk, _ in walks:
-        diagram = cycle_to_diagram(walk)
+    for walk, code in walks:
+        diagram = Diagram(tuple((i + o) % m for i, o in enumerate(code)), CIRCULAR)
         second, last = walk.vertices[1], walk.vertices[-1]
         relabel = operator.itemgetter(*walk.vertices)  # a walk has at least four vertices
         images += [(relabel(image), diagram) for image in relabellings if image[second] < image[last]]

@@ -32,13 +32,6 @@ class SeriesError(ValueError):
     pass
 
 
-class _RationalRing:
-    """The coefficient ring of every ``TruncatedSeries``: ``Fraction``s."""
-
-
-RATIONAL = _RationalRing()
-
-
 # ---------------------------------------------------------------------------
 # The EGF kernel: labelled-product arithmetic on scaled coefficients
 # (Flajolet & Sedgewick, Analytic Combinatorics, ch. II)
@@ -92,13 +85,12 @@ class _Egf(tuple):
 
     def series(self) -> "TruncatedSeries":
         """The ordinary coefficients a_n / n!."""
-        return TruncatedSeries(RATIONAL, tuple(Fraction(a, factorial(n)) for n, a in enumerate(self)))
+        return TruncatedSeries(tuple(Fraction(a, factorial(n)) for n, a in enumerate(self)))
 
 
 class TruncatedSeries(Record):
     """Coefficients of a formal power series in t, exact modulo t^(order+1)."""
 
-    ring: object
     coeffs: tuple
 
     @property
@@ -118,7 +110,7 @@ class TruncatedSeries(Record):
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
-            return TruncatedSeries(self.ring, tuple(c * other for c in self.coeffs))
+            return TruncatedSeries(tuple(c * other for c in self.coeffs))
         return (self._scaled() * other._scaled()).series()
 
     __rmul__ = __mul__

@@ -1,15 +1,16 @@
 """The verify report: recurrences against the oracle, the golden tables, b-files.
 
 Every check is one ``CHECK name n=N expected=E got=G OK|FAIL`` line.  The
-recurrence tables are built before the sweeps: each family from its own
-builder to max(N, 20), then the axes and the per-n rotation-fixed counts to
-N.  The rotation chains and the simple axes are kept per process, so each
-chain and the mirror tables are built once (to max(N, 20)), and the later
-requests read their prefixes; each family's rotation sum, a sum over the
-kept chains, still runs twice (its cyclic builder, and its dihedral builder
-through the cyclic counts).  ``loopless_axes`` reads the loopless 2-sector
-column directly, so that N-entry column is built again for each axes call.
-The classified triangle is built once.
+recurrence tables are built before the sweeps: each family from its row of
+``FAMILIES``, the one family table (``seq`` reads it too), to max(N, 20),
+then the axes and the per-n rotation-fixed counts to N.  The rotation
+chains and the simple axes are kept per process, so each chain and the
+mirror tables are built once (to max(N, 20)), and the later requests read
+their prefixes; each family's rotation sum, a sum over the kept chains,
+still runs twice (its cyclic builder, and its dihedral builder through the
+cyclic counts).  ``loopless_axes`` reads the loopless 2-sector column
+directly, so that N-entry column is built again for each axes call.  The
+classified triangle is built once.
 """
 
 from __future__ import annotations
@@ -20,13 +21,36 @@ from . import golden, labelled, oracle, reflection, symmetry
 from .diagram import CIRCULAR, CYCLIC, DIHEDRAL, LINEAR
 
 GOLDEN_MAX = 20
-# golden.COLUMNS in order, as the family suffix of each column
-GOLDEN_VIEWS = ("linear", "chord", "cyclic", "dihedral")
-GOLDEN_TABLES = (("loopless", golden.LOOPLESS_TABLE), ("simple", golden.SIMPLE_TABLE))
-FAMILIES = tuple(f"{label}-{view}" for label, _ in GOLDEN_TABLES for view in GOLDEN_VIEWS) + ("all",)
+GOLDEN_TABLES = {"loopless": golden.LOOPLESS_TABLE, "simple": golden.SIMPLE_TABLE}
+
+# family -> (builder to n_max, index offset, golden column or None): the
+# builder's table holds the count for n chords at entry n - offset, and the
+# column indexes golden.COLUMNS in the table named by the family's prefix.
+# Each builder looks its function up on the module at call time, so a
+# wrapper installed there (perfbench's tracer) sees the call.
+FAMILIES = {
+    "loopless-linear": (lambda n_max: labelled.loopless_linear(n_max), 0, 0),
+    "loopless-chord": (lambda n_max: labelled.loopless_chord(n_max), 0, 1),
+    "loopless-cyclic": (lambda n_max: symmetry.loopless_cyclic(n_max), 0, 2),
+    "loopless-dihedral": (lambda n_max: reflection.loopless_dihedral(n_max), 0, 3),
+    "simple-linear": (lambda n_max: labelled.simple_linear(n_max), 1, 0),
+    "simple-chord": (lambda n_max: labelled.simple_chord(n_max), 0, 1),
+    "simple-cyclic": (lambda n_max: symmetry.simple_cyclic(n_max), 0, 2),
+    "simple-dihedral": (lambda n_max: reflection.simple_dihedral(n_max), 0, 3),
+    "all": (lambda n_max: [labelled.double_factorial(2 * n - 1) for n in range(n_max + 1)], 0, None),
+}
 
 BFILE_FAMILIES = {"003436": "loopless-chord", "003437": "loopless-dihedral"}
 BFILE_COMPARE_LIMIT = 1000
+
+
+def family_values(family: str, n_max: int) -> list[int]:
+    """Values for chord counts 1..n_max."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    build, offset, _ = FAMILIES[family]
+    table = build(n_max)
+    return [table[n - offset] for n in range(1, n_max + 1)]
 
 
 def check_line(name: str, n: int, expected, got) -> tuple[str, bool]:
@@ -44,11 +68,8 @@ def _rotation_fixed(n: int) -> dict[str, int]:
     return {f"{f}-d{d}": fixed[f][d] for d in sorted(fixed["loopless"]) for f in fixed}
 
 
-def build_recurrences(family_values, depth: int) -> dict[str, list]:
-    """Every count the checks read: name -> values for n = 1, 2, ...
-
-    ``family_values(family, n_max)`` gives a family's counts for n = 1..n_max.
-    """
+def build_recurrences(depth: int) -> dict[str, list]:
+    """Every count the checks read: name -> values for n = 1, 2, ..."""
     tables = {family: family_values(family, max(depth, GOLDEN_MAX)) for family in FAMILIES}
     tables["rotation-fixed"] = [_rotation_fixed(n) for n in range(1, depth + 1)]
     triangle = labelled.loop_parallel_triangle(max(depth - 1, 0))
@@ -104,11 +125,13 @@ def sweep_checks(recurrences: dict, sweep: oracle.SweepResult) -> list[tuple]:
 def table_checks(recurrences: dict) -> list[tuple]:
     """(name, n, expected, got) per golden column: its first mismatch, else row GOLDEN_MAX."""
     entries = []
-    for label, reference in GOLDEN_TABLES:
-        for col, (col_name, view) in enumerate(zip(golden.COLUMNS, GOLDEN_VIEWS)):
-            ours = recurrences[f"{label}-{view}"]
-            n = next((n for n in range(1, GOLDEN_MAX + 1) if ours[n - 1] != reference[n][col]), GOLDEN_MAX)
-            entries.append((f"golden-{label}-{col_name}", n, reference[n][col], ours[n - 1]))
+    for family, (_, _, col) in FAMILIES.items():
+        if col is None:
+            continue
+        label = family.split("-")[0]
+        reference, ours = GOLDEN_TABLES[label], recurrences[family]
+        n = next((n for n in range(1, GOLDEN_MAX + 1) if ours[n - 1] != reference[n][col]), GOLDEN_MAX)
+        entries.append((f"golden-{label}-{golden.COLUMNS[col]}", n, reference[n][col], ours[n - 1]))
     return entries
 
 
@@ -127,7 +150,7 @@ def parse_bfile(path: str) -> dict[int, int]:
     return values
 
 
-def bfile_check(path: str, family: str | None, family_values) -> tuple:
+def bfile_check(path: str, family: str | None) -> tuple:
     """(name, n, expected, got) at the b-file's first mismatch, else at its last index."""
     named = [fam for digits, fam in BFILE_FAMILIES.items() if digits in os.path.basename(path)]
     family = family or (named[0] if len(named) == 1 else None)
@@ -145,7 +168,7 @@ def bfile_check(path: str, family: str | None, family_values) -> tuple:
     return (f"bfile-{family}", i, reference[i], ours[i - 1])
 
 
-def report(family_values, depth: int, cap: int, bfile=None, bfile_family=None) -> tuple[str, bool]:
+def report(depth: int, cap: int, bfile=None, bfile_family=None) -> tuple[str, bool]:
     """The report text and whether every check passed.
 
     Sweeps n = 1..depth, then the golden tables, then the b-file if given.
@@ -155,8 +178,8 @@ def report(family_values, depth: int, cap: int, bfile=None, bfile_family=None) -
     oracle.check_cap(depth, cap)
     if bfile_family and not bfile:
         raise ValueError("--bfile-family needs --bfile")
-    bfile_entry = bfile_check(bfile, bfile_family, family_values) if bfile else None
-    recurrences = build_recurrences(family_values, depth)
+    bfile_entry = bfile_check(bfile, bfile_family) if bfile else None
+    recurrences = build_recurrences(depth)
     entries = []
     for n in range(1, depth + 1):
         sweep = oracle.full_sweep(n, cap=cap)

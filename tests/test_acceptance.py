@@ -10,7 +10,7 @@ import math
 import os
 import time
 
-from chordenum.cli import family_values, main
+from chordenum.cli import main
 from chordenum.diagram import CYCLIC, DIHEDRAL
 from chordenum.golden import LOOPLESS_TABLE, SIMPLE_TABLE
 from chordenum.labelled import (
@@ -79,7 +79,7 @@ def test_criterion_3_oracle_equivalence(sweeps):
     # enumerates independently of the recurrences)
     start = time.perf_counter()
     checked = 0
-    recurrences = build_recurrences(family_values, 7 if EXTENDED else 6)
+    recurrences = build_recurrences(7 if EXTENDED else 6)
     for n in range(1, 7):
         for name, expected, got in sweep_checks(recurrences, sweeps[n]):
             assert expected == got, f"{name} at n={n}: {expected} != {got}"

@@ -8,12 +8,12 @@ import sys
 
 import pytest
 
-from chordenum import cli, labelled, octahedron, oracle, reflection, symmetry
-from chordenum.cli import family_values, main, render_sequence
+from chordenum import cli, labelled, octahedron, oracle, reflection, symmetry, verify
+from chordenum.cli import main, render_sequence
 from chordenum.diagram import vertex_reflection
 from chordenum.golden import LOOPLESS_TABLE, SIMPLE_TABLE
 from chordenum.symmetry import RecurrenceValidationError
-from chordenum.verify import parse_bfile
+from chordenum.verify import family_values, parse_bfile
 
 
 def run(capsys, *argv):
@@ -69,6 +69,26 @@ def test_unknown_family_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["seq", "nonsense", "--max", "3"])
     assert exc.value.code == 2
+
+
+def test_seq_and_verify_offer_the_family_table():
+    (commands,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    (family,) = [a for a in commands.choices["seq"]._actions if a.dest == "family"]
+    assert family.choices == (
+        "loopless-linear",
+        "loopless-chord",
+        "loopless-cyclic",
+        "loopless-dihedral",
+        "simple-linear",
+        "simple-chord",
+        "simple-cyclic",
+        "simple-dihedral",
+        "all",
+    )
+    (bfile_family,) = [a for a in commands.choices["verify"]._actions if a.dest == "bfile_family"]
+    assert bfile_family.choices and set(bfile_family.choices) <= set(verify.FAMILIES)
+    with pytest.raises(ValueError, match="'no-such-family'"):
+        verify.family_values("no-such-family", 3)
 
 
 def test_json_round_trip_preserves_24_digit_values(capsys):
@@ -215,8 +235,8 @@ def test_octahedron_list_counts_and_lists_in_one_search(monkeypatch, capsys):
     assert out.splitlines()[:2] == ["labelled 744", "orbits 7"]
     assert len(out.splitlines()) == 2 + 744
     assert calls["_canonical_walks"] == [4]
-    # one diagram per walk: the 31 loopless diagrams on 8 points
-    assert calls["cycle_to_diagram"] == 31
+    # each walk's diagram is read off its offset code, not rebuilt from the cycle
+    assert calls["cycle_to_diagram"] == 0
 
 
 def test_octahedron_at_the_cap(capsys):

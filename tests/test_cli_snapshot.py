@@ -13,7 +13,8 @@ from collections import Counter
 
 import pytest
 
-from chordenum.cli import SEQ_FAMILIES, TRIANGLE_NAMES, main
+from chordenum import verify
+from chordenum.cli import TRIANGLE_NAMES, main
 from chordenum.series import MARKER_SERIES, SERIES_NAMES
 
 SNAPSHOT = {
@@ -81,7 +82,7 @@ CHECKED = {**SNAPSHOT, **EXTENDED_SNAPSHOT} if os.environ.get("CHORDENUM_ACCEPT_
 
 def test_snapshot_covers_every_family_triangle_and_series():
     names = {tuple(command.split()[:2]) for command in SNAPSHOT}
-    assert {("seq", family) for family in SEQ_FAMILIES} <= names
+    assert {("seq", family) for family in verify.FAMILIES} <= names
     assert {("triangle", name) for name in TRIANGLE_NAMES} <= names
     assert {("series", name) for name in SERIES_NAMES} <= names
     assignments = Counter(command.split()[1] for command in SNAPSHOT if command.startswith("series "))

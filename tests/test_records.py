@@ -14,7 +14,7 @@ from chordenum.labelled import SequenceTable, SimpleChain, TriangleTable
 from chordenum.octahedron import HamCycle
 from chordenum.oracle import SweepResult
 from chordenum.reflection import MirrorTables
-from chordenum.series import RATIONAL, MarkerTriangle, TruncatedSeries
+from chordenum.series import MarkerTriangle, TruncatedSeries
 from chordenum.symmetry import SectorColumn
 
 SEQ = SequenceTable((0, 1, 3))
@@ -46,9 +46,9 @@ CASES = {
         "MirrorTables(rows=[[1], [0, 1]], end_chord_rows=[[0], [0, 1]])",
     ),
     TruncatedSeries: (
-        {"ring": RATIONAL, "coeffs": (Fraction(1), Fraction(3, 2))},
-        TruncatedSeries(RATIONAL, (Fraction(1),)),
-        f"TruncatedSeries(ring={RATIONAL!r}, coeffs=(Fraction(1, 1), Fraction(3, 2)))",
+        {"coeffs": (Fraction(1), Fraction(3, 2))},
+        TruncatedSeries((Fraction(1),)),
+        "TruncatedSeries(coeffs=(Fraction(1, 1), Fraction(3, 2)))",
     ),
     MarkerTriangle: (
         {"order": 1, "cells": {(0, 1, 0): 1}},

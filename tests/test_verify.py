@@ -1,7 +1,7 @@
 import pytest
 
 from chordenum import labelled, oracle, reflection, verify
-from chordenum.cli import family_values, main
+from chordenum.cli import main
 from chordenum.oracle import OracleCapError
 from chordenum.verify import check_line
 
@@ -36,4 +36,4 @@ def test_report_refuses_a_depth_over_the_cap_before_building_anything(monkeypatc
     monkeypatch.setattr(verify, "build_recurrences", lambda *args: pytest.fail("built the recurrences"))
     monkeypatch.setattr(oracle, "full_sweep", lambda *args, **kwargs: pytest.fail("ran a sweep"))
     with pytest.raises(OracleCapError):
-        verify.report(family_values, 4, 2)
+        verify.report(4, 2)
