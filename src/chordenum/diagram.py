@@ -53,23 +53,17 @@ def parse_topology(text: str):
 
 def gap_flags(point_count: int, topology) -> tuple[bool, ...]:
     """Whether points i and i+1 (cyclically, 0-based) are neighbours."""
-    flags = [True] * point_count
-    if point_count == 0:
-        return ()
     if topology == CIRCULAR:
-        pass
-    elif topology == LINEAR:
-        flags[point_count - 1] = False
-    else:
-        kind, d = topology
-        if kind != "sectored":
-            raise ValueError(f"unknown topology {topology!r}")
-        if point_count % d != 0:
-            raise ValueError(f"{d} sectors do not divide {point_count} points")
-        m = point_count // d
-        for j in range(1, d + 1):
-            flags[j * m - 1] = False
-    return tuple(flags)
+        return (True,) * point_count
+    if topology == LINEAR:
+        topology = sectored(1)
+    if type(topology) is not tuple or len(topology) != 2 or topology[0] != "sectored":
+        raise ValueError(f"unknown topology {topology!r}")
+    d = topology[1]
+    if d < 1 or point_count % d != 0:
+        raise ValueError(f"{d} sectors do not divide {point_count} points")
+    m = point_count // d
+    return tuple(i % m != m - 1 for i in range(point_count))
 
 
 class Diagram(Record):
@@ -86,7 +80,7 @@ class Diagram(Record):
         for i, j in enumerate(p):
             if not 0 <= j < m or j == i or p[j] != i:
                 raise ValueError("pairing is not a fixed-point-free involution")
-        gap_flags(m, self.topology)  # validates sector divisibility
+        gap_flags(m, self.topology)  # validates the topology and sector divisibility
 
     @property
     def point_count(self) -> int:

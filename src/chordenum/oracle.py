@@ -6,16 +6,17 @@ orbit, its least rotation, and weights it by its period, the orbit size.
 A leaf is tested against the rotations that start at the points whose
 offset equals its least entry, which the pass tracks as it places chords.
 The pass counts loops and parallel pairs on the circle as each chord is
-placed, tallies them into the circular table, and keeps each cyclic
-orbit's least offset code (as bytes) with its circular class; the line's
-table comes afterwards from the circular keys, by which share of each
-key's matchings a cut at one gap passes through a loop or a parallel pair.
-It gives the tables ``classify_pairing`` and the codes
+placed and keeps only tallies keyed by that circular class: the
+matchings, the cyclic orbits, and the achiral ones, those whose mirror
+image, ``diagram._mirrored`` of the leaf's offset code, is one of their
+rotations.  No orbit is held after its leaf.  The line's table comes
+afterwards from the circular keys, by which share of each key's
+matchings a cut at one gap passes through a loop or a parallel pair.
+It gives the tables ``classify_pairing`` and the orbits
 ``canonical_pairing_code`` would give over every matching, and those two
 stay the definitions.
-The dihedral table comes from the cyclic codes without rebuilding a
-matching: an orbit is achiral when its mirror image, ``diagram._mirrored``,
-is one of its rotations, and per circular class the dihedral orbits are
+The dihedral table comes from the two orbit tallies without rebuilding a
+matching: per circular class the dihedral orbits are
 (cyclic + achiral) / 2.  The fixed counts come from a second
 enumeration: the invariant matchings of one representative per conjugacy
 class (one rotation per order d | 2n, one axis through opposite points,
@@ -111,7 +112,7 @@ class SweepResult(Record):
 
 
 def _place_chords(m: int):
-    """Circular and linear tables of every matching on m points, and its cyclic orbits.
+    """Circular, linear, cyclic and achiral tables of the matchings on m points.
 
     ``o`` is the offset code, ``o[i] = (partner of i - i) mod m``, and
     ``d = o[0]``.  A least rotation starts at its least entry, so the pass
@@ -130,9 +131,10 @@ def _place_chords(m: int):
     d at d when d = m/2 (the all-diameter matching, whose code is
     constant).  A leaf is its own least rotation when no rotation at the
     last chord's start or at a point of ``starts`` is less than it.  Such a
-    leaf stands for its orbit: it stores the code with its circular key,
-    and the orbit's q matchings, q the code's period, are tallied in one
-    step.  Every matching is a rotation of exactly one such leaf.
+    leaf stands for its orbit.  Under its circular key it adds one cyclic
+    orbit, one achiral orbit when ``_mirrored(code)`` is a rotation of the
+    code, and the orbit's q matchings, q the code's period, in one step.
+    Every matching is a rotation of exactly one such leaf.
 
     Loops and parallel pairs are counted on the circle as each chord is
     placed.  Chord (a, b) is a loop when b = a + 1; the loop (0, m - 1)
@@ -145,8 +147,8 @@ def _place_chords(m: int):
     """
     if m <= 2:
         key = (m // 2, 0)
-        return {key: 1}, {key: 1}, {bytes([1] * m): key}
-    circular, cyclic = {}, {}  # cyclic: least rotation -> circular key
+        return {key: 1}, {key: 1}, {key: 1}, {key: 1}
+    circular, cyclic, achiral = {}, {}, {}
     last = m - 1
     p = [-1] * m
     o = bytearray(m)
@@ -171,7 +173,9 @@ def _place_chords(m: int):
                     if doubled[i:i + m] < code:
                         return
                 key = (lo, pa)
-                cyclic[code] = key
+                cyclic[key] = cyclic.get(key, 0) + 1
+                if _mirrored(code) in doubled:
+                    achiral[key] = achiral.get(key, 0) + 1
                 # the period, which is the orbit size
                 circular[key] = circular.get(key, 0) + doubled.find(code, 1)
                 return
@@ -197,7 +201,7 @@ def _place_chords(m: int):
         place(2 if d == 1 else 1, m // 2 - 1, int(d == 1), 0)
         starts.clear()
         p[d] = -1
-    return circular, _line_table(circular, m), cyclic
+    return circular, _line_table(circular, m), cyclic, achiral
 
 
 def _line_table(circular: dict, m: int) -> dict:
@@ -239,16 +243,16 @@ def full_sweep(n: int, cap: int = DEFAULT_CAP) -> SweepResult:
     circ_flags = gap_flags(m, CIRCULAR)
     classes = _classes(n)
 
-    circular, linear, cyclic = _place_chords(m)
-    tables = {CIRCULAR: circular, LINEAR: linear, CYCLIC: Counter(cyclic.values())}
+    circular, linear, cyclic, achiral = _place_chords(m)
+    tables = {CIRCULAR: circular, LINEAR: linear, CYCLIC: cyclic}
     # a dihedral orbit is one achiral cyclic orbit or two mirror-image ones
-    achiral = Counter(key for c, key in cyclic.items() if _mirrored(c) in c + c)
-    dihedral = tables[DIHEDRAL] = Counter()
-    for key, count in tables[CYCLIC].items():
-        orbits, odd = divmod(count + achiral[key], 2)
+    dihedral = tables[DIHEDRAL] = {}
+    for key, count in cyclic.items():
+        mirrors = achiral.get(key, 0)
+        orbits, odd = divmod(count + mirrors, 2)
         if odd:
             raise AssertionError(
-                f"odd dihedral tally for n={n} key {key}: {count} cyclic + {achiral[key]} achiral orbits"
+                f"odd dihedral tally for n={n} key {key}: {count} cyclic + {mirrors} achiral orbits"
             )
         dihedral[key] = orbits
     for label, (element, _) in classes.items():

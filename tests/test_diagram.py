@@ -55,6 +55,15 @@ def test_rejects_fixed_points_and_non_involutions():
 def test_rejects_bad_sector_count():
     with pytest.raises(ValueError):
         Diagram((1, 0, 3, 2), sectored(3))
+    with pytest.raises(ValueError, match="0 sectors do not divide 0 points"):
+        Diagram((), ("sectored", 0))
+
+
+@pytest.mark.parametrize("topology", ["nonsense", ("bogus", 2)])
+@pytest.mark.parametrize("pairing", [(), (1, 0)])
+def test_rejects_unknown_topology_even_without_chords(pairing, topology):
+    with pytest.raises(ValueError, match="unknown topology"):
+        Diagram(pairing, topology)
 
 
 def test_from_chords_round_trip():

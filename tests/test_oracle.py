@@ -1,6 +1,7 @@
 import functools
 import math
 import os
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -157,6 +158,18 @@ def test_dihedral_codes_come_once_per_cyclic_orbit(monkeypatch):
     assert sweep.count(CYCLIC, "all") == 105
 
 
+def test_the_sweep_holds_tallies_not_orbits():
+    # the pass keeps count tables only, not one code per cyclic orbit: kept as
+    # bytes in a dict, the 9,749 orbit codes at n = 7 would peak at 1.3-1.7 MB
+    tracemalloc.start()
+    try:
+        full_sweep(7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_one_full_pass_and_one_invariant_pass_per_non_identity_class(monkeypatch):
     calls = {"full": [], "invariant": [], "classify": 0}
     full, invariant = oracle._place_chords, oracle.enumerate_invariant_pairings
@@ -187,45 +200,80 @@ def test_one_full_pass_and_one_invariant_pass_per_non_identity_class(monkeypatch
     assert calls["classify"] == sum(sweep.count(label, "all") for label in invariant_labels)
 
 
+def leaf_codes(m):
+    """``_place_chords(m)``'s tables, and the offset code each leaf hands to ``_mirrored``, its one call."""
+    real, codes = oracle._mirrored, []
+
+    def collecting(code):
+        codes.append(code)
+        return real(code)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_mirrored", collecting)
+        tables = oracle._place_chords(m)
+    return tables, codes
+
+
+def rebuilt(code):
+    """The matching whose offset code is ``code``."""
+    return tuple((i + offset) % len(code) for i, offset in enumerate(code))
+
+
 @pytest.mark.parametrize("n", range(8 if EXTENDED else 7))
 def test_chord_placing_pass_equals_the_classifier_and_the_canonical_codes(n):
     m = 2 * n
-    circular, linear, cyclic = oracle._place_chords(m)
+    (circular, linear, cyclic, achiral), codes = leaf_codes(m)
     flags = {CIRCULAR: gap_flags(m, CIRCULAR), LINEAR: gap_flags(m, LINEAR)}
     expected = {topology: Counter() for topology in flags}
-    codes = set()
+    canonical = set()
     dihedral = {}  # dihedral code -> circular key
     for p in enumerate_pairings(m):
         for topology, topology_flags in flags.items():
             expected[topology][classify_pairing(p, topology_flags)] += 1
-        codes.add(canonical_pairing_code(p, CYCLIC))
+        canonical.add(canonical_pairing_code(p, CYCLIC))
         dihedral[canonical_pairing_code(p, DIHEDRAL)] = classify_pairing(p, flags[CIRCULAR])
     assert circular == expected[CIRCULAR]
     assert linear == expected[LINEAR]
-    assert {tuple(code) for code in cyclic} == codes
-    for code, key in cyclic.items():
-        # each orbit carries the circular key of the matching its code rebuilds
-        rebuilt = tuple((i + offset) % m for i, offset in enumerate(code))
-        assert offset_code(rebuilt) == tuple(code)
-        assert classify_pairing(rebuilt, flags[CIRCULAR]) == key
+    if n <= 1:
+        # no leaf is reached: the one matching is its own achiral orbit
+        assert codes == [] and cyclic == achiral == {(n, 0): 1}
+    else:
+        # one leaf per cyclic orbit, each at its least rotation
+        assert len(codes) == len(canonical) and {tuple(code) for code in codes} == canonical
+        keys, achiral_keys = Counter(), Counter()
+        for code in codes:
+            pairing = rebuilt(code)
+            assert offset_code(pairing) == tuple(code)
+            key = classify_pairing(pairing, flags[CIRCULAR])
+            keys[key] += 1
+            # achiral: the mirror image i -> -i is a rotation of the matching
+            image = tuple((m - pairing[-i]) % m for i in range(m))
+            if canonical_pairing_code(image, CYCLIC) == tuple(code):
+                achiral_keys[key] += 1
+        assert cyclic == keys
+        assert achiral == achiral_keys
     # the sweep's dihedral table tallies each dihedral orbit's circular key once
     assert full_sweep(n).tables[DIHEDRAL] == Counter(dihedral.values())
 
 
 @pytest.mark.parametrize("n", range(8))
 def test_orbit_weights_are_periods_that_cover_every_matching(n):
-    # the pass weights each cyclic code by its period: the periods must sum to
+    # the pass weights each leaf's code by its period: the periods must sum to
     # (2n-1)!!, and each must be the number of distinct rotations of its matching
     m = 2 * n
-    _, _, cyclic = oracle._place_chords(m)
-    periods = {code: (code + code).find(code, 1) if code else 1 for code in cyclic}
-    assert sum(periods.values()) == math.prod(range(2 * n - 1, 0, -2))
+    (circular, _, cyclic, _), codes = leaf_codes(m)
+    if n <= 1:
+        # no leaf is reached: one matching, one orbit
+        assert codes == [] and circular == cyclic == {(n, 0): 1}
+        return
+    periods = [(code + code).find(code, 1) for code in codes]
+    assert sum(periods) == sum(circular.values()) == math.prod(range(2 * n - 1, 0, -2))
     if n > 6:
         return
-    for code, period in periods.items():
-        pairing = [(i + offset) % m for i, offset in enumerate(code)]
+    for code, period in zip(codes, periods):
+        pairing = rebuilt(code)
         rotations = {tuple((pairing[(i - s) % m] + s) % m for i in range(m)) for s in range(m)}
-        assert period == max(len(rotations), 1)
+        assert period == len(rotations)
 
 
 def test_burnside_compares_two_enumerations(monkeypatch):
@@ -252,8 +300,9 @@ def test_a_wrong_achiral_verdict_is_refused(monkeypatch, capsys, flipped, refusa
     # call achiral orbits of one circular key chiral: one flip leaves an odd tally,
     # two leave an even one that the dihedral Burnside identity must catch
     mirrored = oracle._mirrored
-    _, _, cyclic = oracle._place_chords(8)
-    achiral = [(key, code) for code, key in cyclic.items() if mirrored(code) in code + code]
+    _, codes = leaf_codes(8)
+    flags = gap_flags(8, CIRCULAR)
+    achiral = [(classify_pairing(rebuilt(c), flags), c) for c in codes if mirrored(c) in c + c]
     key = next(key for key, count in Counter(key for key, _ in achiral).items() if count >= 2)
     targets = [code for k, code in achiral if k == key][:flipped]
 
