@@ -245,19 +245,15 @@ def _mirrored(code):
     return type(code)((m - code[-i]) % m for i in range(m))
 
 
-def _least_code(code, kind: str):
-    """Least image of a tuple or bytes offset code, of its type, under rotations (shifts) and, if dihedral, mirrors."""
+def canonical_pairing_code(pairing, kind: str) -> tuple[int, ...]:
+    """Lexicographically least offset sequence over all group images."""
     if kind not in (CYCLIC, DIHEDRAL):
         raise ValueError(f"unknown group kind {kind!r}")
+    code = offset_code(pairing)
     best = _min_cyclic_shift(code)
     if kind == DIHEDRAL:
         best = min(best, _min_cyclic_shift(_mirrored(code)))
     return best
-
-
-def canonical_pairing_code(pairing, kind: str) -> tuple[int, ...]:
-    """Lexicographically least offset sequence over all group images."""
-    return _least_code(offset_code(pairing), kind)
 
 
 def canonical_code(diagram: Diagram, kind: str) -> tuple[int, ...]:

@@ -14,7 +14,7 @@ import math
 import operator
 
 from ._record import Record
-from .diagram import CIRCULAR, DIHEDRAL, Diagram, _least_code, classify
+from .diagram import CIRCULAR, Diagram, _mirrored, classify
 
 CYCLE_CAP = 6
 # --list holds every cycle: 56,256 at n = 5 in about 50 MB, 6,385,920 at n = 6
@@ -43,6 +43,9 @@ def _pairing(cycle: HamCycle) -> tuple[int, ...]:
 
 def cycle_to_diagram(cycle: HamCycle) -> Diagram:
     """Chords join the positions of each antipodal pair along the cycle."""
+    m = len(cycle.vertices)
+    if not m or m % 2 or sorted(cycle.vertices) != list(range(1, m + 1)):
+        raise ValueError(f"a cycle visits each of the vertices 1..2n once, n > 0; got {cycle.vertices}")
     diagram = Diagram(_pairing(cycle), CIRCULAR)
     if classify(diagram)[0]:
         raise AssertionError("antipodal vertices were adjacent on the cycle")
@@ -58,6 +61,8 @@ def diagram_to_cycle(diagram: Diagram) -> tuple[HamCycle, dict[int, int]]:
     """
     if diagram.topology != CIRCULAR:
         raise ValueError("only circular diagrams correspond to cycles")
+    if not diagram.pairing:
+        raise ValueError("dimension must be positive, got 0")
     if classify(diagram)[0]:
         raise ValueError("diagrams with loops have no corresponding cycle")
     labels = {}
@@ -117,9 +122,15 @@ def _tally(n: int) -> tuple[int, int, list[tuple[HamCycle, bytes]]]:
     if n < 1:
         raise ValueError(f"dimension must be positive, got {n}")
     walks = _canonical_walks(n)
-    if any(1 in code for _, code in walks):  # a chord on neighbouring positions, the wrap included
-        raise AssertionError("antipodal vertices were adjacent on the cycle")
-    orbits = len({_least_code(code, DIHEDRAL) for _, code in walks})
+    fixed = 0  # the walks' stabilisers in the dihedral group of the 2n points, summed
+    for _, code in walks:
+        if 1 in code:  # a chord on neighbouring positions, the wrap included
+            raise AssertionError("antipodal vertices were adjacent on the cycle")
+        doubled = code + code  # 2n // period rotations fix the code, and as many reflections if one does
+        fixed += 2 * n // doubled.find(code, 1) * (2 if _mirrored(code) in doubled else 1)
+    orbits, rest = divmod(fixed, 4 * n)
+    if rest:
+        raise AssertionError(f"the walks' stabilisers sum to {fixed}, which {4 * n} does not divide")
     return len(walks) * 2 ** (n - 1) * math.factorial(n - 1) // 2, orbits, walks
 
 
@@ -140,9 +151,9 @@ def count_cycles(n: int) -> tuple[int, int]:
 
     Read as positions, a walk is the loopless diagram it draws, labelled as
     ``diagram_to_cycle`` labels it; so the walks are the labelled loopless
-    diagrams, and two cycles are isomorphic exactly when their diagrams
-    share a dihedral canonical code.  No diagram is built: an entry 1 in a
-    walk's offset code would be a loop, and the orbits are its least codes.
+    diagrams, and the cycle orbits are their dihedral orbits.  No diagram or
+    canonical code is built: an entry 1 in a code would be a loop, and by
+    Burnside the orbits are the codes' stabilisers (``_tally``) over 4n.
     """
     return _tally(n)[:2]
 

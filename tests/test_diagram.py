@@ -15,6 +15,7 @@ from chordenum.diagram import (
     _mirrored,
     act,
     canonical_code,
+    canonical_pairing_code,
     classify,
     classify_pairing,
     edge_reflection,
@@ -206,6 +207,13 @@ def test_canonical_code_examples():
     a = canonical_code(Diagram.from_chords([(1, 4), (2, 3)]), DIHEDRAL)
     b = canonical_code(Diagram.from_chords([(1, 2), (3, 4)]), DIHEDRAL)
     assert a == b
+
+
+def test_an_unknown_group_kind_is_refused():
+    d = Diagram.from_chords([(1, 3), (2, 4)])
+    for least in (lambda: canonical_code(d, "bogus"), lambda: canonical_pairing_code(d.pairing, "bogus")):
+        with pytest.raises(ValueError, match="unknown group kind 'bogus'"):
+            least()
 
 
 def naive_canonical_code(d, kind):

@@ -3,6 +3,9 @@ import math
 
 import pytest
 
+from chordenum import diagram as diagram_module
+from chordenum import octahedron
+from chordenum.cli import main
 from chordenum.diagram import DIHEDRAL, Diagram, canonical_code, classify, enumerate_matchings, offset_code
 from chordenum.labelled import loopless_chord, loopless_linear
 from chordenum.octahedron import (
@@ -110,6 +113,14 @@ def test_loops_are_rejected():
         diagram_to_cycle(Diagram.from_chords([(1, 2), (3, 4)]))
 
 
+def test_malformed_input_to_the_bijection_is_refused():
+    with pytest.raises(ValueError, match="dimension must be positive, got 0"):
+        diagram_to_cycle(Diagram(()))
+    for vertices in ((1, 2, 3), (), (1, 3, 3, 4), (1, 3, 2, 5)):
+        with pytest.raises(ValueError, match="a cycle visits each of the vertices 1..2n once"):
+            cycle_to_diagram(HamCycle(vertices))
+
+
 def test_cap_is_enforced():
     with pytest.raises(ValueError):
         count_cycles(7)
@@ -213,6 +224,38 @@ def test_a_code_with_a_loop_is_refused(loop_in_a_walk):
         with pytest.raises(AssertionError) as refused:
             run(3)
         assert refused.value.args == ("antipodal vertices were adjacent on the cycle",)
+
+
+def test_a_walk_set_not_closed_under_the_symmetries_is_refused(monkeypatch, capsys):
+    # the last walk at n = 4 is fixed by 4 of the 16 symmetries, so without it
+    # the stabilisers sum to 7 * 16 - 4; the first is fixed by all 16
+    monkeypatch.setattr(octahedron, "_canonical_walks", lambda n: _canonical_walks(n)[:-1])
+    for run in (count_cycles, list_cycles):
+        with pytest.raises(AssertionError, match="stabilisers sum to 108, which 16 does not divide"):
+            run(4)
+    assert main(["octahedron", "--n", "4"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: ")
+
+
+def test_the_count_path_canonicalises_nothing(monkeypatch):
+    # one mirror per walk for its stabiliser, and no least rotation of any code
+    calls = {"mirrored": 0, "least shift": 0}
+    mirrored, least_shift = octahedron._mirrored, diagram_module._min_cyclic_shift
+
+    def counting_mirrored(code):
+        calls["mirrored"] += 1
+        return mirrored(code)
+
+    def counting_least_shift(seq):
+        calls["least shift"] += 1
+        return least_shift(seq)
+
+    monkeypatch.setattr(octahedron, "_mirrored", counting_mirrored)
+    monkeypatch.setattr(diagram_module, "_min_cyclic_shift", counting_least_shift)
+    assert count_cycles(5) == (56256, 29)
+    assert calls == {"mirrored": 293, "least shift": 0}
 
 
 def held_karp(n, starts):
