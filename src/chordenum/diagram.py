@@ -221,7 +221,8 @@ def _min_cyclic_shift(seq):
     """Least cyclic shift of a tuple or bytes, of the same type.
 
     A least shift starts with the least entry, so only the shifts that
-    start at one of its occurrences are compared.
+    start at one of its occurrences are compared.  On bytes it is the
+    reference that the tests hold ``_is_least_rotation`` to.
     """
     m = len(seq)
     if m == 0:
@@ -243,6 +244,27 @@ def _mirrored(code):
     if isinstance(code, bytes):
         return (code[:1] + code[:0:-1]).translate(_negation(m)) if m else code
     return type(code)((m - code[-i]) % m for i in range(m))
+
+
+def _is_least_rotation(code: bytes) -> bool:
+    """Whether a code that starts at its least entry is its own least rotation.
+
+    Only the rotations that start at that entry again, which ``bytes.find`` finds, can be less.
+    """
+    m, low, doubled = len(code), code[:1], code + code
+    i = code.find(low, 1)
+    while i > 0:
+        if doubled[i:i + m] < code:
+            return False
+        i = code.find(low, i + 1)
+    return True
+
+
+def _stabiliser(code: bytes) -> tuple[int, bool]:
+    """(period, achiral) of a nonempty code: the least shift s > 0 that maps it to itself,
+    and whether its mirror image ``_mirrored(code)`` is one of its rotations."""
+    doubled = code + code
+    return doubled.find(code, 1), _mirrored(code) in doubled
 
 
 def canonical_pairing_code(pairing, kind: str) -> tuple[int, ...]:

@@ -4,7 +4,8 @@ The n-dimensional octahedron (cocktail-party graph) has vertices 1..2n in
 antipodal pairs (2i-1, 2i) and every edge except within pairs.  Drawing a
 Hamiltonian cycle as a circle and joining the antipodal pairs by chords
 yields a loopless chord diagram; the construction inverts exactly.
-The counts read each walk's offset code; only the listing builds diagrams.
+The counts read each walk's offset code, whose period and mirror test are
+``diagram._stabiliser``; only the listing builds diagrams.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 import operator
 
 from ._record import Record
-from .diagram import CIRCULAR, Diagram, _mirrored, classify
+from .diagram import CIRCULAR, Diagram, _stabiliser, classify
 
 CYCLE_CAP = 6
 # --list holds every cycle: 56,256 at n = 5 in about 50 MB, 6,385,920 at n = 6
@@ -42,13 +43,13 @@ def _pairing(cycle: HamCycle) -> tuple[int, ...]:
 
 
 def cycle_to_diagram(cycle: HamCycle) -> Diagram:
-    """Chords join the positions of each antipodal pair along the cycle."""
+    """Chords join the positions of each antipodal pair; ``ValueError`` if it is no octahedron cycle."""
     m = len(cycle.vertices)
     if not m or m % 2 or sorted(cycle.vertices) != list(range(1, m + 1)):
         raise ValueError(f"a cycle visits each of the vertices 1..2n once, n > 0; got {cycle.vertices}")
     diagram = Diagram(_pairing(cycle), CIRCULAR)
     if classify(diagram)[0]:
-        raise AssertionError("antipodal vertices were adjacent on the cycle")
+        raise ValueError(f"a cycle never steps between antipodal vertices; got {cycle.vertices}")
     return diagram
 
 
@@ -126,8 +127,8 @@ def _tally(n: int) -> tuple[int, int, list[tuple[HamCycle, bytes]]]:
     for _, code in walks:
         if 1 in code:  # a chord on neighbouring positions, the wrap included
             raise AssertionError("antipodal vertices were adjacent on the cycle")
-        doubled = code + code  # 2n // period rotations fix the code, and as many reflections if one does
-        fixed += 2 * n // doubled.find(code, 1) * (2 if _mirrored(code) in doubled else 1)
+        period, achiral = _stabiliser(code)  # 2n // period rotations fix it, as many reflections if achiral
+        fixed += 2 * n // period * (2 if achiral else 1)
     orbits, rest = divmod(fixed, 4 * n)
     if rest:
         raise AssertionError(f"the walks' stabilisers sum to {fixed}, which {4 * n} does not divide")

@@ -3,15 +3,13 @@
 ``full_sweep`` covers all (2n-1)!! matchings in one recursive pass,
 ``_place_chords``, which places the chords of one matching per rotation
 orbit, its least rotation, and weights it by its period, the orbit size.
-A leaf is tested against the rotations that start at the points whose
-offset equals its least entry, which the pass tracks as it places chords.
-The pass counts loops and parallel pairs on the circle as each chord is
-placed and keeps only tallies keyed by that circular class: the
-matchings, the cyclic orbits, and the achiral ones, those whose mirror
-image, ``diagram._mirrored`` of the leaf's offset code, is one of their
-rotations.  No orbit is held after its leaf.  The line's table comes
-afterwards from the circular keys, by which share of each key's
-matchings a cut at one gap passes through a loop or a parallel pair.
+A leaf's least-rotation test, period and mirror test are ``diagram``'s
+``_is_least_rotation`` and ``_stabiliser``.  The pass counts loops and
+parallel pairs on the circle as each chord is placed and keeps only
+tallies keyed by that circular class: the matchings, the cyclic orbits
+and the achiral ones.  No orbit is held after its leaf.  The line's
+table comes afterwards from the circular keys, by which share of each
+key's matchings a cut at one gap passes through a loop or a parallel pair.
 It gives the tables ``classify_pairing`` and the orbits
 ``canonical_pairing_code`` would give over every matching, and those two
 stay the definitions.
@@ -40,7 +38,8 @@ from .diagram import (
     CYCLIC,
     DIHEDRAL,
     LINEAR,
-    _mirrored,
+    _is_least_rotation,
+    _stabiliser,
     classify_pairing,
     edge_reflection,
     enumerate_invariant_pairings,
@@ -124,17 +123,10 @@ def _place_chords(m: int):
     pass reaches only the matchings whose code starts at its least entry
     (1,456 of 10,395 at m = 12).
 
-    Every entry is at least d, so a rotation can be less than the code only
-    if it starts at a point i > 0 with ``o[i] = d``.  The pass keeps those
-    points on the stack ``starts`` as it places chords: chord (a, b) puts d
-    at a when b - a = d and at b when b - a = m - d, and the root chord puts
-    d at d when d = m/2 (the all-diameter matching, whose code is
-    constant).  A leaf is its own least rotation when no rotation at the
-    last chord's start or at a point of ``starts`` is less than it.  Such a
-    leaf stands for its orbit.  Under its circular key it adds one cyclic
-    orbit, one achiral orbit when ``_mirrored(code)`` is a rotation of the
-    code, and the orbit's q matchings, q the code's period, in one step.
-    Every matching is a rotation of exactly one such leaf.
+    A leaf whose code ``_is_least_rotation`` stands for its orbit, and every
+    matching is a rotation of exactly one such leaf: under its circular key
+    it adds one cyclic orbit, one achiral orbit when ``_stabiliser`` finds
+    the code achiral, and the orbit's q matchings, q the code's period.
 
     Loops and parallel pairs are counted on the circle as each chord is
     placed.  Chord (a, b) is a loop when b = a + 1; the loop (0, m - 1)
@@ -152,7 +144,6 @@ def _place_chords(m: int):
     last = m - 1
     p = [-1] * m
     o = bytearray(m)
-    starts = []  # the placed points i > 0 with o[i] = d
 
     def place(a, left, loops, pairs):
         # a > 0 is the least free point; loops and pairs count on the circle
@@ -166,40 +157,27 @@ def _place_chords(m: int):
             o[a], o[b] = span, m - span
             if left == 1:
                 code = bytes(o)
-                doubled = code + code
-                if span == d and doubled[a:a + m] < code or span == m - d and doubled[b:b + m] < code:
+                if not _is_least_rotation(code):
                     return
-                for i in starts:
-                    if doubled[i:i + m] < code:
-                        return
+                period, mirror = _stabiliser(code)
                 key = (lo, pa)
                 cyclic[key] = cyclic.get(key, 0) + 1
-                if _mirrored(code) in doubled:
+                if mirror:
                     achiral[key] = achiral.get(key, 0) + 1
-                # the period, which is the orbit size
-                circular[key] = circular.get(key, 0) + doubled.find(code, 1)
+                circular[key] = circular.get(key, 0) + period  # the orbit size
                 return
             p[a], p[b] = b, a
-            k = len(starts)
-            if span == d:
-                starts.append(a)
-            if span == m - d:
-                starts.append(b)
             nxt = a + 1
             while p[nxt] != -1:
                 nxt += 1
             place(nxt, left - 1, lo, pa)
-            del starts[k:]
             p[b] = -1
         p[a] = -1
 
     for d in range(1, m // 2 + 1):
         p[0], p[d] = d, 0
         o[0], o[d] = d, m - d
-        if 2 * d == m:
-            starts.append(d)
         place(2 if d == 1 else 1, m // 2 - 1, int(d == 1), 0)
-        starts.clear()
         p[d] = -1
     return circular, _line_table(circular, m), cyclic, achiral
 

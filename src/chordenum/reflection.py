@@ -16,6 +16,7 @@ from .symmetry import (
     RecurrenceValidationError,
     _kept_prefixes,
     _nonzero_cells,
+    _shifted,
     loopless_cyclic,
     loopless_sector_counts,
     simple_cyclic,
@@ -156,7 +157,7 @@ def _mirror_rows(n_max: int) -> tuple[list[list[int]], list[list[int]]]:
 
     End-chord cells first, s(n, k) = r(n-1, k-1) - s(n-1, k-1); then the
     main row by the same recurrence as ``MIRROR_TERMS``: each term's source
-    row is shifted by its dk and padded with zeros to n + 1 entries.  The
+    row n - dn is read at k - dk by ``symmetry._shifted``.  The
     boundary cells (0,0) and (2,0) are set to 1 (the recurrence itself
     yields 0 at n = 2).
     """
@@ -164,15 +165,8 @@ def _mirror_rows(n_max: int) -> tuple[list[list[int]], list[list[int]]]:
     s = [[0]]
     for n in range(1, n_max + 1):
         width = n + 1
-
-        def source(rows, dn: int, dk: int) -> list[int]:
-            """Row n - dn of ``rows`` read at k - dk, for k = 0..n."""
-            if dn > n:
-                return [0] * width
-            row = [0] * dk + rows[n - dn]
-            return row + [0] * (width - len(row))
-
-        s_row = [above - end for above, end in zip(source(r, 1, 1), source(s, 1, 1))]
+        s_row = [above - end for above, end in zip(
+            _shifted(r, n - 1, -1, width), _shifted(s, n - 1, -1, width))]
         s.append(s_row)
         r.append([
             t0 + 2 * (n - 2) * t1 + t2
@@ -180,8 +174,9 @@ def _mirror_rows(n_max: int) -> tuple[list[list[int]], list[list[int]]]:
             + 2 * (k - 1) * (t4 + t5)
             + 2 * (n - k - 6) * t6
             for k, (t0, t1, t2, t3, t4, t5, t6) in enumerate(zip(
-                s_row, source(r, 2, 0), source(s, 2, 0), source(r, 4, 0),
-                source(r, 3, 1), source(r, 5, 1), source(r, 6, 0),
+                s_row, _shifted(r, n - 2, 0, width), _shifted(s, n - 2, 0, width),
+                _shifted(r, n - 4, 0, width), _shifted(r, n - 3, -1, width),
+                _shifted(r, n - 5, -1, width), _shifted(r, n - 6, 0, width),
             ))
         ])
         if n == 2:

@@ -250,24 +250,24 @@ class SectorColumn(Record):
         return None if self.rows is None else _nonzero_cells(self.rows)
 
 
+def _shifted(rows: list[list[int]], i: int, shift: int, width: int) -> list[int]:
+    """Row i of a row-list table read at k + shift, for k = 0..width - 1; zero outside the table."""
+    if i < 0:
+        return [0] * width
+    row = rows[i][shift:] if shift >= 0 else [0] * -shift + rows[i]
+    return row + [0] * (width - len(row))
+
+
 def _even_sector_rows(d: int, m_max: int) -> list[list[int]]:
     """Rows m = 0..m_max of the even-d table, row m holding k = 0..m.
 
     The same recurrence as ``EVEN_SECTOR_TERMS``, one row at a time: each
-    term's source row is shifted by its dk and padded with zeros to m + 1
-    entries, and the six terms are summed inline.
+    term's source row m - dm is read at k + dk by ``_shifted``, and the six
+    terms are summed inline.
     """
     rows = [[1]]
     for m in range(1, m_max + 1):
         width = m + 1
-
-        def source(dm: int, dk: int) -> list[int]:
-            """Row m - dm read at k + dk, for k = 0..m."""
-            if dm > m:
-                return [0] * width
-            row = rows[m - dm][dk:] if dk >= 0 else [0] * -dk + rows[m - dm]
-            return row + [0] * (width - len(row))
-
         below = (m - 1) * d - 3 + (1 if m == 2 else 0)
         rows.append([
             t1 + below * t2 + d * (
@@ -276,9 +276,10 @@ def _even_sector_rows(d: int, m_max: int) -> list[list[int]]:
                 + (2 * m + k - 7) * t4
                 + (m + k - 6) * t6
             )
-            for k, (t1, t2, t3, t4, t5, t6) in enumerate(zip(
-                source(1, -1), source(2, 0), source(3, 1), source(4, 0), source(5, 1), source(6, 0)
-            ))
+            for k, (t1, t2, t3, t4, t5, t6) in enumerate(zip(*(
+                _shifted(rows, m - dm, dk, width)
+                for dm, dk in ((1, -1), (2, 0), (3, 1), (4, 0), (5, 1), (6, 0))
+            )))
         ])
     return rows
 

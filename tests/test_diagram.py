@@ -11,8 +11,10 @@ from chordenum.diagram import (
     DIHEDRAL,
     LINEAR,
     Diagram,
+    _is_least_rotation,
     _min_cyclic_shift,
     _mirrored,
+    _stabiliser,
     act,
     canonical_code,
     canonical_pairing_code,
@@ -242,6 +244,27 @@ def test_least_shift_is_the_least_of_all_shifts(entries, as_bytes):
     every_shift = [seq[s:] + seq[:s] for s in range(len(seq))]
     assert _min_cyclic_shift(seq) == min(every_shift, default=seq)
     assert type(_min_cyclic_shift(seq)) is type(seq)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=10))
+@example([1, 2, 1, 2])
+@example([1, 2, 1, 1, 2])
+@example([1, 1, 2, 1, 1, 2, 1])
+@example([1, 3, 1, 2])
+@example([2, 2, 2])
+@example([1])
+def test_least_rotation_and_stabiliser_match_brute_force(entries):
+    # a small alphabet makes periodic codes and repeated minima common; the
+    # code is rotated to start at its least entry, as the chord-placing pass's are
+    s = entries.index(min(entries))
+    code = bytes(entries[s:] + entries[:s])
+    m = len(code)
+    rotations = [code[i:] + code[:i] for i in range(m)]
+    assert _is_least_rotation(code) == (_min_cyclic_shift(code) == code)
+    period = next(q for q in range(1, m + 1) if rotations[q % m] == code)
+    mirror = bytes((m - code[-i]) % m for i in range(m))
+    assert _stabiliser(code) == (period, mirror in rotations)
 
 
 @settings(max_examples=200, deadline=None)

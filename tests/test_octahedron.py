@@ -119,6 +119,10 @@ def test_malformed_input_to_the_bijection_is_refused():
     for vertices in ((1, 2, 3), (), (1, 3, 3, 4), (1, 3, 2, 5)):
         with pytest.raises(ValueError, match="a cycle visits each of the vertices 1..2n once"):
             cycle_to_diagram(HamCycle(vertices))
+    # every vertex once, but a step joins antipodes (the wrap step in the second): bad input, not exit 3
+    for vertices in ((1, 2, 3, 4), (2, 3, 5, 4, 6, 1), (3, 1, 4, 2, 6, 5)):
+        with pytest.raises(ValueError, match="a cycle never steps between antipodal vertices"):
+            cycle_to_diagram(HamCycle(vertices))
 
 
 def test_cap_is_enforced():
@@ -242,7 +246,7 @@ def test_a_walk_set_not_closed_under_the_symmetries_is_refused(monkeypatch, caps
 def test_the_count_path_canonicalises_nothing(monkeypatch):
     # one mirror per walk for its stabiliser, and no least rotation of any code
     calls = {"mirrored": 0, "least shift": 0}
-    mirrored, least_shift = octahedron._mirrored, diagram_module._min_cyclic_shift
+    mirrored, least_shift = diagram_module._mirrored, diagram_module._min_cyclic_shift
 
     def counting_mirrored(code):
         calls["mirrored"] += 1
@@ -252,7 +256,7 @@ def test_the_count_path_canonicalises_nothing(monkeypatch):
         calls["least shift"] += 1
         return least_shift(seq)
 
-    monkeypatch.setattr(octahedron, "_mirrored", counting_mirrored)
+    monkeypatch.setattr(diagram_module, "_mirrored", counting_mirrored)
     monkeypatch.setattr(diagram_module, "_min_cyclic_shift", counting_least_shift)
     assert count_cycles(5) == (56256, 29)
     assert calls == {"mirrored": 293, "least shift": 0}

@@ -141,7 +141,7 @@ def test_dihedral_codes_come_once_per_cyclic_orbit(monkeypatch):
     # the chord-placing pass keys the cyclic orbits itself, and each cyclic code
     # is mirrored once: no canonical code, per matching or per orbit
     calls = Counter()
-    canonical, mirrored = diagram.canonical_pairing_code, oracle._mirrored
+    canonical, mirrored = diagram.canonical_pairing_code, diagram._mirrored
 
     def counting_canonical(pairing, kind):
         calls["canonical"] += 1
@@ -152,7 +152,7 @@ def test_dihedral_codes_come_once_per_cyclic_orbit(monkeypatch):
         return mirrored(code)
 
     monkeypatch.setattr(diagram, "canonical_pairing_code", counting_canonical)
-    monkeypatch.setattr(oracle, "_mirrored", counting_mirrored)
+    monkeypatch.setattr(diagram, "_mirrored", counting_mirrored)
     sweep = full_sweep(5)
     assert calls == {"mirrored": 105}
     assert sweep.count(CYCLIC, "all") == 105
@@ -202,14 +202,14 @@ def test_one_full_pass_and_one_invariant_pass_per_non_identity_class(monkeypatch
 
 def leaf_codes(m):
     """``_place_chords(m)``'s tables, and the offset code each leaf hands to ``_mirrored``, its one call."""
-    real, codes = oracle._mirrored, []
+    real, codes = diagram._mirrored, []
 
     def collecting(code):
         codes.append(code)
         return real(code)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(oracle, "_mirrored", collecting)
+        patch.setattr(diagram, "_mirrored", collecting)
         tables = oracle._place_chords(m)
     return tables, codes
 
@@ -299,7 +299,7 @@ def test_burnside_compares_two_enumerations(monkeypatch):
 def test_a_wrong_achiral_verdict_is_refused(monkeypatch, capsys, flipped, refusal):
     # call achiral orbits of one circular key chiral: one flip leaves an odd tally,
     # two leave an even one that the dihedral Burnside identity must catch
-    mirrored = oracle._mirrored
+    mirrored = diagram._mirrored
     _, codes = leaf_codes(8)
     flags = gap_flags(8, CIRCULAR)
     achiral = [(classify_pairing(rebuilt(c), flags), c) for c in codes if mirrored(c) in c + c]
@@ -310,7 +310,7 @@ def test_a_wrong_achiral_verdict_is_refused(monkeypatch, capsys, flipped, refusa
         # no offset is 0, so the all-zero code is never a rotation
         return bytes(len(code)) if code in targets else mirrored(code)
 
-    monkeypatch.setattr(oracle, "_mirrored", flipping)
+    monkeypatch.setattr(diagram, "_mirrored", flipping)
     with pytest.raises(AssertionError, match=refusal):
         full_sweep(4)
     assert main(["verify", "--max", "4"]) == 3
