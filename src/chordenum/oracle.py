@@ -16,11 +16,15 @@ stay the definitions.
 The dihedral table comes from the two orbit tallies without rebuilding a
 matching: per circular class the dihedral orbits are
 (cyclic + achiral) / 2.  The fixed counts come from a second
-enumeration: the invariant matchings of one representative per conjugacy
-class (one rotation per order d | 2n, one axis through opposite points,
-one through opposite gaps), classified on the circle; the identity reads
-the full table.  Every count is one lookup, ``SweepResult.count(view, family)``, a
-family sum over one table.  Burnside's identity compares the two
+enumeration, ``_fixed_tally``: one recursive pass per conjugacy class (one
+rotation per order d | 2n, one axis through opposite points, one through
+opposite gaps) places the chords of its representative's invariant
+matchings a whole orbit at a time and keys each on the circle by reading
+one gap per orbit of the element on the gaps, weighted by the orbit size;
+the identity reads the full table.  Each class's first fixed matching is
+classified by ``classify_pairing`` as well.  Every count is one lookup,
+``SweepResult.count(view, family)``: each table is summed into the three
+families once.  Burnside's identity compares the two
 enumerations before the sweep is returned; its identity term is the sum
 of the pass's orbit weights, so it checks them too.  Class sizes come from
 counting element orders here, not from the recurrence modules, which are
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from functools import cached_property
 
 from ._record import Record
 from .diagram import (
@@ -42,7 +47,6 @@ from .diagram import (
     _stabiliser,
     classify_pairing,
     edge_reflection,
-    enumerate_invariant_pairings,
     gap_flags,
     rotation,
     vertex_reflection,
@@ -105,9 +109,24 @@ class SweepResult(Record):
     n: int
     tables: dict  # view -> {(loops, parallels): count}
 
+    @cached_property
+    def _family_sums(self) -> dict:
+        """view -> {family: entries}, each table summed into every family in one pass."""
+        sums = {}
+        for view, table in self.tables.items():
+            every = loopless = simple = 0
+            for (loops, parallels), count in table.items():
+                every += count
+                if not loops:
+                    loopless += count
+                    if not parallels:
+                        simple += count
+            sums[view] = {"all": every, "loopless": loopless, "simple": simple}
+        return sums
+
     def count(self, view, family: str) -> int:
-        """Entries of a family in one view's table."""
-        return sum(count for key, count in self.tables[view].items() if in_family(family, *key))
+        """Entries of a family (``in_family``) in one view's table."""
+        return self._family_sums[view][family]
 
 
 def _place_chords(m: int):
@@ -206,6 +225,87 @@ def _line_table(circular: dict, m: int) -> dict:
     return linear
 
 
+def _gap_orbits(element) -> tuple:
+    """(i, i + 1 mod m, orbit size) for one gap i of each orbit of a dihedral element on the m gaps.
+
+    Gap i joins points i and i + 1.  The element maps it to the gap between
+    its images, which starts at the image of i under a rotation and at the
+    image of i + 1 under a reflection.
+    """
+    m = len(element)
+    seen = [False] * m
+    orbits = []
+    for start in range(m):
+        size, i = 0, start
+        while not seen[i]:
+            seen[i] = True
+            size += 1
+            x, y = element[i], element[(i + 1) % m]
+            i = x if y == (x + 1) % m else y
+        if size:
+            orbits.append((start, (start + 1) % m, size))
+    return tuple(orbits)
+
+
+def _fixed_tally(m: int, element) -> tuple[dict, tuple]:
+    """Circular {(loops, parallels): count} of the matchings on m points that ``element`` fixes,
+    with the first of them as (partner tuple, key).
+
+    Chords are placed a whole orbit at a time, in ``enumerate_pairings``
+    order: the least free point a is joined to each free partner b > a in
+    ascending order, and the chord's images are placed until the orbit
+    comes back to (a, b); an orbit that runs into any other placed point
+    is rejected.
+
+    A dihedral element keeps neighbouring gaps neighbouring and keeps the
+    reversed order of a parallel pair's partners, so a fixed matching looks
+    the same at every gap of one orbit of the element on the gaps.  Each
+    leaf reads ``classify_pairing``'s test at one gap per orbit
+    (``_gap_orbits``), weighted by the orbit size; loops are capped at m/2
+    and pair ends halved, as there.
+    """
+    gaps = _gap_orbits(element)
+    half, last = m // 2, m - 1
+    tally, first = {}, []
+    p = [-1] * m
+
+    def place(a):
+        while a < m and p[a] != -1:
+            a += 1
+        if a == m:
+            loops = ends = 0
+            for i, j, size in gaps:
+                partner = p[i]
+                if partner == j:
+                    loops += size
+                elif p[j] + 1 == partner or (partner == 0 and p[j] == last):
+                    ends += size
+            key = (min(loops, half), ends // 2)
+            if not first:
+                first.append((tuple(p), key))
+            tally[key] = tally.get(key, 0) + 1
+            return
+        for b in range(a + 1, m):
+            if p[b] != -1:
+                continue
+            added = []
+            x, y = a, b
+            while p[x] == -1 and p[y] == -1:
+                p[x], p[y] = y, x
+                added.append(x)
+                x, y = element[x], element[y]
+            # the first placed chord the orbit reaches is (a, b) itself when it closes:
+            # an earlier orbit is closed and holds no image of the free point a
+            if p[x] == y:
+                place(a + 1)
+            for u in added:
+                p[p[u]] = -1
+                p[u] = -1
+
+    place(0)
+    return tally, first[0]
+
+
 def full_sweep(n: int, cap: int = DEFAULT_CAP) -> SweepResult:
     """Every table the verify command compares; Burnside's identity checked for n >= 1.
 
@@ -214,7 +314,9 @@ def full_sweep(n: int, cap: int = DEFAULT_CAP) -> SweepResult:
     its size times its representative's count.  A circular key whose
     cyclic and achiral orbit counts do not sum to an even number is refused
     first; given the cyclic identity, the dihedral one compares twice the
-    achiral orbits with the vertex and edge axes' fixed counts.
+    achiral orbits with the vertex and edge axes' fixed counts.  Before
+    that, each class's first fixed matching is classified by
+    ``classify_pairing`` too, and a gap-orbit key that differs is refused.
     """
     check_cap(n, cap)
     m = 2 * n
@@ -234,9 +336,16 @@ def full_sweep(n: int, cap: int = DEFAULT_CAP) -> SweepResult:
             )
         dihedral[key] = orbits
     for label, (element, _) in classes.items():
-        tables[label] = tables[CIRCULAR] if label == ("rotation", 1) else Counter(
-            classify_pairing(p, circ_flags) for p in enumerate_invariant_pairings(m, element)
-        )
+        if label == ("rotation", 1):
+            tables[label] = circular
+            continue
+        tables[label], (pairing, key) = _fixed_tally(m, element)
+        defined = classify_pairing(pairing, circ_flags)
+        if defined != key:
+            raise AssertionError(
+                f"gap-orbit key {key} for n={n} {label} is not classify_pairing's {defined} "
+                f"on the first fixed matching {pairing}"
+            )
     sweep = SweepResult(n, tables)
 
     for g in (CYCLIC, DIHEDRAL) if n else ():

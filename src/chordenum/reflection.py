@@ -3,7 +3,8 @@
 Two reflection axis types exist on 2n points: through two opposite points
 (vertex axis) or through two opposite gap midpoints (edge axis).  The
 loopless counts come straight from the 2-sector column; the simple counts
-need the mirror-symmetric table built here.
+need the mirror-symmetric table built here.  Both families' axes are kept
+per process, as the rotation chains are (``symmetry._kept_prefixes``).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .symmetry import (
 # Loopless family
 
 
+@_kept_prefixes
 def loopless_axes(n_max: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(vertex, edge): diagrams fixed by each reflection type, from one 2-sector column.
 

@@ -4,12 +4,11 @@ Every check is one ``CHECK name n=N expected=E got=G OK|FAIL`` line.  The
 recurrence tables are built before the sweeps: each family from its row of
 ``FAMILIES``, the one family table (``seq`` reads it too), to max(N, 20),
 then the axes and the per-n rotation-fixed counts to N.  The rotation
-chains and the simple axes are kept per process, so each chain and the
-mirror tables are built once (to max(N, 20)), and the later requests read
-their prefixes; each family's rotation sum, a sum over the kept chains,
-still runs twice (its cyclic builder, and its dihedral builder through the
-cyclic counts).  ``loopless_axes`` reads the loopless 2-sector column
-directly, so that N-entry column is built again for each axes call.  The
+chains and both families' axes are kept per process, so each chain, the
+loopless axes' 2-sector column and the mirror tables are built once (to
+max(N, 20)), and the later requests read their prefixes; each family's
+rotation sum, a sum over the kept chains, still runs twice (its cyclic
+builder, and its dihedral builder through the cyclic counts).  The
 classified triangle is built once.
 """
 

@@ -5,7 +5,12 @@ from chordenum import octahedron, oracle, reflection, symmetry
 SWEEP_MAX = 6
 
 # The chains each process keeps (``symmetry._kept_prefixes``).
-KEPT_CHAINS = (symmetry.loopless_fixed_chain, symmetry.simple_fixed_chain, reflection.simple_axes)
+KEPT_CHAINS = (
+    symmetry.loopless_fixed_chain,
+    symmetry.simple_fixed_chain,
+    reflection.loopless_axes,
+    reflection.simple_axes,
+)
 
 
 @pytest.fixture(autouse=True)

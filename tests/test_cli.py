@@ -594,15 +594,15 @@ def test_a_non_integral_dihedral_average_exits_3(monkeypatch, capsys):
 def test_a_failed_burnside_identity_exits_3(monkeypatch, capsys):
     # drop the one matching on 2 points that the vertex axis fixes
     axis = vertex_reflection(2, 0)
-    real = oracle.enumerate_invariant_pairings
+    real = oracle._fixed_tally
 
     def dropping(point_count, element):
-        matchings = real(point_count, element)
+        tally, first = real(point_count, element)
         if element == axis:
-            next(matchings)
-        return matchings
+            tally[first[1]] -= 1
+        return tally, first
 
-    monkeypatch.setattr(oracle, "enumerate_invariant_pairings", dropping)
+    monkeypatch.setattr(oracle, "_fixed_tally", dropping)
     code = main(["verify", "--max", "2"])
     captured = capsys.readouterr()
     assert code == 3

@@ -21,7 +21,6 @@ from chordenum.diagram import (
     classify,
     classify_pairing,
     edge_reflection,
-    enumerate_invariant_pairings,
     enumerate_matchings,
     enumerate_pairings,
     format_diagram,
@@ -33,6 +32,8 @@ from chordenum.diagram import (
     sectored,
     vertex_reflection,
 )
+
+from fixed_matchings import enumerate_invariant_pairings
 
 
 def double_fact(m):

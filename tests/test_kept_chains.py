@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from chordenum import symmetry
 from chordenum.cli import main
 from chordenum.golden import SIMPLE_TABLE
-from chordenum.reflection import simple_axes
+from chordenum.reflection import loopless_axes, simple_axes
 from chordenum.symmetry import (
     RecurrenceValidationError,
     loopless_fixed_chain,
@@ -40,7 +40,8 @@ CHAINS = {"loopless": loopless_fixed_chain, "simple": simple_fixed_chain}
 def test_served_chains_equal_fresh_builds(requests):
     for family, d, m_max in requests:
         if family == "axes":
-            assert simple_axes(m_max) == simple_axes.__wrapped__(m_max), m_max
+            for axes in (loopless_axes, simple_axes):
+                assert axes(m_max) == axes.__wrapped__(m_max), (axes.__name__, m_max)
         else:
             chain = CHAINS[family]
             assert chain(d, m_max) == chain.__wrapped__(d, m_max), (family, d, m_max)

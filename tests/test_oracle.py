@@ -5,6 +5,8 @@ import tracemalloc
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chordenum import diagram, oracle
 from chordenum.cli import main
@@ -30,7 +32,9 @@ from chordenum.oracle import (
     in_family,
 )
 
-# CHORDENUM_ACCEPT_EXTENDED=1 runs the chord-placing pass check at n = 7 too
+from fixed_matchings import enumerate_invariant_pairings
+
+# CHORDENUM_ACCEPT_EXTENDED=1 runs the chord-placing pass and fixed-tally checks at n = 7 too
 EXTENDED = os.environ.get("CHORDENUM_ACCEPT_EXTENDED") == "1"
 
 
@@ -74,6 +78,15 @@ def test_count_labelled_examples(sweeps):
     assert sweeps[4].count(LINEAR, "loopless") == 36
     assert sweeps[3].count(CIRCULAR, "simple") == 1
     assert full_sweep(0).count(CIRCULAR, "all") == 1
+
+
+def test_family_sums_equal_the_filtered_sums(sweeps):
+    # count reads sums taken once per table; in_family stays the definition
+    for sweep in (full_sweep(0), *sweeps.values()):
+        for view, table in sweep.tables.items():
+            for family in FAMILIES:
+                filtered = sum(count for key, count in table.items() if in_family(family, *key))
+                assert sweep.count(view, family) == filtered, (sweep.n, view, family)
 
 
 def test_classify_table_examples(sweeps):
@@ -172,7 +185,7 @@ def test_the_sweep_holds_tallies_not_orbits():
 
 def test_one_full_pass_and_one_invariant_pass_per_non_identity_class(monkeypatch):
     calls = {"full": [], "invariant": [], "classify": 0}
-    full, invariant = oracle._place_chords, oracle.enumerate_invariant_pairings
+    full, invariant = oracle._place_chords, oracle._fixed_tally
     classify = oracle.classify_pairing
 
     def counting_full(point_count):
@@ -188,16 +201,76 @@ def test_one_full_pass_and_one_invariant_pass_per_non_identity_class(monkeypatch
         return classify(pairing, flags)
 
     monkeypatch.setattr(oracle, "_place_chords", counting_full)
-    monkeypatch.setattr(oracle, "enumerate_invariant_pairings", counting_invariant)
+    monkeypatch.setattr(oracle, "_fixed_tally", counting_invariant)
     monkeypatch.setattr(oracle, "classify_pairing", counting_classify)
-    sweep = full_sweep(5)
+    full_sweep(5)
     assert calls["full"] == [10]
     # rotations of order 2, 5 and 10 and the two axis types; the identity reads the full pass
     assert len(calls["invariant"]) == 5
     assert rotation(10, 0) not in calls["invariant"]
-    # the full pass counts loops and parallels itself: only invariant matchings are classified
-    invariant_labels = [label for label in oracle._classes(5) if label != ("rotation", 1)]
-    assert calls["classify"] == sum(sweep.count(label, "all") for label in invariant_labels)
+    # both passes key their matchings themselves: classify_pairing checks only
+    # the first fixed matching of each non-identity class
+    assert calls["classify"] == 5
+
+
+@pytest.mark.parametrize("n", range(8 if EXTENDED else 7))
+def test_fixed_tally_equals_the_classifier_for_every_element(n):
+    # every element of the dihedral group, not only the class representatives:
+    # the gap-orbit key of each fixed matching is classify_pairing's on the circle
+    m = 2 * n
+    flags = gap_flags(m, CIRCULAR)
+    for element in group_elements(DIHEDRAL, m):
+        fixed = list(enumerate_invariant_pairings(m, element))
+        tally, (pairing, key) = oracle._fixed_tally(m, element)
+        assert tally == Counter(classify_pairing(p, flags) for p in fixed), element
+        assert pairing == fixed[0] and key == classify_pairing(pairing, flags), element
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=2, max_value=12), st.data())
+def test_gap_orbits_partition_the_gaps(n, data):
+    # on m >= 4 points each gap joins its own pair of points (on 2, both gaps join 0 and 1)
+    m = 2 * n
+    element = data.draw(st.sampled_from(group_elements(DIHEDRAL, m)))
+
+    def image(gap):
+        ends = {element[gap], element[(gap + 1) % m]}
+        return next(k for k in range(m) if {k, (k + 1) % m} == ends)
+
+    orbits = oracle._gap_orbits(element)
+    covered = set()
+    for i, j, size in orbits:
+        assert j == (i + 1) % m
+        orbit, gap = {i}, image(i)
+        while gap != i:
+            orbit.add(gap)
+            gap = image(gap)
+        assert {image(gap) for gap in orbit} == orbit
+        assert len(orbit) == size and not orbit & covered
+        covered |= orbit
+    assert covered == set(range(m))
+    assert sum(size for _, _, size in orbits) == m
+
+
+def test_a_wrong_gap_orbit_key_is_refused(monkeypatch, capsys):
+    # weight each vertex-axis gap orbit one gap too many: the first matching that
+    # axis fixes has two loops, which now read as three
+    axis = vertex_reflection(8, 0)
+    real = oracle._gap_orbits
+
+    def widened(element):
+        orbits = real(element)
+        return tuple((i, j, size + 1) for i, j, size in orbits) if element == axis else orbits
+
+    monkeypatch.setattr(oracle, "_gap_orbits", widened)
+    refusal = "gap-orbit key (3, 0) for n=4 ('reflection', 'vertex') is not classify_pairing's (2, 0)"
+    with pytest.raises(AssertionError) as raised:
+        full_sweep(4)
+    assert str(raised.value).startswith(refusal)
+    assert main(["verify", "--max", "4"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"internal error: {refusal} on the first fixed matching ")
 
 
 def leaf_codes(m):
@@ -279,15 +352,15 @@ def test_orbit_weights_are_periods_that_cover_every_matching(n):
 def test_burnside_compares_two_enumerations(monkeypatch):
     # drop one matching fixed by the vertex axis: the orbit codes no longer agree
     axis = vertex_reflection(8, 0)
-    real = oracle.enumerate_invariant_pairings
+    real = oracle._fixed_tally
 
     def dropping(point_count, element):
-        matchings = real(point_count, element)
+        tally, first = real(point_count, element)
         if element == axis:
-            next(matchings)
-        return matchings
+            tally[first[1]] -= 1
+        return tally, first
 
-    monkeypatch.setattr(oracle, "enumerate_invariant_pairings", dropping)
+    monkeypatch.setattr(oracle, "_fixed_tally", dropping)
     with pytest.raises(AssertionError, match="Burnside identity fails for n=4"):
         full_sweep(4)
 

@@ -6,7 +6,6 @@ from chordenum import reflection, symmetry
 from chordenum.diagram import (
     classify_pairing,
     edge_reflection,
-    enumerate_invariant_pairings,
     gap_flags,
     sectored,
 )
@@ -29,6 +28,8 @@ from chordenum.symmetry import (
     simple_rotation_fixed,
     totient,
 )
+
+from fixed_matchings import enumerate_invariant_pairings
 
 
 def enumerate_mirror_counts(n):

@@ -5,7 +5,6 @@ import pytest
 from chordenum import symmetry
 from chordenum.diagram import (
     classify_pairing,
-    enumerate_invariant_pairings,
     gap_flags,
     rotation,
     sectored,
@@ -29,6 +28,8 @@ from chordenum.symmetry import (
     totient,
     validate_even_sector_terms,
 )
+
+from fixed_matchings import enumerate_invariant_pairings
 
 
 # The widely printed even-d term set: its fourth term lacks the factor d, so
