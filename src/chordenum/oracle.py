@@ -69,16 +69,6 @@ def check_cap(n: int, cap: int):
         raise OracleCapError(f"n={n} exceeds the enumeration cap {cap}")
 
 
-def in_family(family: str, loops: int, parallels: int) -> bool:
-    if family == "all":
-        return True
-    if family == "loopless":
-        return loops == 0
-    if family == "simple":
-        return loops == 0 and parallels == 0
-    raise ValueError(f"unknown family {family!r}")
-
-
 def _classes(n: int) -> dict:
     """Class label -> (representative element, class size) on 2n points.
 
@@ -111,7 +101,8 @@ class SweepResult(Record):
 
     @cached_property
     def _family_sums(self) -> dict:
-        """view -> {family: entries}, each table summed into every family in one pass."""
+        """view -> {family: entries}, each table summed into every family in one pass:
+        all matchings, the loopless (no loop) and the simple (no loop, no parallel pair)."""
         sums = {}
         for view, table in self.tables.items():
             every = loopless = simple = 0
@@ -125,7 +116,7 @@ class SweepResult(Record):
         return sums
 
     def count(self, view, family: str) -> int:
-        """Entries of a family (``in_family``) in one view's table."""
+        """Entries of a family (as ``_family_sums`` defines it) in one view's table."""
         return self._family_sums[view][family]
 
 

@@ -14,10 +14,11 @@ from functools import cached_property
 from ._record import Record
 from .labelled import SequenceTable
 from .symmetry import (
-    RecurrenceValidationError,
+    _check_tables,
     _kept_prefixes,
     _nonzero_cells,
     _shifted,
+    _term_problems,
     loopless_cyclic,
     loopless_sector_counts,
     simple_cyclic,
@@ -74,16 +75,16 @@ def _dihedral_average(cyclic, vertex, edge) -> SequenceTable:
 # ---------------------------------------------------------------------------
 # Simple family: the mirror-symmetric table with its validation harness
 
-# Term layout: (table, dn, dk, coeff); the term contributes
-# coeff(n, k) * table[n - dn, k - dk], where table "r" is the mirror table
-# itself and "s" its end-chord subset.
+# Terms in the layout of ``symmetry.EVEN_SECTOR_TERMS``: (source, dn, dk,
+# coeff) adds coeff(n, k) times cell (n - dn, k + dk) of the mirror table
+# "r" or its end-chord subset "s".
 MIRROR_TERMS = (
     ("s", 0, 0, lambda n, k: 1),
     ("r", 2, 0, lambda n, k: 2 * (n - 2)),
     ("s", 2, 0, lambda n, k: 1),
     ("r", 4, 0, lambda n, k: 2 * (2 * n - k - 7)),
-    ("r", 3, 1, lambda n, k: 2 * (k - 1)),
-    ("r", 5, 1, lambda n, k: 2 * (k - 1)),
+    ("r", 3, -1, lambda n, k: 2 * (k - 1)),
+    ("r", 5, -1, lambda n, k: 2 * (k - 1)),
     ("r", 6, 0, lambda n, k: 2 * (n - k - 6)),
 )
 
@@ -123,12 +124,12 @@ class MirrorTables(Record):
         return _nonzero_cells(self.end_chord_rows)
 
 
-def _predicted_mirror_cell(r, s, n, k) -> int:
-    value = 0
-    for table, dn, dk, coeff in MIRROR_TERMS:
-        source = r if table == "r" else s
-        value += coeff(n, k) * source.get((n - dn, k - dk), 0)
-    return value
+def _mirror_cells(reference: dict) -> dict:
+    """The "r" and "s" {(n, k): count} cells of ``MIRROR_REFERENCE`` or a part of it."""
+    return {
+        source: {(n, k): v for n, split in reference.items() for k, v in split[i].items()}
+        for i, source in enumerate("rs")
+    }
 
 
 def validate_mirror_terms(reference: dict) -> list[str]:
@@ -140,18 +141,7 @@ def validate_mirror_terms(reference: dict) -> list[str]:
     (2, 0), which the recurrence does not produce, is skipped.  An empty
     return means the term set reproduces the reference exactly.
     """
-    r = {(n, k): v for n, (r_ref, _) in reference.items() for k, v in r_ref.items()}
-    s = {(n, k): v for n, (_, s_ref) in reference.items() for k, v in s_ref.items()}
-    problems = []
-    for n in sorted(reference):
-        for k in range(n + 1):
-            if n == 0 or (n, k) == (2, 0):  # the boundary cells
-                continue
-            got = _predicted_mirror_cell(r, s, n, k)
-            want = r.get((n, k), 0)
-            if got != want:
-                problems.append(f"mirror terms n={n} k={k}: recurrence gives {got}, enumeration gives {want}")
-    return problems
+    return _term_problems("mirror n", _mirror_cells(reference), MIRROR_TERMS, boundary={(2, 0)})
 
 
 def _mirror_rows(n_max: int) -> tuple[list[list[int]], list[list[int]]]:
@@ -159,12 +149,13 @@ def _mirror_rows(n_max: int) -> tuple[list[list[int]], list[list[int]]]:
 
     End-chord cells first, s(n, k) = r(n-1, k-1) - s(n-1, k-1); then the
     main row by the same recurrence as ``MIRROR_TERMS``: each term's source
-    row n - dn is read at k - dk by ``symmetry._shifted``.  The
-    boundary cells (0,0) and (2,0) are set to 1 (the recurrence itself
-    yields 0 at n = 2).
+    row n - dn is read at k + dk by ``symmetry._shifted``, with the offsets
+    taken from the term table.  The boundary cells (0,0) and (2,0) are set
+    to 1 (the recurrence itself yields 0 at n = 2).
     """
     r = [[1]]
     s = [[0]]
+    sources = {"r": r, "s": s}
     for n in range(1, n_max + 1):
         width = n + 1
         s_row = [above - end for above, end in zip(
@@ -175,11 +166,9 @@ def _mirror_rows(n_max: int) -> tuple[list[list[int]], list[list[int]]]:
             + 2 * (2 * n - k - 7) * t3
             + 2 * (k - 1) * (t4 + t5)
             + 2 * (n - k - 6) * t6
-            for k, (t0, t1, t2, t3, t4, t5, t6) in enumerate(zip(
-                s_row, _shifted(r, n - 2, 0, width), _shifted(s, n - 2, 0, width),
-                _shifted(r, n - 4, 0, width), _shifted(r, n - 3, -1, width),
-                _shifted(r, n - 5, -1, width), _shifted(r, n - 6, 0, width),
-            ))
+            for k, (t0, t1, t2, t3, t4, t5, t6) in enumerate(zip(*(
+                _shifted(sources[source], n - dn, dk, width) for source, dn, dk, _ in MIRROR_TERMS
+            )))
         ])
         if n == 2:
             r[2][0] = 1
@@ -195,16 +184,7 @@ def build_mirror_tables(n_max: int) -> MirrorTables:
     r_rows, s_rows = _mirror_rows(n_max)
     reference = {n: split for n, split in MIRROR_REFERENCE.items() if n <= n_max}
     problems = validate_mirror_terms(reference)
-    for n, refs in reference.items():
-        for label, rows, ref in zip(("mirror count", "end-chord count"), (r_rows, s_rows), refs):
-            problems += [
-                f"{label} n={n} k={k}: recurrence {got}, enumeration {ref.get(k, 0)}"
-                for k, got in enumerate(rows[n]) if got != ref.get(k, 0)
-            ]
-    if problems:
-        raise RecurrenceValidationError(
-            "mirror recurrence failed validation:\n" + "\n".join(problems)
-        )
+    _check_tables("mirror", "mirror n", problems, {"r": r_rows, "s": s_rows}, _mirror_cells(reference))
     return MirrorTables(rows=r_rows, end_chord_rows=s_rows)
 
 

@@ -22,8 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
-from math import factorial
-from operator import add
+from operator import add, mul
 
 from ._record import Record
 
@@ -43,6 +42,11 @@ def _pascal_rows(count: int):
     for _ in range(count):
         yield row
         row = [1, *map(add, row, row[1:]), 1]
+
+
+def _factorials(count: int):
+    """0!, 1!, ..., (count-1)!, each from the last."""
+    return accumulate(range(1, count), mul, initial=1)
 
 
 class _Egf(tuple):
@@ -85,7 +89,7 @@ class _Egf(tuple):
 
     def series(self) -> "TruncatedSeries":
         """The ordinary coefficients a_n / n!."""
-        return TruncatedSeries(tuple(Fraction(a, factorial(n)) for n, a in enumerate(self)))
+        return TruncatedSeries(tuple(Fraction(a, fact) for a, fact in zip(self, _factorials(len(self)))))
 
 
 class TruncatedSeries(Record):
@@ -106,7 +110,7 @@ class TruncatedSeries(Record):
         return not any(self.coeffs)
 
     def _scaled(self) -> _Egf:
-        return _Egf(c * factorial(n) for n, c in enumerate(self.coeffs))
+        return _Egf(c * fact for c, fact in zip(self.coeffs, _factorials(len(self.coeffs))))
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -291,8 +295,7 @@ def integer_coeffs(series: TruncatedSeries) -> list[int]:
     if not isinstance(series, TruncatedSeries):
         raise SeriesError("integer coefficients need every marker assigned")
     out = []
-    for n, c in enumerate(series.coeffs):
-        fact = factorial(n)
+    for n, (c, fact) in enumerate(zip(series.coeffs, _factorials(len(series.coeffs)))):
         if fact % c.denominator:
             raise SeriesError(f"coefficient {n} times {n}! is not an integer: {c * fact}")
         out.append(c.numerator * (fact // c.denominator))

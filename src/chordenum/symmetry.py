@@ -6,8 +6,9 @@ A d-fold symmetric sectored diagram lives on m*d points cut into d sectors;
 a rotation of order d, for every size at once; ``*_rotation_fixed`` read
 them per divisor, and ``rotation_totals`` sums them over the divisors, one
 chain per d, for the ``*_cyclic`` orbit averages.  Each process keeps the
-longest chain built so far per d and answers shorter requests with its
-prefix (``_kept_prefixes``); the sector tables behind a chain are not kept.
+longest chain built so far per d, and the longest rotation sums per family,
+and answers shorter requests with their prefix (``_kept_prefixes``); the
+sector tables behind a chain are not kept.
 """
 
 from __future__ import annotations
@@ -134,6 +135,7 @@ def _fixed_by_divisor(fixed_chain, n: int) -> dict[int, int]:
     return {d: fixed_chain(d, 2 * n // d)[2 * n // d] for d in divisors(2 * n)}
 
 
+@_kept_prefixes
 def rotation_totals(fixed_chain, n_max: int) -> list[int]:
     """Burnside sums over the rotations, sum of phi(d) fix_d(n) over d | 2n.
 
@@ -165,19 +167,23 @@ def _rotation_average(totals: list[int]) -> SequenceTable:
 
 
 # ---------------------------------------------------------------------------
-# Simple family: the even-d table with its validation harness
+# Simple family: the even-d table, with the term layout and validation
+# harness it shares with the mirror table (``reflection``)
 
-# Each term contributes coeff(m, k, d) * value(m - dm, k + dk).  The factor d
-# on the (2m + k - 7) term is a correction: the widely printed form omits it,
-# which already fails the exhaustive reference at (d, m) = (2, 4) (8 instead
-# of 9) and breaks the rotation averages from n = 5 on.  See docs/ERRATA.md.
+# A term (source, drow, dk, coeff) adds coeff(row, k, *args) times cell
+# (row - drow, k + dk) of its source: "r", the table itself, or "s", the
+# mirror's end-chord subset (``reflection.MIRROR_TERMS``).  dk is the shift
+# the row kernels pass to ``_shifted``.  The factor d on the (2m + k - 7)
+# term is a correction: the widely printed form omits it, which already fails
+# the exhaustive reference at (d, m) = (2, 4) (8 instead of 9) and breaks the
+# rotation averages from n = 5 on.  See docs/ERRATA.md.
 EVEN_SECTOR_TERMS = (
-    (1, -1, lambda m, k, d: 1),
-    (2, 0, lambda m, k, d: (m - 1) * d - 3 + (1 if m == 2 else 0)),
-    (3, 1, lambda m, k, d: (k + 1) * d),
-    (4, 0, lambda m, k, d: (2 * m + k - 7) * d),
-    (5, 1, lambda m, k, d: (k + 1) * d),
-    (6, 0, lambda m, k, d: (m + k - 6) * d),
+    ("r", 1, -1, lambda m, k, d: 1),
+    ("r", 2, 0, lambda m, k, d: (m - 1) * d - 3 + (1 if m == 2 else 0)),
+    ("r", 3, 1, lambda m, k, d: (k + 1) * d),
+    ("r", 4, 0, lambda m, k, d: (2 * m + k - 7) * d),
+    ("r", 5, 1, lambda m, k, d: (k + 1) * d),
+    ("r", 6, 0, lambda m, k, d: (m + k - 6) * d),
 )
 
 # Exhaustive-enumeration reference counts {(d, m): {k: count}} for simple
@@ -202,37 +208,66 @@ EVEN_SECTOR_REFERENCE = {
 }
 
 
-def predicted_cell(table: dict, m: int, k: int, d: int, terms) -> int:
+def predicted_cell(tables: dict, row: int, k: int, terms, *args) -> int:
+    """Cell (row, k) by a term set, reading each source's {(row, k): count} cells in ``tables``."""
     value = 0
-    for dm, dk, coeff in terms:
-        value += coeff(m, k, d) * table.get((m - dm, k + dk), 0)
+    for source, drow, dk, coeff in terms:
+        value += coeff(row, k, *args) * tables[source].get((row - drow, k + dk), 0)
     return value
 
 
-def validate_even_sector_terms(d: int, reference: dict, terms=EVEN_SECTOR_TERMS) -> list[str]:
-    """Check each reference cell against the recurrence; return diagnostics.
+def _term_problems(name: str, tables: dict, terms, args=(), boundary=()) -> list[str]:
+    """Predict every cell k = 0..row of each reference row by ``terms``; describe each mismatch.
 
-    ``reference`` maps (m, k) to exhaustive counts; every cell with m >= 1
-    is predicted from the cells below it and compared.  An empty return
-    means the term set reproduces the reference exactly.
+    ``tables`` maps each source to its reference {(row, k): count} cells.
+    Row 0 and the ``boundary`` cells, which the recurrence does not produce,
+    are skipped.  A message names every term's share, source(drow,dk)*coeff*cell.
     """
     problems = []
-    table = dict(reference)
-    for m, k in sorted(table):
-        if m == 0:
-            continue
-        got = predicted_cell(table, m, k, d, terms)
-        want = table[(m, k)]
-        if got != want:
-            contributions = [
-                f"({dm},{dk})*{coeff(m, k, d)}*{table.get((m - dm, k + dk), 0)}"
-                for dm, dk, coeff in terms
-            ]
-            problems.append(
-                f"d={d} m={m} k={k}: recurrence gives {got}, enumeration gives {want}"
-                f" [terms: {', '.join(contributions)}]"
-            )
+    for row in sorted({row for row, _ in tables["r"]}):
+        for k in range(row + 1):
+            if row == 0 or (row, k) in boundary:
+                continue
+            got = predicted_cell(tables, row, k, terms, *args)
+            want = tables["r"].get((row, k), 0)
+            if got != want:
+                shares = ", ".join(
+                    f"{source}({drow},{dk})*{coeff(row, k, *args)}*{tables[source].get((row - drow, k + dk), 0)}"
+                    for source, drow, dk, coeff in terms
+                )
+                problems.append(
+                    f"{name}={row} k={k}: recurrence gives {got}, enumeration gives {want} [terms: {shares}]"
+                )
     return problems
+
+
+def _check_tables(recurrence: str, name: str, problems: list[str], built: dict, reference: dict) -> None:
+    """Raise ``RecurrenceValidationError`` with ``problems`` and every built cell the reference contradicts.
+
+    ``built`` maps each source to its row lists, ``reference`` to its {(row, k): count} cells.
+    """
+    rows = sorted({row for row, _ in reference["r"]})
+    for source, table in built.items():
+        label = "table" if source == "r" else "end-chord table"
+        problems = problems + [
+            f"{name}={row} k={k}: {label} gives {got}, enumeration gives {reference[source].get((row, k), 0)}"
+            for row in rows
+            for k, got in enumerate(table[row])
+            if got != reference[source].get((row, k), 0)
+        ]
+    if problems:
+        raise RecurrenceValidationError(f"{recurrence} recurrence failed validation:\n" + "\n".join(problems))
+
+
+def validate_even_sector_terms(d: int, reference: dict, terms=EVEN_SECTOR_TERMS) -> list[str]:
+    """Check each reference row against the recurrence; return diagnostics.
+
+    ``reference`` maps (m, k) to exhaustive counts; every cell k = 0..m of
+    each row m >= 1 it holds is predicted from the cells below it and
+    compared, a cell it leaves out counting 0.  An empty return means the
+    term set reproduces the reference exactly.
+    """
+    return _term_problems(f"d={d} m", {"r": reference}, terms, (d,))
 
 
 class SectorColumn(Record):
@@ -262,8 +297,8 @@ def _even_sector_rows(d: int, m_max: int) -> list[list[int]]:
     """Rows m = 0..m_max of the even-d table, row m holding k = 0..m.
 
     The same recurrence as ``EVEN_SECTOR_TERMS``, one row at a time: each
-    term's source row m - dm is read at k + dk by ``_shifted``, and the six
-    terms are summed inline.
+    term's source row m - drow is read at k + dk by ``_shifted``, with the
+    offsets taken from the term table, and the six terms are summed inline.
     """
     rows = [[1]]
     for m in range(1, m_max + 1):
@@ -277,8 +312,7 @@ def _even_sector_rows(d: int, m_max: int) -> list[list[int]]:
                 + (m + k - 6) * t6
             )
             for k, (t1, t2, t3, t4, t5, t6) in enumerate(zip(*(
-                _shifted(rows, m - dm, dk, width)
-                for dm, dk in ((1, -1), (2, 0), (3, 1), (4, 0), (5, 1), (6, 0))
+                _shifted(rows, m - drow, dk, width) for _, drow, dk, _ in EVEN_SECTOR_TERMS
             )))
         ])
     return rows
@@ -314,16 +348,7 @@ def simple_sector_counts(d: int, m_max: int) -> SectorColumn:
     }
     if reference:
         problems = validate_even_sector_terms(d, reference, EVEN_SECTOR_TERMS)
-        problems += [
-            f"d={d} m={m} k={k}: table gives {got}, enumeration gives {reference.get((m, k), 0)}"
-            for m in sorted({m for m, _ in reference})
-            for k, got in enumerate(rows[m])
-            if got != reference.get((m, k), 0)
-        ]
-        if problems:
-            raise RecurrenceValidationError(
-                "even-sector recurrence failed validation:\n" + "\n".join(problems)
-            )
+        _check_tables("even-sector", f"d={d} m", problems, {"r": rows}, {"r": reference})
     return SectorColumn(tuple(sum(row) for row in rows), rows)
 
 

@@ -8,6 +8,7 @@ SWEEP_MAX = 6
 KEPT_CHAINS = (
     symmetry.loopless_fixed_chain,
     symmetry.simple_fixed_chain,
+    symmetry.rotation_totals,
     reflection.loopless_axes,
     reflection.simple_axes,
 )

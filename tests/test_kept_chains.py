@@ -1,4 +1,4 @@
-"""The fixed-count chains each process keeps (``symmetry._kept_prefixes``).
+"""The fixed-count chains and rotation sums each process keeps (``symmetry._kept_prefixes``).
 
 A served chain must equal a fresh build whatever was asked before it, a
 build that fails validation must leave nothing behind, and a session of
@@ -34,7 +34,7 @@ CHAINS = {"loopless": loopless_fixed_chain, "simple": simple_fixed_chain}
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(
-    st.tuples(st.sampled_from(("loopless", "simple", "axes")), st.integers(1, 12), st.integers(0, 40)),
+    st.tuples(st.sampled_from(("loopless", "simple", "axes", "totals")), st.integers(1, 12), st.integers(0, 40)),
     max_size=8,
 ))
 def test_served_chains_equal_fresh_builds(requests):
@@ -42,6 +42,10 @@ def test_served_chains_equal_fresh_builds(requests):
         if family == "axes":
             for axes in (loopless_axes, simple_axes):
                 assert axes(m_max) == axes.__wrapped__(m_max), (axes.__name__, m_max)
+        elif family == "totals":
+            totals = symmetry.rotation_totals
+            for chain in CHAINS.values():
+                assert totals(chain, m_max) == totals.__wrapped__(chain, m_max), (chain.__name__, m_max)
         else:
             chain = CHAINS[family]
             assert chain(d, m_max) == chain.__wrapped__(d, m_max), (family, d, m_max)

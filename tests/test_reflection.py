@@ -123,8 +123,13 @@ def test_mirror_recurrence_rejects_wrong_coefficients(monkeypatch):
         for i, (table, dn, dk, fn) in enumerate(MIRROR_TERMS)
     )
     monkeypatch.setattr(reflection, "MIRROR_TERMS", broken)
-    with pytest.raises(RecurrenceValidationError):
+    with pytest.raises(RecurrenceValidationError) as failure:
         build_mirror_tables(7)
+    # the first wrong cell, with every term's share source(dn,dk)*coeff*cell
+    assert (
+        "mirror n=3 k=1: recurrence gives 3, enumeration gives 4 [terms: s(0,0)*1*1, r(2,0)*1*1,"
+        " s(2,0)*1*1, r(4,0)*-4*0, r(3,-1)*0*1, r(5,-1)*0*0, r(6,0)*-8*0]"
+    ) in str(failure.value).splitlines()
 
 
 def reference_mirror_tables(n_max: int) -> tuple[dict, dict]:
@@ -137,7 +142,7 @@ def reference_mirror_tables(n_max: int) -> tuple[dict, dict]:
             if value:
                 s[(n, k)] = value
         for k in range(n + 1):
-            value = reflection._predicted_mirror_cell(r, s, n, k)
+            value = symmetry.predicted_cell({"r": r, "s": s}, n, k, MIRROR_TERMS)
             if value:
                 r[(n, k)] = value
         if n == 2:
@@ -165,7 +170,7 @@ def test_a_drifted_mirror_cell_fails_validation(monkeypatch):
         return r, s
 
     monkeypatch.setattr(reflection, "_mirror_rows", drifted)
-    with pytest.raises(RecurrenceValidationError, match=r"mirror count n=4 k=2: recurrence 6"):
+    with pytest.raises(RecurrenceValidationError, match=r"mirror n=4 k=2: table gives 6"):
         build_mirror_tables(7)
 
 
@@ -193,7 +198,7 @@ def test_split_coefficients_are_pinned_by_enumeration():
             if dn == 4 and table == "r":
                 continue
             lookup = reference if table == "r" else s_reference
-            rest += coeff(n, k) * lookup.get((n - dn, k - dk), 0)
+            rest += coeff(n, k) * lookup.get((n - dn, k + dk), 0)
         numerator = want - rest
         assert numerator % source == 0
         assert numerator // source == 2 * (2 * n - k - 7)

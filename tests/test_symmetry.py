@@ -35,8 +35,8 @@ from fixed_matchings import enumerate_invariant_pairings
 # The widely printed even-d term set: its fourth term lacks the factor d, so
 # the validation harness must reject it (see docs/ERRATA.md).
 EVEN_SECTOR_TERMS_PRINTED = tuple(
-    (dm, dk, (lambda m, k, d: 2 * m + k - 7) if i == 3 else fn)
-    for i, (dm, dk, fn) in enumerate(EVEN_SECTOR_TERMS)
+    (source, dm, dk, (lambda m, k, d: 2 * m + k - 7) if i == 3 else fn)
+    for i, (source, dm, dk, fn) in enumerate(EVEN_SECTOR_TERMS)
 )
 
 
@@ -192,12 +192,26 @@ def test_printed_term_set_fails_the_harness(monkeypatch):
     assert not validate_even_sector_terms(2, reference, EVEN_SECTOR_TERMS)
 
 
+def test_a_cell_missing_from_a_reference_row_is_checked_as_zero():
+    reference = {
+        (m, k): count
+        for (d, m), split in EVEN_SECTOR_REFERENCE.items()
+        if d == 2
+        for k, count in split.items()
+        if (m, k) != (7, 7)
+    }
+    assert validate_even_sector_terms(2, reference) == [
+        "d=2 m=7 k=7: recurrence gives 1, enumeration gives 0"
+        " [terms: r(1,-1)*1*1, r(2,0)*9*0, r(3,1)*16*0, r(4,0)*28*0, r(5,1)*16*0, r(6,0)*16*0]"
+    ]
+
+
 def reference_even_sector_table(d: int, m_max: int) -> dict:
     """The even-d table cell by cell through the term set: the spec the row kernel must equal."""
     table = {(0, 0): 1}
     for m in range(1, m_max + 1):
         for k in range(m + 1):
-            value = symmetry.predicted_cell(table, m, k, d, EVEN_SECTOR_TERMS)
+            value = symmetry.predicted_cell({"r": table}, m, k, EVEN_SECTOR_TERMS, d)
             if value:
                 table[(m, k)] = value
     return table
@@ -245,7 +259,7 @@ def test_corrected_coefficient_is_pinned_by_enumeration():
             if not source:
                 continue
             rest = 0
-            for dm, dk, coeff in EVEN_SECTOR_TERMS:
+            for _, dm, dk, coeff in EVEN_SECTOR_TERMS:
                 if dm == 4:
                     continue
                 rest += coeff(m, k, d) * reference.get((m - dm, k + dk), 0)

@@ -1,6 +1,8 @@
+from collections import Counter
+
 import pytest
 
-from chordenum import labelled, oracle, reflection, verify
+from chordenum import labelled, oracle, reflection, symmetry, verify
 from chordenum.cli import main
 from chordenum.oracle import OracleCapError
 from chordenum.verify import check_line
@@ -37,3 +39,16 @@ def test_report_refuses_a_depth_over_the_cap_before_building_anything(monkeypatc
     monkeypatch.setattr(oracle, "full_sweep", lambda *args, **kwargs: pytest.fail("ran a sweep"))
     with pytest.raises(OracleCapError):
         verify.report(4, 2)
+
+
+def test_verify_sums_each_familys_rotations_once(monkeypatch):
+    built = Counter()
+    build = symmetry.rotation_totals.__wrapped__
+
+    def counting(fixed_chain, n_max):
+        built[fixed_chain.__name__] += 1
+        return build(fixed_chain, n_max)
+
+    monkeypatch.setattr(symmetry, "rotation_totals", symmetry._kept_prefixes(counting))
+    verify.report(6, 9)
+    assert built == {"loopless_fixed_chain": 1, "simple_fixed_chain": 1}
