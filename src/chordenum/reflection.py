@@ -3,24 +3,29 @@
 Two reflection axis types exist on 2n points: through two opposite points
 (vertex axis) or through two opposite gap midpoints (edge axis).  The
 loopless counts come straight from the 2-sector column; the simple counts
-need the mirror-symmetric table built here.  Both families' axes are kept
-per process, as the rotation chains are (``symmetry._kept_prefixes``).
+need the mirror-symmetric table built here.  Each process keeps both
+families' axes, as it keeps the rotation chains (``symmetry._kept_streams``):
+the simple axes are a generator that owns the mirror rows, so a request
+longer than any before it resumes where the last one stopped and each
+mirror row is built once per process.  The rows themselves are not kept:
+the row kernel holds the last 7.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import count, islice
 
 from ._record import Record
 from .labelled import SequenceTable
 from .symmetry import (
-    _check_tables,
-    _kept_prefixes,
+    _checked,
+    _kept_streams,
     _nonzero_cells,
     _shifted,
     _term_problems,
     loopless_cyclic,
-    loopless_sector_counts,
+    _loopless_column,
     simple_cyclic,
     simple_rotation_fixed,  # noqa: F401  perfbench's tracer test checks this from-import binding
 )
@@ -30,9 +35,9 @@ from .symmetry import (
 # Loopless family
 
 
-@_kept_prefixes
-def loopless_axes(n_max: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(vertex, edge): diagrams fixed by each reflection type, from one 2-sector column.
+@_kept_streams
+def loopless_axes():
+    """``loopless_axes(n_max)``: (vertex, edge), diagrams fixed by each reflection type, from one 2-sector column.
 
     Vertex axis (point-through-point): equals the 2-sector count one step
     down: the forced axis chord is removed and the halves unfold.  On 2
@@ -44,13 +49,10 @@ def loopless_axes(n_max: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     the two diameters); claims of 0 there fail both exhaustive enumeration
     and the dihedral average at n = 2 -- see docs/ERRATA.md.
     """
-    col = loopless_sector_counts(2, n_max)
-    vertex = [0, 0]
-    edge = [0, 0]
-    for n in range(2, n_max + 1):
-        vertex.append(col[n - 1])
-        edge.append(col[n] - 2 * col[n - 1] + col[n - 2])
-    return tuple(vertex[: n_max + 1]), tuple(edge[: n_max + 1])
+    col = []
+    for n, value in enumerate(_loopless_column(2)):
+        col.append(value)
+        yield (col[n - 1], value - 2 * col[n - 1] + col[n - 2]) if n >= 2 else (0, 0)
 
 
 def loopless_dihedral(n_max: int) -> SequenceTable:
@@ -144,24 +146,27 @@ def validate_mirror_terms(reference: dict) -> list[str]:
     return _term_problems("mirror n", _mirror_cells(reference), MIRROR_TERMS, boundary={(2, 0)})
 
 
-def _mirror_rows(n_max: int) -> tuple[list[list[int]], list[list[int]]]:
-    """(r, s): rows n = 0..n_max of the mirror and end-chord tables, row n holding k = 0..n.
+def _mirror_rows():
+    """(r, s): rows n = 0, 1, 2, ... of the mirror and end-chord tables, row n holding k = 0..n.
 
     End-chord cells first, s(n, k) = r(n-1, k-1) - s(n-1, k-1); then the
     main row by the same recurrence as ``MIRROR_TERMS``: each term's source
     row n - dn is read at k + dk by ``symmetry._shifted``, with the offsets
     taken from the term table.  The boundary cells (0,0) and (2,0) are set
-    to 1 (the recurrence itself yields 0 at n = 2).
+    to 1 (the recurrence itself yields 0 at n = 2).  Only rows n - 6..n
+    of each table are held, the deepest any term reads.
     """
-    r = [[1]]
-    s = [[0]]
+    r = {0: [1]}
+    s = {0: [0]}
     sources = {"r": r, "s": s}
-    for n in range(1, n_max + 1):
+    yield r[0], s[0]
+    for n in count(1):
+        r.pop(n - 7, None)
+        s.pop(n - 7, None)
         width = n + 1
-        s_row = [above - end for above, end in zip(
+        s[n] = [above - end for above, end in zip(
             _shifted(r, n - 1, -1, width), _shifted(s, n - 1, -1, width))]
-        s.append(s_row)
-        r.append([
+        r[n] = [
             t0 + 2 * (n - 2) * t1 + t2
             + 2 * (2 * n - k - 7) * t3
             + 2 * (k - 1) * (t4 + t5)
@@ -169,28 +174,32 @@ def _mirror_rows(n_max: int) -> tuple[list[list[int]], list[list[int]]]:
             for k, (t0, t1, t2, t3, t4, t5, t6) in enumerate(zip(*(
                 _shifted(sources[source], n - dn, dk, width) for source, dn, dk, _ in MIRROR_TERMS
             )))
-        ])
+        ]
         if n == 2:
             r[2][0] = 1
-    return r, s
+        yield r[n], s[n]
+
+
+def _checked_mirror_rows():
+    """``_mirror_rows()``, its first rows checked against ``MIRROR_REFERENCE``.
+
+    ``MIRROR_TERMS`` must reproduce every reference cell, and so must the
+    built rows, before any row is yielded; a mismatch raises with a
+    per-cell diagnostic.
+    """
+    problems = validate_mirror_terms(MIRROR_REFERENCE)
+    return _checked(_mirror_rows(), "mirror", "mirror n", problems, _mirror_cells(MIRROR_REFERENCE))
 
 
 def build_mirror_tables(n_max: int) -> MirrorTables:
-    """Build the mirror tables row by row and validate against the reference.
-
-    ``MIRROR_TERMS`` must reproduce every reference cell up to n_max, and
-    so must the built tables; a mismatch aborts with a per-cell diagnostic.
-    """
-    r_rows, s_rows = _mirror_rows(n_max)
-    reference = {n: split for n, split in MIRROR_REFERENCE.items() if n <= n_max}
-    problems = validate_mirror_terms(reference)
-    _check_tables("mirror", "mirror n", problems, {"r": r_rows, "s": s_rows}, _mirror_cells(reference))
-    return MirrorTables(rows=r_rows, end_chord_rows=s_rows)
+    """The whole mirror tables to n_max, built afresh from ``_checked_mirror_rows``; the simple axes keep only row totals."""
+    r_rows, s_rows = zip(*islice(_checked_mirror_rows(), n_max + 1))
+    return MirrorTables(rows=list(r_rows), end_chord_rows=list(s_rows))
 
 
-@_kept_prefixes
-def simple_axes(n_max: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(vertex, edge): simple diagrams fixed by each reflection type, from one mirror build.
+@_kept_streams
+def simple_axes():
+    """``simple_axes(n_max)``: (vertex, edge), simple diagrams fixed by each reflection type, from the mirror row totals.
 
     Vertex axis: simple diagrams fixed by a point-through-point reflection.
     Edge axis: simple diagrams fixed by a gap-through-gap reflection, taken
@@ -198,16 +207,12 @@ def simple_axes(n_max: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     those with an end chord on either seam, then remove the ones that would
     turn a mirrored chord pair into a parallel pair.
     """
-    tables = build_mirror_tables(n_max)
-    totals = [sum(row) for row in tables.rows]
-    end_chord_totals = [sum(row) for row in tables.end_chord_rows]
-    vertex = [0, 0]
-    loopless_glued = [0, 0]
-    for n in range(2, n_max + 1):
-        vertex.append(totals[n - 1] - vertex[n - 2])
-        loopless_glued.append(totals[n] - 2 * end_chord_totals[n] + loopless_glued[n - 2])
-    edge = [0] + [loopless_glued[n] - vertex[n - 1] for n in range(1, n_max + 1)]
-    return tuple(vertex[: n_max + 1]), tuple(edge)
+    totals, vertex, loopless_glued = [], [], []
+    for n, (r, s) in enumerate(_checked_mirror_rows()):
+        totals.append(sum(r))
+        vertex.append(totals[n - 1] - vertex[n - 2] if n >= 2 else 0)
+        loopless_glued.append(totals[n] - 2 * sum(s) + loopless_glued[n - 2] if n >= 2 else 0)
+        yield vertex[n], (loopless_glued[n] - vertex[n - 1] if n >= 1 else 0)
 
 
 def simple_dihedral(n_max: int) -> SequenceTable:

@@ -6,17 +6,22 @@ A d-fold symmetric sectored diagram lives on m*d points cut into d sectors;
 a rotation of order d, for every size at once; ``*_rotation_fixed`` read
 them per divisor, and ``rotation_totals`` sums them over the divisors, one
 chain per d, for the ``*_cyclic`` orbit averages.  Each process keeps the
-longest chain built so far per d, and the longest rotation sums per family,
-and answers shorter requests with their prefix (``_kept_prefixes``); the
-sector tables behind a chain are not kept.
+chains per d and the rotation sums per family (``_kept_streams``).  A
+chain is a generator that owns its sector column, so a request longer
+than any before it resumes where the last one stopped and each row of
+the even-d table is built once per process; a shorter request reads a
+prefix.  The table rows themselves are not kept: the row kernel holds the
+last 7, the deepest any term reads.
 """
 
 from __future__ import annotations
 
+from _thread import allocate_lock  # threading's Lock, without importing threading
 from functools import cached_property, wraps
+from itertools import count, islice
 
 from ._record import Record
-from .labelled import SequenceTable, simple_chord
+from .labelled import SequenceTable
 
 
 class RecurrenceValidationError(AssertionError):
@@ -42,44 +47,51 @@ def divisors(m: int) -> list[int]:
     return [d for d in range(1, m + 1) if m % d == 0]
 
 
-def _kept_prefixes(build):
-    """Serve ``build(*key, size)`` from the longest result built so far for ``key``.
+def _kept_streams(start):
+    """Serve entries 0..size of one sequence per key, each entry computed once per process.
 
-    A chain is filled upward from entry 0, so entry m does not depend on how
-    far it was built: a request for ``size`` gets the first size + 1 entries
-    of a longer build (of each chain, when the result is a tuple of chains).
-    A longer request builds again and replaces the entry.  An entry is
-    stored only once its build has returned, so a build that fails
-    validation stores nothing, and callers racing on one key can cost a
-    rebuild but never a wrong entry.  ``built`` maps key -> (size, result).
+    ``start(*key)`` is called on the first request for ``key``.  It returns
+    an iterator over all the entries (a generator function is decorated
+    directly), or ``more(have, size)``, which returns entries have..size.
+    ``serve(*key, size)`` asks it only for the entries past those kept, so
+    a longer request resumes where the last one stopped and a shorter one
+    gets a prefix; entries that are tuples are served as a tuple of chains.
+    If that raises, the key is dropped with all it kept and the next
+    request starts afresh, so nothing half-built is served.  One lock per
+    store serialises the requests: callers racing on one key wait for each
+    other, and never resume one generator twice or get a wrong entry.
+    ``built`` maps key -> (entries, iterator or more).
     """
     built = {}
+    lock = allocate_lock()
 
-    @wraps(build)
+    @wraps(start)
     def serve(*args):
         key, size = args[:-1], args[-1]
-        kept = built.get(key)
-        if kept is None or kept[0] < size:
-            kept = built[key] = (size, build(*args))
-        return _prefix(kept[1], size)
+        with lock:
+            if key not in built:
+                built[key] = [], start(*key)
+            entries, more = built[key]
+            have = len(entries)
+            if have <= size:
+                try:
+                    entries += more(have, size) if callable(more) else islice(more, size + 1 - have)
+                except BaseException:
+                    del built[key]
+                    raise
+            served = entries[: size + 1]
+        return tuple(zip(*served)) if served and isinstance(served[0], tuple) else tuple(served)
 
     serve.built = built
     return serve
-
-
-def _prefix(result: tuple, size: int) -> tuple:
-    """Entries 0..size of a chain, or of each chain in a tuple of chains."""
-    if result and isinstance(result[0], tuple):
-        return tuple(chain[: size + 1] for chain in result)
-    return result[: size + 1]
 
 
 # ---------------------------------------------------------------------------
 # Loopless family
 
 
-def loopless_sector_counts(d: int, m_max: int) -> tuple[int, ...]:
-    """Loopless d-sector diagrams with m*d points, for m = 0..m_max.
+def _loopless_column(d: int):
+    """Loopless d-sector counts for m = 0, 1, 2, ...
 
     Odd d:  value(m) = d(m-1) value(m-2) + value(m-4).
     Even d: value(m) = value(m-1) + d(m-1) value(m-2) - value(m-3) + value(m-4).
@@ -87,32 +99,32 @@ def loopless_sector_counts(d: int, m_max: int) -> tuple[int, ...]:
     if d < 1:
         raise ValueError(f"sector count must be positive, got {d}")
     even = d % 2 == 0
-    initial = [1, 1 if even else 0, d if even else d - 1]
-    values = initial[: m_max + 1]
-    get = lambda m: values[m] if m >= 0 else 0
-    for m in range(3, m_max + 1):
-        value = d * (m - 1) * get(m - 2) + get(m - 4)
+    values = [1, 1 if even else 0, d if even else d - 1]
+    yield from values
+    for m in count(3):
+        value = d * (m - 1) * values[m - 2] + (values[m - 4] if m >= 4 else 0)
         if even:
-            value += get(m - 1) - get(m - 3)
+            value += values[m - 1] - values[m - 3]
         values.append(value)
-    return tuple(values)
+        yield value
 
 
-@_kept_prefixes
-def loopless_fixed_chain(d: int, m_max: int) -> tuple[int, ...]:
-    """Loopless chord diagrams on m*d points fixed by a rotation of order d.
+def loopless_sector_counts(d: int, m_max: int) -> tuple[int, ...]:
+    """Loopless d-sector diagrams with m*d points, for m = 0..m_max (``_loopless_column``)."""
+    return tuple(islice(_loopless_column(d), m_max + 1))
+
+
+@_kept_streams
+def loopless_fixed_chain(d: int):
+    """``loopless_fixed_chain(d, m_max)``: loopless chord diagrams on m*d points fixed by a rotation of order d.
 
     Entry m holds the count for m = 0..m_max, from one sector column;
     entries with m*d odd describe no chord diagram and are never read.
     """
-    counts = loopless_sector_counts(d, m_max)
-    values = []
-    for m in range(len(counts)):
-        if d * m == 2:
-            values.append(0)  # a single chord is always a loop
-        else:
-            values.append(counts[m] - (counts[m - 2] if m >= 2 else 0))
-    return tuple(values)
+    counts = []
+    for m, value in enumerate(_loopless_column(d)):
+        counts.append(value)
+        yield 0 if d * m == 2 else value - (counts[m - 2] if m >= 2 else 0)  # a single chord is always a loop
 
 
 def loopless_rotation_fixed(n: int) -> dict[int, int]:
@@ -135,26 +147,33 @@ def _fixed_by_divisor(fixed_chain, n: int) -> dict[int, int]:
     return {d: fixed_chain(d, 2 * n // d)[2 * n // d] for d in divisors(2 * n)}
 
 
-@_kept_prefixes
-def rotation_totals(fixed_chain, n_max: int) -> list[int]:
-    """Burnside sums over the rotations, sum of phi(d) fix_d(n) over d | 2n.
+@_kept_streams
+def rotation_totals(fixed_chain):
+    """``rotation_totals(fixed_chain, n_max)``: Burnside sums over the rotations, sum of phi(d) fix_d(n) over d | 2n.
 
     Entry n holds the sum for n = 0..n_max.  ``fixed_chain(d, m_max)`` is
-    ``loopless_fixed_chain`` or ``simple_fixed_chain``; it is called once
-    per d, so each sector column is built once for every n, and the whole
+    ``loopless_fixed_chain`` or ``simple_fixed_chain``.  A request past the
+    kept sums adds phi(d) times each chain entry m with m*d/2 among the new
+    n, once per d, so each chain is read once per extension, and the whole
     sum costs O(n_max^2) table cells.
     """
-    totals = [0] * (n_max + 1)
-    for d in range(1, 2 * n_max + 1):
-        m_max = 2 * n_max // d
-        step = 1 if d % 2 == 0 else 2  # m*d = 2n is even
-        if m_max < step:
-            continue
-        chain = fixed_chain(d, m_max)
-        phi = totient(d)
-        for m in range(step, m_max + 1, step):
-            totals[d * m // 2] += phi * chain[m]
-    return totals
+
+    def more(have, size):
+        totals = [0] * (size + 1 - have)
+        for d in range(1, 2 * size + 1):
+            m_max = 2 * size // d
+            step = 1 if d % 2 == 0 else 2  # m*d = 2n is even
+            first = max(-(-2 * have // d), 1)  # the least m >= 1 with m*d/2 >= have,
+            first += -first % step  # rounded up to a multiple of step
+            if m_max < first:
+                continue
+            chain = fixed_chain(d, m_max)
+            phi = totient(d)
+            for m in range(first, m_max + 1, step):
+                totals[d * m // 2 - have] += phi * chain[m]
+        return totals
+
+    return more
 
 
 def _rotation_average(totals: list[int]) -> SequenceTable:
@@ -241,22 +260,30 @@ def _term_problems(name: str, tables: dict, terms, args=(), boundary=()) -> list
     return problems
 
 
-def _check_tables(recurrence: str, name: str, problems: list[str], built: dict, reference: dict) -> None:
-    """Raise ``RecurrenceValidationError`` with ``problems`` and every built cell the reference contradicts.
+def _checked(rows, recurrence: str, name: str, problems: list[str], reference: dict):
+    """Yield ``rows``, holding the first ones back until the reference rows among them pass.
 
-    ``built`` maps each source to its row lists, ``reference`` to its {(row, k): count} cells.
+    ``reference`` maps each source to its {(row, k): count} cells; each row
+    of ``rows`` is the row of source "r", or with more than one source a
+    tuple of one row per source.  ``problems`` and every built reference
+    cell that contradicts the reference are raised as one
+    ``RecurrenceValidationError``; a cell the reference leaves out counts 0.
     """
-    rows = sorted({row for row, _ in reference["r"]})
-    for source, table in built.items():
+    checked = sorted({row for row, _ in reference["r"]})
+    head = list(islice(rows, checked[-1] + 1))
+    tables = zip(*head) if len(reference) > 1 else [head]
+    for (source, cells), table in zip(reference.items(), tables):
         label = "table" if source == "r" else "end-chord table"
         problems = problems + [
-            f"{name}={row} k={k}: {label} gives {got}, enumeration gives {reference[source].get((row, k), 0)}"
-            for row in rows
+            f"{name}={row} k={k}: {label} gives {got}, enumeration gives {cells.get((row, k), 0)}"
+            for row in checked
             for k, got in enumerate(table[row])
-            if got != reference[source].get((row, k), 0)
+            if got != cells.get((row, k), 0)
         ]
     if problems:
         raise RecurrenceValidationError(f"{recurrence} recurrence failed validation:\n" + "\n".join(problems))
+    yield from head
+    yield from rows
 
 
 def validate_even_sector_terms(d: int, reference: dict, terms=EVEN_SECTOR_TERMS) -> list[str]:
@@ -273,7 +300,7 @@ def validate_even_sector_terms(d: int, reference: dict, terms=EVEN_SECTOR_TERMS)
 class SectorColumn(Record):
     """Simple d-sector counts: totals by m and, for even d, the split by diameter class.
 
-    ``rows`` is ``_even_sector_rows`` (None for odd d); ``by_diameter``, its
+    ``rows`` is the list of ``_even_sector_rows`` (None for odd d); ``by_diameter``, its
     nonzero cells as an (m, k) -> count dict, is built on first read.
     """
 
@@ -285,26 +312,29 @@ class SectorColumn(Record):
         return None if self.rows is None else _nonzero_cells(self.rows)
 
 
-def _shifted(rows: list[list[int]], i: int, shift: int, width: int) -> list[int]:
-    """Row i of a row-list table read at k + shift, for k = 0..width - 1; zero outside the table."""
+def _shifted(rows: dict, i: int, shift: int, width: int) -> list[int]:
+    """Row i of a table of rows by index, read at k + shift for k = 0..width - 1; zero outside the table."""
     if i < 0:
         return [0] * width
     row = rows[i][shift:] if shift >= 0 else [0] * -shift + rows[i]
     return row + [0] * (width - len(row))
 
 
-def _even_sector_rows(d: int, m_max: int) -> list[list[int]]:
-    """Rows m = 0..m_max of the even-d table, row m holding k = 0..m.
+def _even_sector_rows(d: int):
+    """Rows m = 0, 1, 2, ... of the even-d table, row m holding k = 0..m.
 
     The same recurrence as ``EVEN_SECTOR_TERMS``, one row at a time: each
     term's source row m - drow is read at k + dk by ``_shifted``, with the
     offsets taken from the term table, and the six terms are summed inline.
+    Only rows m - 6..m are held, the deepest any term reads.
     """
-    rows = [[1]]
-    for m in range(1, m_max + 1):
+    rows = {0: [1]}
+    yield rows[0]
+    for m in count(1):
+        rows.pop(m - 7, None)
         width = m + 1
         below = (m - 1) * d - 3 + (1 if m == 2 else 0)
-        rows.append([
+        rows[m] = [
             t1 + below * t2 + d * (
                 (k + 1) * (t3 + t5)
                 # factor d on (2m + k - 7): the correction in docs/ERRATA.md
@@ -314,42 +344,62 @@ def _even_sector_rows(d: int, m_max: int) -> list[list[int]]:
             for k, (t1, t2, t3, t4, t5, t6) in enumerate(zip(*(
                 _shifted(rows, m - drow, dk, width) for _, drow, dk, _ in EVEN_SECTOR_TERMS
             )))
-        ])
-    return rows
+        ]
+        yield rows[m]
 
 
-def simple_sector_counts(d: int, m_max: int) -> SectorColumn:
-    """Simple d-sector diagrams with m*d points, for m = 0..m_max.
+def _checked_even_rows(d: int):
+    """``_even_sector_rows(d)``, its first rows checked against the embedded exhaustive reference.
 
-    For even d the table is built by diameter class k and validated
-    against the embedded exhaustive reference before it is returned:
-    the term set must reproduce every reference cell, and so must the
-    built table.  A mismatch aborts with a per-cell diagnostic.
+    The term set must reproduce every reference cell of d, and so must the
+    built rows, before any row is yielded; a mismatch raises with a
+    per-cell diagnostic.  An even d with no reference rows is not checked.
     """
-    if d < 1:
-        raise ValueError(f"sector count must be positive, got {d}")
-    if d % 2 == 1:
-        values = [1, 0, d - 1][: m_max + 1]
-        get = lambda m: values[m] if m >= 0 else 0
-        for m in range(3, m_max + 1):
-            values.append(
-                ((m - 1) * d - 2) * get(m - 2)
-                + (2 * m - 7) * d * get(m - 4)
-                + (m - 6) * d * get(m - 6)
-            )
-        return SectorColumn(tuple(values), None)
-
-    rows = _even_sector_rows(d, m_max)
+    rows = _even_sector_rows(d)
+    if (d, 0) not in EVEN_SECTOR_REFERENCE:  # every d with reference rows has its row m = 0
+        return rows
     reference = {
         (m, k): count
         for (dd, m), split in EVEN_SECTOR_REFERENCE.items()
-        if dd == d and m <= m_max
+        if dd == d
         for k, count in split.items()
     }
-    if reference:
-        problems = validate_even_sector_terms(d, reference, EVEN_SECTOR_TERMS)
-        _check_tables("even-sector", f"d={d} m", problems, {"r": rows}, {"r": reference})
-    return SectorColumn(tuple(sum(row) for row in rows), rows)
+    problems = validate_even_sector_terms(d, reference, EVEN_SECTOR_TERMS)
+    return _checked(rows, "even-sector", f"d={d} m", problems, {"r": reference})
+
+
+def _odd_sector_totals(d: int):
+    """Simple d-sector totals for odd d, m = 0, 1, 2, ..."""
+    values = [1, 0, d - 1]
+    get = lambda m: values[m] if m >= 0 else 0
+    yield from values
+    for m in count(3):
+        values.append(
+            ((m - 1) * d - 2) * get(m - 2)
+            + (2 * m - 7) * d * get(m - 4)
+            + (m - 6) * d * get(m - 6)
+        )
+        yield values[m]
+
+
+def _sector_totals(d: int):
+    """Simple d-sector totals for m = 0, 1, 2, ...: the odd-d recurrence, or the row sums of the checked even-d table."""
+    if d < 1:
+        raise ValueError(f"sector count must be positive, got {d}")
+    return map(sum, _checked_even_rows(d)) if d % 2 == 0 else _odd_sector_totals(d)
+
+
+def simple_sector_counts(d: int, m_max: int) -> SectorColumn:
+    """Simple d-sector diagrams with m*d points, for m = 0..m_max, with the whole even-d table.
+
+    Built afresh on each call; the kept chains hold only their own entries.
+    For even d the rows come from ``_checked_even_rows``, so the reference
+    rows are built and checked whatever m_max is.
+    """
+    if d < 1 or d % 2 == 1:  # _sector_totals refuses d < 1
+        return SectorColumn(tuple(islice(_sector_totals(d), m_max + 1)), None)
+    rows = list(islice(_checked_even_rows(d), m_max + 1))
+    return SectorColumn(tuple(map(sum, rows)), rows)
 
 
 def _nonzero_cells(rows: list[list[int]]) -> dict[tuple[int, int], int]:
@@ -361,53 +411,49 @@ def _nonzero_cells(rows: list[list[int]]) -> dict[tuple[int, int], int]:
 # Simple family: gluing chains and rotation-fixed counts
 
 
-def simple_sector_glueable(d: int, m_max: int) -> tuple[int, ...]:
-    """d-sector diagrams that glue into loopless chord diagrams.
+def _glueable(d: int):
+    """d-sector diagrams that glue into loopless chord diagrams, m = 0, 1, 2, ...
 
-    Follows the alternating correction q(m) = totals(m) - q(m-2); the
-    m < 2 entries are the boundary convention 1 for d > 2 and 0 otherwise.
+    Follows the alternating correction q(m) = totals(m) - q(m-2) over
+    ``_sector_totals``; the m < 2 entries are the boundary convention 1 for
+    d > 2 and 0 otherwise.
     """
-    totals = simple_sector_counts(d, m_max).totals
     seed = 1 if d > 2 else 0
-    values = [seed, seed][: m_max + 1]
-    for m in range(2, m_max + 1):
-        values.append(totals[m] - values[m - 2])
-    return tuple(values)
+    q = []
+    for m, total in enumerate(_sector_totals(d)):
+        q.append(seed if m < 2 else total - q[m - 2])
+        yield q[m]
 
 
-def _half_turn_fixed_chain(m_max: int) -> tuple[int, ...]:
-    """Simple chord diagrams on 2m points fixed by the half turn, m = 0..m_max."""
-    q = simple_sector_glueable(2, m_max)
+def _half_turn_fixed_chain():
+    """Simple chord diagrams on 2m points fixed by the half turn, m = 0, 1, 2, ..."""
+    q, p, f = [], [], []
     get_q = lambda m: q[m] if m >= 0 else 0
-    p = [0, 1][: m_max + 1]
-    for m in range(2, m_max + 1):
-        p.append(get_q(m) - p[m - 2] - get_q(m - 4))
-    f = [1, 0][: m_max + 1]
-    for m in range(2, m_max + 1):
-        f.append(p[m] - f[m - 2] - get_q(m - 1) + p[m - 1])
-    return tuple(f)
+    for m, value in enumerate(_glueable(2)):
+        q.append(value)
+        p.append(m if m < 2 else value - p[m - 2] - get_q(m - 4))
+        f.append(1 - m if m < 2 else p[m] - f[m - 2] - get_q(m - 1) + p[m - 1])
+        yield f[m]
 
 
-@_kept_prefixes
-def simple_fixed_chain(d: int, m_max: int) -> tuple[int, ...]:
-    """Simple chord diagrams on m*d points fixed by a rotation of order d.
+@_kept_streams
+def simple_fixed_chain(d: int):
+    """``simple_fixed_chain(d, m_max)``: simple chord diagrams on m*d points fixed by a rotation of order d.
 
     Entry m holds the count for m = 0..m_max, from one sector column;
     entries with m*d odd describe no chord diagram and are never read.
     """
-    if d == 1:
-        chord = simple_chord(m_max // 2)
-        return tuple(0 if m % 2 else chord[m // 2] for m in range(m_max + 1))
     if d == 2:
-        return _half_turn_fixed_chain(m_max)
-    q = simple_sector_glueable(d, m_max)
-    get_q = lambda i: q[i] if i >= 0 else 0
-    f = [0] * (m_max + 1)
-    for m in range(1, m_max + 1):
-        f[m] = get_q(m) - (f[m - 2] if m >= 2 else 0)
-        if d % 2 == 0:
-            f[m] -= get_q(m - 2) + get_q(m - 3)
-    return tuple(f)
+        yield from _half_turn_fixed_chain()
+        return
+    q = [0, 0]  # q(-2), q(-1); q(m) is q[m + 2]
+    f = []
+    for m, value in enumerate(_glueable(d)):
+        q.append(value)
+        f.append(0 if m == 0 else value - (f[m - 2] if m >= 2 else 0))
+        if d % 2 == 0 and m:
+            f[m] -= q[m] + q[m - 1]  # q(m - 2) + q(m - 3)
+        yield f[m]
 
 
 def simple_rotation_fixed(n: int) -> dict[int, int]:

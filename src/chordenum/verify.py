@@ -5,9 +5,9 @@ recurrence tables are built before the sweeps: each family from its row of
 ``FAMILIES``, the one family table (``seq`` reads it too), to max(N, 20),
 then the axes and the per-n rotation-fixed counts to N.  The rotation
 chains, each family's rotation sums and both families' axes are kept per
-process, so each of them (and the 2-sector column and mirror tables behind
-the axes) is built once, to max(N, 20), and the later requests read their
-prefixes.  The classified triangle is built once.
+process (``symmetry._kept_streams``), so each of them, with the sector
+and mirror rows behind it, is built once, to max(N, 20), and the later
+requests read their prefixes.  The classified triangle is built once.
 """
 
 from __future__ import annotations

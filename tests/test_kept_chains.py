@@ -1,20 +1,23 @@
-"""The fixed-count chains and rotation sums each process keeps (``symmetry._kept_prefixes``).
+"""The chains, table totals and rotation sums each process keeps (``symmetry._kept_streams``).
 
-A served chain must equal a fresh build whatever was asked before it, a
-build that fails validation must leave nothing behind, and a session of
-CLI requests must print the same bytes in any order.
+A served chain must equal a fresh build whatever was asked before it, each
+kernel row must be yielded once per key per process in any request order, a
+build that fails validation or is interrupted must leave nothing behind,
+callers racing on one key must wait for each other, and a session of CLI
+requests must print the same bytes in any order.
 """
 
 import hashlib
 import io
 import json
 import random
-from collections import Counter
+import threading
+import time
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from chordenum import symmetry
@@ -30,55 +33,111 @@ from chordenum.symmetry import (
 
 REFERENCE_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 CHAINS = {"loopless": loopless_fixed_chain, "simple": simple_fixed_chain}
+REQUESTS = {
+    "loopless": lambda d, m_max: [loopless_fixed_chain(d, m_max)],
+    "simple": lambda d, m_max: [simple_fixed_chain(d, m_max)],
+    "axes": lambda d, m_max: [loopless_axes(m_max), simple_axes(m_max)],
+    "totals": lambda d, m_max: [symmetry.rotation_totals(chain, m_max) for chain in CHAINS.values()],
+}
 
 
-@settings(max_examples=60, deadline=None)
+# the kernel counter is a function-scoped fixture, emptied for each example
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.lists(
-    st.tuples(st.sampled_from(("loopless", "simple", "axes", "totals")), st.integers(1, 12), st.integers(0, 40)),
+    st.tuples(st.sampled_from(tuple(REQUESTS)), st.integers(1, 12), st.integers(0, 40)),
     max_size=8,
 ))
-def test_served_chains_equal_fresh_builds(requests):
+def test_served_chains_equal_fresh_builds(fresh_chains, yielded_rows, requests):
+    fresh = []
     for family, d, m_max in requests:
-        if family == "axes":
-            for axes in (loopless_axes, simple_axes):
-                assert axes(m_max) == axes.__wrapped__(m_max), (axes.__name__, m_max)
-        elif family == "totals":
-            totals = symmetry.rotation_totals
-            for chain in CHAINS.values():
-                assert totals(chain, m_max) == totals.__wrapped__(chain, m_max), (chain.__name__, m_max)
-        else:
-            chain = CHAINS[family]
-            assert chain(d, m_max) == chain.__wrapped__(d, m_max), (family, d, m_max)
+        fresh_chains()
+        fresh.append(REQUESTS[family](d, m_max))
+    fresh_chains()
+    yielded_rows.clear()
+    for (family, d, m_max), expected in zip(requests, fresh):
+        assert REQUESTS[family](d, m_max) == expected, (family, d, m_max)
+    # the table rows; the loopless 2-sector column (scalar) is read by the d = 2 chain and by the axes, one column each
+    assert all(count == 1 for key, count in yielded_rows.items() if key[0] != "_loopless_column")
 
 
 def test_a_build_that_fails_validation_keeps_nothing(monkeypatch):
     build = symmetry._even_sector_rows
 
-    def drifted(d, m_max):
-        rows = build(d, m_max)
-        rows[3][1] += 1
-        return rows
+    def drifted(d):
+        for m, row in enumerate(build(d)):
+            yield [cell + (m == 3 and k == 1) for k, cell in enumerate(row)]
 
     monkeypatch.setattr(symmetry, "_even_sector_rows", drifted)
     with pytest.raises(RecurrenceValidationError, match=r"d=2 m=3 k=1: table gives 2"):
         simple_cyclic(20)
+    assert (2,) not in simple_fixed_chain.built
+    assert (simple_fixed_chain,) not in symmetry.rotation_totals.built
     monkeypatch.undo()
     assert list(simple_cyclic(20).values[1:]) == [SIMPLE_TABLE[n][2] for n in range(1, 21)]
 
 
-def test_shorter_requests_reuse_the_half_turn_column(monkeypatch, capsys):
-    built = Counter()
-    original = symmetry.simple_sector_counts
+def test_shorter_requests_reuse_the_half_turn_column(fresh_chains, yielded_rows, capsys):
+    argvs = [["fixed", "--n", "80"], ["fixed", "--n", "40"], ["seq", "simple-cyclic", "--max", "40"]]
+    for order in (argvs, argvs[::-1]):
+        fresh_chains()
+        yielded_rows.clear()
+        for argv in order:
+            assert main(argv) == 0
+        capsys.readouterr()
+        half_turn = {key[2]: count for key, count in yielded_rows.items() if key[:2] == ("_even_sector_rows", 2)}
+        assert half_turn == {m: 1 for m in range(81)}
 
-    def counting(d, m_max):
-        built[d] += 1
-        return original(d, m_max)
 
-    monkeypatch.setattr(symmetry, "simple_sector_counts", counting)
-    for argv in (["fixed", "--n", "80"], ["fixed", "--n", "40"], ["seq", "simple-cyclic", "--max", "40"]):
-        assert main(argv) == 0
-    capsys.readouterr()
-    assert built[2] == 1
+def test_an_interrupted_extension_is_dropped_and_built_afresh(monkeypatch, fresh_chains):
+    fresh = simple_fixed_chain(2, 40)
+    fresh_chains()
+    assert simple_fixed_chain(2, 20) == fresh[:21]
+    shifted = symmetry._shifted
+
+    def failing(rows, i, shift, width):
+        if width == 31:
+            raise RuntimeError("row 30")
+        return shifted(rows, i, shift, width)
+
+    monkeypatch.setattr(symmetry, "_shifted", failing)
+    with pytest.raises(RuntimeError, match="row 30"):
+        simple_fixed_chain(2, 40)
+    assert (2,) not in simple_fixed_chain.built
+    monkeypatch.undo()
+    assert simple_fixed_chain(2, 40) == fresh
+    assert simple_fixed_chain(2, 20) == fresh[:21]
+
+
+def test_threads_asking_one_key_at_different_sizes_wait_for_each_other(monkeypatch, fresh_chains):
+    fresh = simple_fixed_chain(2, 60)
+    fresh_chains()
+    build = symmetry._even_sector_rows
+
+    def slow(d):  # a thread switch in every row, so that the pulls overlap
+        for row in build(d):
+            time.sleep(0.001)
+            yield row
+
+    monkeypatch.setattr(symmetry, "_even_sector_rows", slow)
+    sizes = (60, 15, 45, 30)  # more threads than cores
+    served, errors = {}, []
+    barrier = threading.Barrier(len(sizes))
+
+    def ask(size):
+        barrier.wait()
+        try:
+            served[size] = simple_fixed_chain(2, size)
+        except Exception as exc:  # noqa: BLE001 - reported by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=ask, args=(size,)) for size in sizes]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert served == {size: fresh[: size + 1] for size in sizes}
 
 
 def session_requests() -> list[str]:

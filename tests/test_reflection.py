@@ -1,5 +1,3 @@
-from collections import Counter
-
 import pytest
 
 from chordenum import reflection, symmetry
@@ -164,10 +162,9 @@ def test_the_mirror_terms_reproduce_the_reference():
 def test_a_drifted_mirror_cell_fails_validation(monkeypatch):
     build = reflection._mirror_rows
 
-    def drifted(n_max):
-        r, s = build(n_max)
-        r[4][2] += 1
-        return r, s
+    def drifted():
+        for n, (r, s) in enumerate(build()):
+            yield [cell + (n == 4 and k == 2) for k, cell in enumerate(r)], s
 
     monkeypatch.setattr(reflection, "_mirror_rows", drifted)
     with pytest.raises(RecurrenceValidationError, match=r"mirror n=4 k=2: table gives 6"):
@@ -272,32 +269,25 @@ def test_shared_builds_match_per_n_burnside_sums():
             assert table[n] == total // (4 * n), (family, n)
 
 
-def test_simple_dihedral_builds_the_mirror_tables_once(monkeypatch):
-    built = []
-    original = reflection.build_mirror_tables
-
-    def counting(n_max, *args, **kwargs):
-        built.append(n_max)
-        return original(n_max, *args, **kwargs)
-
-    monkeypatch.setattr(reflection, "build_mirror_tables", counting)
-    simple_dihedral(40)
-    assert built == [40]
+def test_simple_dihedral_builds_the_mirror_tables_once(fresh_chains, yielded_rows):
+    requests = [lambda: simple_dihedral(40), lambda: simple_axes(25), lambda: simple_dihedral(60), lambda: simple_axes(10)]
+    for order in (requests, requests[::-1]):
+        fresh_chains()
+        yielded_rows.clear()
+        for request in order:
+            request()
+        mirror = {key: count for key, count in yielded_rows.items() if key[0] == "_mirror_rows"}
+        assert mirror == {("_mirror_rows", n): 1 for n in range(61)}
 
 
-def test_loopless_cyclic_and_axes_build_each_sector_column_once(monkeypatch):
+def test_loopless_cyclic_and_axes_build_each_sector_column_once(fresh_chains, yielded_rows):
     # loopless_dihedral calls both, so it builds the 2-sector column twice on purpose
-    original = symmetry.loopless_sector_counts
     for build in (loopless_cyclic, loopless_axes):
-        built = Counter()
-
-        def counting(d, m_max):
-            built[d] += 1
-            return original(d, m_max)
-
-        # reflection reads the column through its own from-import binding
-        monkeypatch.setattr(symmetry, "loopless_sector_counts", counting)
-        monkeypatch.setattr(reflection, "loopless_sector_counts", counting)
-        build(50)
-        assert built[2] == 1, build.__name__
-        assert max(built.values()) == 1, build.__name__
+        for sizes in ((50, 30, 60), (60, 30, 50)):
+            fresh_chains()
+            yielded_rows.clear()
+            for size in sizes:
+                build(size)
+            column = {key: count for key, count in yielded_rows.items() if key[0] == "_loopless_column"}
+            assert column[("_loopless_column", 2, 60)] == 1, build.__name__
+            assert set(column.values()) == {1}, build.__name__

@@ -1,4 +1,4 @@
-from collections import Counter
+from itertools import islice
 
 import pytest
 
@@ -10,7 +10,7 @@ from chordenum.diagram import (
     sectored,
 )
 from chordenum.golden import LOOPLESS_TABLE, SIMPLE_TABLE
-from chordenum.labelled import loopless_chord, simple_chain, simple_linear
+from chordenum.labelled import loopless_chord, simple_chain, simple_chord, simple_linear
 from chordenum.symmetry import (
     EVEN_SECTOR_REFERENCE,
     EVEN_SECTOR_TERMS,
@@ -24,7 +24,6 @@ from chordenum.symmetry import (
     simple_fixed_chain,
     simple_rotation_fixed,
     simple_sector_counts,
-    simple_sector_glueable,
     totient,
     validate_even_sector_terms,
 )
@@ -230,10 +229,9 @@ def test_even_sector_rows_equal_the_term_set_beyond_the_reference():
 def test_a_drifted_even_sector_cell_fails_validation(monkeypatch):
     build = symmetry._even_sector_rows
 
-    def drifted(d, m_max):
-        rows = build(d, m_max)
-        rows[3][1] += 1
-        return rows
+    def drifted(d):
+        for m, row in enumerate(build(d)):
+            yield [cell + (m == 3 and k == 1) for k, cell in enumerate(row)]
 
     monkeypatch.setattr(symmetry, "_even_sector_rows", drifted)
     with pytest.raises(RecurrenceValidationError, match=r"d=2 m=3 k=1: table gives 2"):
@@ -279,7 +277,7 @@ def test_sector_one_matches_simple_linear():
 
 def test_glueable_chain_reproduces_labelled_chain_at_one_sector():
     chain = simple_chain(10)
-    q = simple_sector_glueable(1, 20)
+    q = list(islice(symmetry._glueable(1), 21))
     for n in range(1, 11):
         assert q[2 * n] == chain.no_end_chord[n]
 
@@ -289,6 +287,14 @@ def test_simple_fixed_examples():
     assert simple_rotation_fixed(2)[2] == 1
     fixed5 = simple_rotation_fixed(5)
     assert fixed5[5] == 3 and fixed5[10] == 1
+
+
+def test_the_identity_fixes_every_simple_diagram():
+    # the d = 1 chain comes from the one-sector column like every odd d, not from the labelled table
+    chord = simple_chord(100)
+    chain = simple_fixed_chain(1, 200)
+    assert [chain[2 * n] for n in range(1, 101)] == list(chord[1:])
+    assert not any(chain[1::2])
 
 
 def test_simple_fixed_matches_oracle(sweeps):
@@ -333,15 +339,13 @@ def test_shared_builds_match_per_n_burnside_sums():
             assert table[n] == total // (2 * n), (family, n)
 
 
-def test_simple_cyclic_builds_each_sector_column_once(monkeypatch):
-    built = Counter()
-    original = symmetry.simple_sector_counts
-
-    def counting(d, m_max, *args, **kwargs):
-        built[d] += 1
-        return original(d, m_max, *args, **kwargs)
-
-    monkeypatch.setattr(symmetry, "simple_sector_counts", counting)
-    simple_cyclic(60)
-    assert built[2] == 1
-    assert max(built.values()) == 1
+def test_simple_cyclic_builds_each_sector_column_once(fresh_chains, yielded_rows):
+    requests = [lambda: simple_cyclic(60), lambda: simple_rotation_fixed(45), lambda: simple_cyclic(30), lambda: simple_cyclic(75)]
+    for order in (requests, requests[::-1]):
+        fresh_chains()
+        yielded_rows.clear()
+        for request in order:
+            request()
+        # every even d reaches the row that n = 75 reads, and no row is yielded twice
+        assert all(yielded_rows[("_even_sector_rows", d, 150 // d)] == 1 for d in range(2, 151, 2))
+        assert set(yielded_rows.values()) == {1}

@@ -1,8 +1,8 @@
-from collections import Counter
+from collections import defaultdict
 
 import pytest
 
-from chordenum import labelled, oracle, reflection, symmetry, verify
+from chordenum import labelled, oracle, symmetry, verify
 from chordenum.cli import main
 from chordenum.oracle import OracleCapError
 from chordenum.verify import check_line
@@ -17,21 +17,21 @@ def test_check_line_format():
     assert not ok
 
 
-def test_verify_builds_each_recurrence_once_per_run(monkeypatch, capsys):
-    built = {"build_mirror_tables": [], "loop_parallel_triangle": []}
-    for module, name in ((reflection, "build_mirror_tables"), (labelled, "loop_parallel_triangle")):
-        original = getattr(module, name)
+def test_verify_builds_each_recurrence_once_per_run(monkeypatch, capsys, yielded_rows):
+    built = []
+    original = labelled.loop_parallel_triangle
 
-        def counting(n_max, *args, _original=original, _calls=built[name], **kwargs):
-            _calls.append(n_max)
-            return _original(n_max, *args, **kwargs)
+    def counting(n_max, *args, **kwargs):
+        built.append(n_max)
+        return original(n_max, *args, **kwargs)
 
-        monkeypatch.setattr(module, name, counting)
+    monkeypatch.setattr(labelled, "loop_parallel_triangle", counting)
     assert main(["verify", "--max", "4"]) == 0
     capsys.readouterr()
-    # one mirror build for the simple-dihedral column; the reflection axes to 4 are its prefix
-    assert built["build_mirror_tables"] == [20]
-    assert built["loop_parallel_triangle"] == [3]
+    # each mirror row once, for the simple-dihedral column; the reflection axes to 4 are its prefix
+    mirror = {key: count for key, count in yielded_rows.items() if key[0] == "_mirror_rows"}
+    assert mirror == {("_mirror_rows", n): 1 for n in range(21)}
+    assert built == [3]
 
 
 def test_report_refuses_a_depth_over_the_cap_before_building_anything(monkeypatch):
@@ -42,13 +42,19 @@ def test_report_refuses_a_depth_over_the_cap_before_building_anything(monkeypatc
 
 
 def test_verify_sums_each_familys_rotations_once(monkeypatch):
-    built = Counter()
-    build = symmetry.rotation_totals.__wrapped__
+    summed = defaultdict(list)
+    start = symmetry.rotation_totals.__wrapped__
 
-    def counting(fixed_chain, n_max):
-        built[fixed_chain.__name__] += 1
-        return build(fixed_chain, n_max)
+    def counting(fixed_chain):
+        more = start(fixed_chain)
 
-    monkeypatch.setattr(symmetry, "rotation_totals", symmetry._kept_prefixes(counting))
+        def counted(have, size):
+            summed[fixed_chain.__name__].append((have, size))
+            return more(have, size)
+
+        return counted
+
+    monkeypatch.setattr(symmetry, "rotation_totals", symmetry._kept_streams(counting))
     verify.report(6, 9)
-    assert built == {"loopless_fixed_chain": 1, "simple_fixed_chain": 1}
+    # entries 0..20 of each family's sum, each computed once
+    assert summed == {"loopless_fixed_chain": [(0, 20)], "simple_fixed_chain": [(0, 20)]}
