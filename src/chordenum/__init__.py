@@ -27,7 +27,7 @@ from .labelled import (
     simple_linear,
 )
 from .reflection import loopless_dihedral, simple_dihedral
-from .series import TruncatedSeries, integer_coeffs, named_series
+from .series import MarkerTriangle, ScaledSeries, TruncatedSeries, integer_coeffs, named_series
 from .symmetry import (
     loopless_cyclic,
     loopless_rotation_fixed,

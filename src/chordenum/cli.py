@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import stat
 import sys
@@ -112,8 +113,14 @@ def cmd_series(args) -> int:
             raise SeriesError(f"series {args.name} needs --{marker} 0|1")
     # the markers are set inside the construction, which refuses one the series lacks
     series = named_series(args.name, args.order, z=args.z, x=args.x)
-    ints = integer_coeffs(series)
-    lines = [f"{n} {series[n]} {ints[n]}" for n in range(args.order + 1)]
+    lines = []
+    fact = 1
+    for n, a in enumerate(integer_coeffs(series)):
+        fact *= n or 1
+        # [t^n] = a_n / n! in lowest terms, printed as str(Fraction) prints it
+        common = math.gcd(a, fact)
+        ratio = a // common if common == fact else f"{a // common}/{fact // common}"
+        lines.append(f"{n} {ratio} {a}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -122,15 +122,20 @@ def loop_parallel_triangle(n_max: int) -> TriangleTable:
     """
     rows = [{(1, 0): 1}]
     for n in range(n_max):
-        prev, row = rows[n], {}
+        # row n zero-padded, prev[k + 1][l + 1] = entry (k, l), so every read below is in range
+        prev = [[0] * (n + 4) for _ in range(n + 5)]
+        for (k, l), v in rows[n].items():
+            prev[k + 1][l + 1] = v
+        row = {}
         for k in range(n + 3):
+            below, here, above = prev[k], prev[k + 1], prev[k + 2]
             for l in range(n + 2):
                 value = (
-                    prev.get((k - 1, l), 0)
-                    + (2 * n + 1 - k - 2 * l) * prev.get((k, l), 0)
-                    + (k + 1) * prev.get((k + 1, l), 0)
-                    + 2 * (l + 1) * prev.get((k, l + 1), 0)
-                    + prev.get((k, l - 1), 0)
+                    below[l + 1]
+                    + (2 * n + 1 - k - 2 * l) * here[l + 1]
+                    + (k + 1) * above[l + 1]
+                    + 2 * (l + 1) * here[l + 2]
+                    + here[l]
                 )
                 if value:
                     row[(k, l)] = value

@@ -1,26 +1,28 @@
 """Exact truncated formal power series in t: the paper's generating functions.
 
-A ``TruncatedSeries`` holds rational coefficients (``Fraction``s), exact
-modulo t^(order+1); precondition violations raise ``SeriesError`` rather than
-truncating silently.  A series with a free marker z or x is a
-``MarkerTriangle``: n! [t^n z^k x^l] as ints keyed (n, k, l).
+Every named closed form is an exponential generating function, so its scaled
+coefficients a_n = n! [t^n] f are integers, and the series are built and
+returned in ints.  A series with every marker assigned is a ``ScaledSeries``
+of its a_n, exact modulo t^(order+1); a series with a free marker z or x is a
+``MarkerTriangle``: n! [t^n z^k x^l] as ints keyed (n, k, l).  Precondition
+violations raise ``SeriesError`` rather than truncating silently.
 
-Products and exponentials run in the ``_Egf`` kernel, on the EGF scale
-a_n = n! [t^n] f; the powers of s = sqrt(1-2t) are written down in closed
-form.  Every named closed form is an exponential generating function, so its
-a_n are integers: the named series and the PDE residuals are built in ints,
-and ``Fraction``s are made once, when the result becomes a ``TruncatedSeries``.
-Since s' = -1/s, phi, psi, W and U are each one exponential and its
-derivatives, and a derivative is a left shift of the a_n: none takes a
-product.  A free marker is built in ints too, by Kronecker substitution: it
-takes a power of two, and each a_n is decoded from the packed int straight
-into the triangle's cells, on which the PDE residuals are index shifts.
+Products and exponentials run in the ``_Egf`` kernel, on the same scale; the
+powers of s = sqrt(1-2t) are written down in closed form.  Since s' = -1/s,
+phi, psi, W and U are each one exponential and its derivatives, and a
+derivative is a left shift of the a_n: none takes a product.  A free marker
+is built in ints too, by Kronecker substitution: it takes a power of two,
+and each a_n is decoded from the packed int straight into the triangle's
+cells, on which the PDE residuals are index shifts.
+
+A ``TruncatedSeries`` holds rational coefficients (``Fraction``s) and runs
+its product and exp on the kernel.  No named series or residual makes one,
+so ``fractions`` is imported only when the kernel returns one.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from itertools import accumulate
 from operator import add, mul
 
@@ -89,25 +91,15 @@ class _Egf(tuple):
 
     def series(self) -> "TruncatedSeries":
         """The ordinary coefficients a_n / n!."""
+        from fractions import Fraction  # imported here: no named series needs one
+
         return TruncatedSeries(tuple(Fraction(a, fact) for a, fact in zip(self, _factorials(len(self)))))
 
 
 class TruncatedSeries(Record):
-    """Coefficients of a formal power series in t, exact modulo t^(order+1)."""
+    """Rational coefficients of a formal power series in t, exact modulo t^(len(coeffs))."""
 
     coeffs: tuple
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, n: int):
-        if not 0 <= n <= self.order:
-            raise IndexError(f"coefficient {n} beyond truncation order {self.order}")
-        return self.coeffs[n]
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
 
     def _scaled(self) -> _Egf:
         return _Egf(c * fact for c, fact in zip(self.coeffs, _factorials(len(self.coeffs))))
@@ -121,6 +113,19 @@ class TruncatedSeries(Record):
 
     def exp(self) -> "TruncatedSeries":
         return self._scaled().exp().series()
+
+
+class ScaledSeries(Record):
+    """A series with every marker assigned, as its scaled coefficients a_n = n! [t^n], exact modulo t^(order+1).
+
+    ``coeffs`` holds ints: every named series is an exponential generating function.
+    """
+
+    coeffs: tuple
+
+    @property
+    def order(self) -> int:
+        return len(self.coeffs) - 1
 
 
 class MarkerTriangle(Record):
@@ -247,10 +252,10 @@ def _unpacked_form(name: str, order: int, z, x, width: int, z_slots: int, at_one
     return cells
 
 
-def named_series(name: str, order: int, z=None, x=None) -> TruncatedSeries | MarkerTriangle:
+def named_series(name: str, order: int, z=None, x=None) -> ScaledSeries | MarkerTriangle:
     """Construct one of the closed-form generating functions exactly.
 
-    Univariate names (rational coefficients):
+    Univariate names (a ``ScaledSeries`` of the ints n! [t^n]):
 
     * ``b``   -- EGF of all matchings, 1/sqrt(1-2t);
     * ``phi`` -- loopless linear diagrams;
@@ -268,8 +273,7 @@ def named_series(name: str, order: int, z=None, x=None) -> TruncatedSeries | Mar
 
     ``z`` and ``x`` give a marker its value (0 or 1) during the
     construction; once every marker of the series has one, the result is a
-    ``TruncatedSeries`` with rational coefficients.  A value for a marker the
-    series does not carry raises.
+    ``ScaledSeries``.  A value for a marker the series does not carry raises.
     """
     if order < 1:
         raise SeriesError("order must be at least 1")
@@ -283,23 +287,19 @@ def named_series(name: str, order: int, z=None, x=None) -> TruncatedSeries | Mar
     z, x = (values[m] if m in carried else 0 for m in "zx")  # a marker not carried takes no slot
     if None in (z, x):
         return MarkerTriangle(order, _marker_form(name, order, z, x))
-    return _closed_form(name, order, z, x).series()
+    return ScaledSeries(tuple(_closed_form(name, order, z, x)))
 
 
-def integer_coeffs(series: TruncatedSeries) -> list[int]:
-    """n! times each coefficient, which must come out integral.
+def integer_coeffs(series: ScaledSeries) -> list[int]:
+    """n! times each coefficient, as ints.
 
     A marker series needs every marker assigned first (``named_series`` with
-    ``z=``/``x=``).  A non-integer value signals a construction bug and raises.
+    ``z=``/``x=``).  The kernel builds the scaled coefficients in ints, so
+    they are integral by construction.
     """
-    if not isinstance(series, TruncatedSeries):
+    if not isinstance(series, ScaledSeries):
         raise SeriesError("integer coefficients need every marker assigned")
-    out = []
-    for n, (c, fact) in enumerate(zip(series.coeffs, _factorials(len(series.coeffs)))):
-        if fact % c.denominator:
-            raise SeriesError(f"coefficient {n} times {n}! is not an integer: {c * fact}")
-        out.append(c.numerator * (fact // c.denominator))
-    return out
+    return list(series.coeffs)
 
 
 def marker_triangle(series: MarkerTriangle) -> dict:

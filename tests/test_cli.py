@@ -1,10 +1,13 @@
 import argparse
 import errno
 import json
+import math
 import os
 import stat
 import subprocess
 import sys
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -12,6 +15,7 @@ from chordenum import cli, labelled, octahedron, oracle, reflection, symmetry, v
 from chordenum.cli import main, render_sequence
 from chordenum.diagram import vertex_reflection
 from chordenum.golden import LOOPLESS_TABLE, SIMPLE_TABLE
+from chordenum.series import MARKERS_OF, SERIES_NAMES, integer_coeffs, named_series
 from chordenum.symmetry import RecurrenceValidationError
 from chordenum.verify import family_values, parse_bfile
 
@@ -134,6 +138,28 @@ def test_series_command(capsys):
     assert code == 0
     ints = [int(line.split()[2]) for line in out.splitlines()]
     assert ints == [0, 1, 3, 24, 211]
+
+
+def marker_choices(name):
+    """Every 0/1 assignment of the markers a series carries."""
+    carried = MARKERS_OF.get(name, "")
+    return [dict(zip(carried, values)) for values in product((0, 1), repeat=len(carried))]
+
+
+def marker_options(markers):
+    return [option for marker, value in markers.items() for option in (f"--{marker}", str(value))]
+
+
+@pytest.mark.parametrize("name", SERIES_NAMES)
+def test_series_ratio_column_prints_as_a_fraction(capsys, name):
+    # the middle column is a_n / n! in lowest terms, as str(Fraction) prints it
+    for markers in marker_choices(name):
+        for order in range(1, 41):
+            code, out = run(capsys, "series", name, "--order", str(order), *marker_options(markers))
+            assert code == 0
+            ints = integer_coeffs(named_series(name, order, **markers))
+            expected = "".join(f"{n} {Fraction(a, math.factorial(n))} {a}\n" for n, a in enumerate(ints))
+            assert out == expected, (order, markers)
 
 
 def test_series_marker_usage_errors(capsys):
@@ -630,3 +656,24 @@ def test_start_up_imports_only_what_every_command_runs():
     added = set(proc.stdout.split())
     assert "chordenum.cli" in added
     assert added.isdisjoint({"dataclasses", "inspect", "json", "tempfile"}), sorted(added)
+
+
+def test_no_command_loads_fractions():
+    """Every series is printed from ints: neither start-up nor any command loads fractions, decimal or numbers."""
+    argvs = [
+        ["series", name, "--order", "12", *marker_options(markers)]
+        for name in SERIES_NAMES
+        for markers in marker_choices(name)
+    ]
+    argvs += [["seq", family, "--max", "8"] for family in verify.FAMILIES]
+    argvs += [["triangle", name, "--max", "4"] for name in cli.TRIANGLE_NAMES]
+    argvs += [["fixed", "--n", "6"], ["verify", "--max", "3"]]
+    probe = (
+        "import sys; import chordenum.cli; chordenum.cli.build_parser()\n"
+        f"codes = [chordenum.cli.main(argv + ['--out', {os.devnull!r}]) for argv in {argvs!r}]\n"
+        "print(codes, sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{[0] * len(argvs)} []\n"

@@ -14,7 +14,7 @@ from chordenum.labelled import SequenceTable, SimpleChain, TriangleTable
 from chordenum.octahedron import HamCycle
 from chordenum.oracle import SweepResult
 from chordenum.reflection import MirrorTables
-from chordenum.series import MarkerTriangle, TruncatedSeries
+from chordenum.series import MarkerTriangle, ScaledSeries, TruncatedSeries
 from chordenum.symmetry import SectorColumn
 
 SEQ = SequenceTable((0, 1, 3))
@@ -50,6 +50,7 @@ CASES = {
         TruncatedSeries((Fraction(1),)),
         "TruncatedSeries(coeffs=(Fraction(1, 1), Fraction(3, 2)))",
     ),
+    ScaledSeries: ({"coeffs": (1, 0, 1)}, ScaledSeries((1, 0, 2)), "ScaledSeries(coeffs=(1, 0, 1))"),
     MarkerTriangle: (
         {"order": 1, "cells": {(0, 1, 0): 1}},
         MarkerTriangle(1, {(0, 1, 0): 2}),

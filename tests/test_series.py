@@ -1,4 +1,8 @@
+import ast
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -103,6 +107,16 @@ class Poly:
                 lower = (degrees[0] - 1, degrees[1]) if pos == 0 else (degrees[0], degrees[1] - 1)
                 out[lower] = out.get(lower, 0) + v * degrees[pos]
         return Poly(out)
+
+
+def scaled_of(reference):
+    """n! [t^n] of a reference series, as ints: the scale the library returns."""
+    out = []
+    for n, coefficient in enumerate(reference):
+        scaled_value = coefficient * math.factorial(n)
+        assert scaled_value.denominator == 1, n
+        out.append(int(scaled_value))
+    return tuple(out)
 
 
 def triangle_of(reference):
@@ -276,7 +290,7 @@ def test_sqrt_squares_back(s):
 def test_exp_of_negation_inverts(s):
     forced = TruncatedSeries((Fraction(0),) + s.coeffs[1:])
     product = forced.exp() * (forced * -1).exp()
-    assert product[0] == 1
+    assert product.coeffs[0] == 1
     assert all(c == 0 for c in product.coeffs[1:])
 
 
@@ -376,7 +390,7 @@ def test_marker_substitutions():
         math.prod(range(2 * n + 1, 0, -2)) for n in range(6)
     ]
     for z, x in product((0, 1), repeat=2):
-        expected = integer_coeffs(TruncatedSeries(reference_series("wzx", 5, z=z, x=x)))
+        expected = list(scaled_of(reference_series("wzx", 5, z=z, x=x)))
         assert integer_coeffs(named_series("wzx", 5, z=z, x=x)) == expected
     phi = named_series("phi", 6)
     assert named_series("wz", 6, z=0).coeffs == phi.coeffs
@@ -396,7 +410,7 @@ def test_integer_coeffs_rejects_leftover_markers_and_nonintegers():
         integer_coeffs(named_series("phi", 3, z=0))
     half_t = TruncatedSeries((Fraction(0), Fraction(1, 2)))
     with pytest.raises(SeriesError):
-        integer_coeffs(half_t)
+        integer_coeffs(half_t)  # rationals, not the scaled ints of a named series
 
 
 def test_all_named_series_extract_nonnegative_integers():
@@ -430,17 +444,19 @@ def test_loopless_and_simple_series_take_one_exponential_and_no_product(monkeypa
 
 
 def test_chord_series_identity_to_order_25():
+    # psi = phi - 2 + t + exp(s - 1), on the scaled coefficients, where a constant stays at a_0
     t = identity(25)
     s = reference_sqrt(plus(scaled(t, -2), 1))
-    expected = plus(plus(minus(named_series("phi", 25).coeffs, 2), t), reference_exp(minus(s, 1)))
+    e = scaled_of(reference_exp(minus(s, 1)))
+    expected = plus(plus(minus(named_series("phi", 25).coeffs, 2), scaled_of(t)), e)
     assert named_series("psi", 25).coeffs == expected
 
 
 def test_shifted_series_antiderivative_relation():
-    # the derivative of the shifted series recovers the linear one
+    # the derivative of the shifted series recovers the linear one; on the scaled coefficients d/dt is a left shift
     chi = named_series("chi", 26)
     phi = named_series("phi", 25)
-    assert derivative(chi.coeffs) == minus(phi.coeffs, 1)
+    assert chi.coeffs[1:] == minus(phi.coeffs, 1)
 
 
 def test_pde_residuals_vanish():
@@ -475,12 +491,12 @@ def test_integer_coeffs_match_the_reference_to_order_40(name):
     # each order is compared with the reference at order 40, truncated:
     # every construction is exact modulo t^(order+1)
     for markers in marker_choices(name):
-        reference = reference_series(name, 40, **markers)
-        expected = integer_coeffs(TruncatedSeries(reference))
+        expected = scaled_of(reference_series(name, 40, **markers))
         for order in range(1, 41):
             series = named_series(name, order, **markers)
-            assert series.coeffs == reference[: order + 1], (order, markers)
-            assert integer_coeffs(series) == expected[: order + 1], (order, markers)
+            assert series.order == order
+            assert series.coeffs == expected[: order + 1], (order, markers)
+            assert integer_coeffs(series) == list(expected[: order + 1]), (order, markers)
 
 
 def test_marker_triangle_matches_the_reference_to_order_20():
@@ -514,17 +530,25 @@ def test_a_marker_the_series_does_not_carry_is_refused():
 # free markers: built in ints at a packed point and decoded
 
 
-def test_free_markers_build_without_fractions(monkeypatch):
-    # the packed ints are decoded straight into the triangle, and the PDE residuals shift its cells
+def test_free_markers_build_without_fractions():
+    # the packed ints are decoded straight into the triangle, and the PDE residuals shift its cells;
+    # built in a fresh interpreter, since this module loads fractions itself
     cases = [("wzx", 12, {}), ("wz", 12, {}), ("wx", 12, {}), ("wzx", 10, {"z": 0})]
-    expected = [triangle_of(reference_series(name, order, **markers)) for name, order, markers in cases]
-    monkeypatch.setattr(series_module, "Fraction", lambda *args: pytest.fail("a Fraction was made"))
-    with pytest.raises(pytest.fail.Exception):
-        named_series("phi", 3)  # the patch is seen: a rational series needs its Fractions
-    for (name, order, markers), reference in zip(cases, expected):
-        assert marker_triangle(named_series(name, order, **markers)) == reference, (name, markers)
-    assert loop_pde_residual(10).is_zero()
-    assert full_pde_residual(10).is_zero()
+    probe = (
+        "import sys\n"
+        "from chordenum.series import full_pde_residual, loop_pde_residual, marker_triangle, named_series\n"
+        f"cells = [marker_triangle(named_series(name, order, **markers)) for name, order, markers in {cases!r}]\n"
+        "zero = loop_pde_residual(10).is_zero() and full_pde_residual(10).is_zero()\n"
+        "print(repr((sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)), zero, cells)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(series_module.__file__))}
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded, zero, cells = ast.literal_eval(proc.stdout)
+    assert loaded == []
+    assert zero
+    for (name, order, markers), built in zip(cases, cells):
+        assert built == triangle_of(reference_series(name, order, **markers)), (name, markers)
 
 
 def test_a_slot_too_narrow_for_a_coefficient_is_refused():
