@@ -249,10 +249,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):  # exact counts pass 4,300 digits near n = 1424
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:  # exact counts pass 4,300 digits near n = 1424; the caller's limit is restored
         sys.set_int_max_str_digits(0)
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ValueError as exc:  # bad arguments, caps, unassigned markers
         print(f"error: {exc}", file=sys.stderr)
@@ -260,6 +261,9 @@ def main(argv=None) -> int:
     except (ArithmeticError, AssertionError) as exc:  # a bug, not a failed check
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

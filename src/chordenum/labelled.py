@@ -70,13 +70,13 @@ def loop_triangle(n_max: int) -> TriangleTable:
     """Linear diagrams with n chords counted by loop number k."""
     rows = [{(0,): 1}]
     for n in range(n_max):
-        prev, row = rows[n], {}
+        # row n zero-padded, prev[k + 1] = entry k, so every read below is in range
+        prev = [0] * (n + 4)
+        for (k,), v in rows[n].items():
+            prev[k + 1] = v
+        row = {}
         for k in range(n + 2):
-            value = (
-                prev.get((k - 1,), 0)
-                + (2 * n - k) * prev.get((k,), 0)
-                + (k + 1) * prev.get((k + 1,), 0)
-            )
+            value = prev[k] + (2 * n - k) * prev[k + 1] + (k + 1) * prev[k + 2]
             if value:
                 row[(k,)] = value
         rows.append(row)
@@ -153,13 +153,13 @@ def parallel_triangle(n_max: int) -> TriangleTable:
     """
     rows = [{(0,): 1}]
     for n in range(n_max):
-        prev, row = rows[n], {}
+        # row n zero-padded, prev[l + 1] = entry l, so every read below is in range
+        prev = [0] * (n + 4)
+        for (l,), v in rows[n].items():
+            prev[l + 1] = v
+        row = {}
         for l in range(n + 2):
-            value = (
-                prev.get((l - 1,), 0)
-                + (2 * n + 2 - 2 * l) * prev.get((l,), 0)
-                + 2 * (l + 1) * prev.get((l + 1,), 0)
-            )
+            value = prev[l] + (2 * n + 2 - 2 * l) * prev[l + 1] + 2 * (l + 1) * prev[l + 2]
             if value:
                 row[(l,)] = value
         rows.append(row)

@@ -5,9 +5,10 @@ Two reflection axis types exist on 2n points: through two opposite points
 loopless counts come straight from the 2-sector column; the simple counts
 need the mirror-symmetric table built here.  Each process keeps both
 families' axes, as it keeps the rotation chains (``symmetry._kept_streams``):
-the simple axes are a generator that owns the mirror rows, so a request
-longer than any before it resumes where the last one stopped and each
-mirror row is built once per process.  The rows themselves are not kept:
+the simple axes are one generator that reads the mirror row kernel
+directly, so a kept key holds two generators, and a request longer than
+any before it resumes where the last one stopped and each mirror row is
+built once per process.  The rows themselves are not kept:
 the row kernel holds the last 7.
 """
 
@@ -184,8 +185,8 @@ def _checked_mirror_rows():
     """``_mirror_rows()``, its first rows checked against ``MIRROR_REFERENCE``.
 
     ``MIRROR_TERMS`` must reproduce every reference cell, and so must the
-    built rows, before any row is yielded; a mismatch raises with a
-    per-cell diagnostic.
+    built rows, before this returns; a mismatch raises with a per-cell
+    diagnostic.
     """
     problems = validate_mirror_terms(MIRROR_REFERENCE)
     return _checked(_mirror_rows(), "mirror", "mirror n", problems, _mirror_cells(MIRROR_REFERENCE))

@@ -7,9 +7,10 @@ a rotation of order d, for every size at once; ``*_rotation_fixed`` read
 them per divisor, and ``rotation_totals`` sums them over the divisors, one
 chain per d, for the ``*_cyclic`` orbit averages.  Each process keeps the
 chains per d and the rotation sums per family (``_kept_streams``).  A
-chain is a generator that owns its sector column, so a request longer
-than any before it resumes where the last one stopped and each row of
-the even-d table is built once per process; a shorter request reads a
+chain is one generator that reads its sector column's kernel directly,
+so a kept key holds two generators, the chain and the kernel; a request
+longer than any before it resumes where the last one stopped and each row
+of the even-d table is built once per process; a shorter request reads a
 prefix.  The table rows themselves are not kept: the row kernel holds the
 last 7, the deepest any term reads.
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from _thread import allocate_lock  # threading's Lock, without importing threading
 from functools import cached_property, wraps
-from itertools import count, islice
+from itertools import chain, count, islice
 
 from ._record import Record
 from .labelled import SequenceTable
@@ -261,7 +262,7 @@ def _term_problems(name: str, tables: dict, terms, args=(), boundary=()) -> list
 
 
 def _checked(rows, recurrence: str, name: str, problems: list[str], reference: dict):
-    """Yield ``rows``, holding the first ones back until the reference rows among them pass.
+    """Check the first rows of ``rows`` against the reference rows among them, then return all of ``rows``.
 
     ``reference`` maps each source to its {(row, k): count} cells; each row
     of ``rows`` is the row of source "r", or with more than one source a
@@ -282,8 +283,7 @@ def _checked(rows, recurrence: str, name: str, problems: list[str], reference: d
         ]
     if problems:
         raise RecurrenceValidationError(f"{recurrence} recurrence failed validation:\n" + "\n".join(problems))
-    yield from head
-    yield from rows
+    return chain(head, rows)
 
 
 def validate_even_sector_terms(d: int, reference: dict, terms=EVEN_SECTOR_TERMS) -> list[str]:
@@ -352,8 +352,8 @@ def _checked_even_rows(d: int):
     """``_even_sector_rows(d)``, its first rows checked against the embedded exhaustive reference.
 
     The term set must reproduce every reference cell of d, and so must the
-    built rows, before any row is yielded; a mismatch raises with a
-    per-cell diagnostic.  An even d with no reference rows is not checked.
+    built rows, before this returns; a mismatch raises with a per-cell
+    diagnostic.  An even d with no reference rows is not checked.
     """
     rows = _even_sector_rows(d)
     if (d, 0) not in EVEN_SECTOR_REFERENCE:  # every d with reference rows has its row m = 0
@@ -382,13 +382,6 @@ def _odd_sector_totals(d: int):
         yield values[m]
 
 
-def _sector_totals(d: int):
-    """Simple d-sector totals for m = 0, 1, 2, ...: the odd-d recurrence, or the row sums of the checked even-d table."""
-    if d < 1:
-        raise ValueError(f"sector count must be positive, got {d}")
-    return map(sum, _checked_even_rows(d)) if d % 2 == 0 else _odd_sector_totals(d)
-
-
 def simple_sector_counts(d: int, m_max: int) -> SectorColumn:
     """Simple d-sector diagrams with m*d points, for m = 0..m_max, with the whole even-d table.
 
@@ -396,8 +389,10 @@ def simple_sector_counts(d: int, m_max: int) -> SectorColumn:
     For even d the rows come from ``_checked_even_rows``, so the reference
     rows are built and checked whatever m_max is.
     """
-    if d < 1 or d % 2 == 1:  # _sector_totals refuses d < 1
-        return SectorColumn(tuple(islice(_sector_totals(d), m_max + 1)), None)
+    if d < 1:
+        raise ValueError(f"sector count must be positive, got {d}")
+    if d % 2 == 1:
+        return SectorColumn(tuple(islice(_odd_sector_totals(d), m_max + 1)), None)
     rows = list(islice(_checked_even_rows(d), m_max + 1))
     return SectorColumn(tuple(map(sum, rows)), rows)
 
@@ -411,48 +406,32 @@ def _nonzero_cells(rows: list[list[int]]) -> dict[tuple[int, int], int]:
 # Simple family: gluing chains and rotation-fixed counts
 
 
-def _glueable(d: int):
-    """d-sector diagrams that glue into loopless chord diagrams, m = 0, 1, 2, ...
-
-    Follows the alternating correction q(m) = totals(m) - q(m-2) over
-    ``_sector_totals``; the m < 2 entries are the boundary convention 1 for
-    d > 2 and 0 otherwise.
-    """
-    seed = 1 if d > 2 else 0
-    q = []
-    for m, total in enumerate(_sector_totals(d)):
-        q.append(seed if m < 2 else total - q[m - 2])
-        yield q[m]
-
-
-def _half_turn_fixed_chain():
-    """Simple chord diagrams on 2m points fixed by the half turn, m = 0, 1, 2, ..."""
-    q, p, f = [], [], []
-    get_q = lambda m: q[m] if m >= 0 else 0
-    for m, value in enumerate(_glueable(2)):
-        q.append(value)
-        p.append(m if m < 2 else value - p[m - 2] - get_q(m - 4))
-        f.append(1 - m if m < 2 else p[m] - f[m - 2] - get_q(m - 1) + p[m - 1])
-        yield f[m]
-
-
 @_kept_streams
 def simple_fixed_chain(d: int):
     """``simple_fixed_chain(d, m_max)``: simple chord diagrams on m*d points fixed by a rotation of order d.
 
-    Entry m holds the count for m = 0..m_max, from one sector column;
-    entries with m*d odd describe no chord diagram and are never read.
+    Entry m holds the count for m = 0..m_max, from the sector totals (the
+    odd-d recurrence, or the row sums of the checked even-d table) in one
+    pass.  The diagrams that glue into loopless ones follow the alternating
+    correction q(m) = totals(m) - q(m-2), with the boundary convention
+    q(0) = q(1) = 1 for d > 2 and 0 otherwise; f(m) = q(m) - f(m-2) then
+    corrects them for the glued seams, less q(m-2) + q(m-3) for even d.
+    The half turn (d = 2) has its own correction through p(m).  Entries
+    with m*d odd describe no chord diagram and are never read.
     """
-    if d == 2:
-        yield from _half_turn_fixed_chain()
-        return
-    q = [0, 0]  # q(-2), q(-1); q(m) is q[m + 2]
-    f = []
-    for m, value in enumerate(_glueable(d)):
-        q.append(value)
-        f.append(0 if m == 0 else value - (f[m - 2] if m >= 2 else 0))
-        if d % 2 == 0 and m:
-            f[m] -= q[m] + q[m - 1]  # q(m - 2) + q(m - 3)
+    if d < 1:
+        raise ValueError(f"sector count must be positive, got {d}")
+    seed = 1 if d > 2 else 0
+    q, p, f = [0, 0], [], []  # q(-2), q(-1); q(m) is q[m + 2]
+    for m, total in enumerate(map(sum, _checked_even_rows(d)) if d % 2 == 0 else _odd_sector_totals(d)):
+        q.append(seed if m < 2 else total - q[m])
+        if d == 2:
+            p.append(m if m < 2 else q[m + 2] - p[m - 2] - q[m - 2])
+            f.append(1 - m if m < 2 else p[m] - f[m - 2] - q[m + 1] + p[m - 1])
+        else:
+            f.append(0 if m == 0 else q[m + 2] - (f[m - 2] if m >= 2 else 0))
+            if d % 2 == 0 and m:
+                f[m] -= q[m] + q[m - 1]  # q(m - 2) + q(m - 3)
         yield f[m]
 
 

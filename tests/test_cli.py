@@ -56,17 +56,24 @@ def test_every_family_matches_the_published_tables():
 
 
 def test_counts_past_4300_digits_print(capsys):
-    # the interpreter's default int-to-str limit is 4,300 digits; main lifts it
+    # the interpreter's default int-to-str limit is 4,300 digits; main lifts it while it runs,
+    # and gives the caller its limit back, also after a usage error
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if limit is not None:
         sys.set_int_max_str_digits(4300)
     try:
         code, out = run(capsys, "seq", "loopless-chord", "--max", "1424")
+        after_run = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+        with pytest.raises(SystemExit):
+            main(["seq", "nonsense"])
+        after_usage_error = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
     assert code == 0
     assert len(out.splitlines()[-1].split()[1]) > 4300
+    assert after_run == 4300
+    assert after_usage_error == 4300
 
 
 def test_unknown_family_is_a_usage_error(capsys):

@@ -72,9 +72,17 @@ SNAPSHOT = {
     "octahedron --n 4 --list": "9cd9ddfe768187c53ea965eb7e1b12f5da581391cd97263f5c3d753871e9d661",
 }
 
-# about 1.5 s on a 2-vCPU host
+# about 3 s in all on a 2-vCPU host: verify --max 8 0.7-1.0 s, fixed --n 1000 0.55 s,
+# each triangle --max 400 0.45-0.55 s, seq simple-* --max 600 0.2-0.35 s
 EXTENDED_SNAPSHOT = {
     "verify --max 8": "e1f1df9c8ccafb4db6e6371917e74b80846c9e9b84b5dbd0758b003930de0cb6",
+    "seq simple-cyclic --max 600": "e71e216babb45c06d3bbe364401a768ae34288be0397e18e0e5fc2f4eef687ce",
+    "seq simple-dihedral --max 600": "e655f8f2cf02a03e9febc2a2fc6e0b8a0b3d1724d62aece74415bf110794fd33",
+    "seq loopless-cyclic --max 600": "dd0babf3a0fead24b6b3191585f6ede73384ce2b22ff611569eb979ac12bc732",
+    "seq loopless-dihedral --max 600": "70ccf9b9067bb91615ad76cb8e75129f3f9761e4ef9c8f427cc84d98f76b35f9",
+    "fixed --n 1000": "bf2699c7e9770f7f9725accde068307e17d5e8fcc8627456889b28afa380126c",
+    "triangle a_nk --max 400": "1c0079101ae1ae9aa4e308ad76d77b4447c7e8f3d9756b00398093e50f75ce08",
+    "triangle ahat_nl --max 400": "0104b22cd35e21cbd4d12aeeb547f92b2487be7823f808671aa78f9878930178",
 }
 
 CHECKED = {**SNAPSHOT, **EXTENDED_SNAPSHOT} if os.environ.get("CHORDENUM_ACCEPT_EXTENDED") == "1" else SNAPSHOT

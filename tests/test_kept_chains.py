@@ -3,16 +3,19 @@
 A served chain must equal a fresh build whatever was asked before it, each
 kernel row must be yielded once per key per process in any request order, a
 build that fails validation or is interrupted must leave nothing behind,
-callers racing on one key must wait for each other, and a session of CLI
-requests must print the same bytes in any order.
+callers racing on one key must wait for each other, a session of CLI
+requests must print the same bytes in any order, and each kept key must
+hold no more than two live generators.
 """
 
+import gc
 import hashlib
 import io
 import json
 import random
 import threading
 import time
+import types
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -30,6 +33,8 @@ from chordenum.symmetry import (
     simple_cyclic,
     simple_fixed_chain,
 )
+
+from conftest import KEPT_CHAINS
 
 REFERENCE_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 CHAINS = {"loopless": loopless_fixed_chain, "simple": simple_fixed_chain}
@@ -138,6 +143,22 @@ def test_threads_asking_one_key_at_different_sizes_wait_for_each_other(monkeypat
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     assert served == {size: fresh[: size + 1] for size in sizes}
+
+
+def live_generators() -> int:
+    gc.collect()
+    return sum(isinstance(obj, types.GeneratorType) for obj in gc.get_objects())
+
+
+def test_each_kept_key_holds_at_most_two_live_generators(capsys):
+    # the stores start empty (``fresh_chains``); a key holds its chain and the row kernel or
+    # column it reads, no stack of wrappers
+    before = live_generators()
+    for argv in ("fixed --n 40", "seq simple-dihedral --max 40", "seq loopless-dihedral --max 40"):
+        assert main(argv.split()) == 0
+    capsys.readouterr()
+    keys = sum(len(chain.built) for chain in KEPT_CHAINS)
+    assert live_generators() - before <= 2 * keys
 
 
 def session_requests() -> list[str]:
