@@ -133,10 +133,10 @@ def cmd_triangle(args) -> int:
 
     lines = [",".join(("n", *key_names, "value"))] if args.format == "csv" else []
     failed = []
+    expected = double_factorial(2 * chord_offset - 1)  # row n sums to (2m-1)!! on its m = n + offset chords
     for n in range(args.max + 1):
-        # each row sums to the matchings on its chords, (2m-1)!!
         row_total = table.row_total(n)
-        expected = double_factorial(2 * (n + chord_offset) - 1)
+        expected *= 2 * (n + chord_offset) - 1 if n else 1
         status = "ok" if row_total == expected else "MISMATCH"
         if status != "ok":
             failed.append(f"row n={n}: total={row_total} expected={expected} {status}")

@@ -8,8 +8,8 @@ families' axes, as it keeps the rotation chains (``symmetry._kept_streams``):
 the simple axes are one generator that reads the mirror row kernel
 directly, so a kept key holds two generators, and a request longer than
 any before it resumes where the last one stopped and each mirror row is
-built once per process.  The rows themselves are not kept:
-the row kernel holds the last 7.
+built once per process.  The memory is the kept entries plus fixed
+windows: an axis generator holds two values back, the row kernel 7 rows.
 """
 
 from __future__ import annotations
@@ -50,10 +50,10 @@ def loopless_axes():
     the two diameters); claims of 0 there fail both exhaustive enumeration
     and the dihedral average at n = 2 -- see docs/ERRATA.md.
     """
-    col = []
+    v2 = v1 = 0  # column(n-2), column(n-1)
     for n, value in enumerate(_loopless_column(2)):
-        col.append(value)
-        yield (col[n - 1], value - 2 * col[n - 1] + col[n - 2]) if n >= 2 else (0, 0)
+        yield (v1, value - 2 * v1 + v2) if n >= 2 else (0, 0)
+        v2, v1 = v1, value
 
 
 def loopless_dihedral(n_max: int) -> SequenceTable:
@@ -208,12 +208,13 @@ def simple_axes():
     those with an end chord on either seam, then remove the ones that would
     turn a mirrored chord pair into a parallel pair.
     """
-    totals, vertex, loopless_glued = [], [], []
+    total1 = vertex2 = vertex1 = glued2 = glued1 = 0  # totals(n-1), vertex(n-2), vertex(n-1), glued(n-2), glued(n-1)
     for n, (r, s) in enumerate(_checked_mirror_rows()):
-        totals.append(sum(r))
-        vertex.append(totals[n - 1] - vertex[n - 2] if n >= 2 else 0)
-        loopless_glued.append(totals[n] - 2 * sum(s) + loopless_glued[n - 2] if n >= 2 else 0)
-        yield vertex[n], (loopless_glued[n] - vertex[n - 1] if n >= 1 else 0)
+        total = sum(r)
+        vertex = total1 - vertex2 if n >= 2 else 0
+        glued = total - 2 * sum(s) + glued2 if n >= 2 else 0
+        yield vertex, glued - vertex1
+        total1, vertex2, vertex1, glued2, glued1 = total, vertex1, vertex, glued1, glued
 
 
 def simple_dihedral(n_max: int) -> SequenceTable:

@@ -11,8 +11,8 @@ chain is one generator that reads its sector column's kernel directly,
 so a kept key holds two generators, the chain and the kernel; a request
 longer than any before it resumes where the last one stopped and each row
 of the even-d table is built once per process; a shorter request reads a
-prefix.  The table rows themselves are not kept: the row kernel holds the
-last 7, the deepest any term reads.
+prefix.  The memory is the kept entries plus fixed windows: a generator
+holds the values its recurrence reads back, a row kernel the last 7 rows.
 """
 
 from __future__ import annotations
@@ -100,13 +100,13 @@ def _loopless_column(d: int):
     if d < 1:
         raise ValueError(f"sector count must be positive, got {d}")
     even = d % 2 == 0
-    values = [1, 1 if even else 0, d if even else d - 1]
-    yield from values
+    v4, v3, v2, v1 = 0, 1, 1 if even else 0, d if even else d - 1  # value(m-4)..value(m-1) at m = 3
+    yield from (v3, v2, v1)
     for m in count(3):
-        value = d * (m - 1) * values[m - 2] + (values[m - 4] if m >= 4 else 0)
+        value = d * (m - 1) * v2 + v4
         if even:
-            value += values[m - 1] - values[m - 3]
-        values.append(value)
+            value += v1 - v3
+        v4, v3, v2, v1 = v3, v2, v1, value
         yield value
 
 
@@ -122,10 +122,10 @@ def loopless_fixed_chain(d: int):
     Entry m holds the count for m = 0..m_max, from one sector column;
     entries with m*d odd describe no chord diagram and are never read.
     """
-    counts = []
+    v2 = v1 = 0  # value(m-2), value(m-1), zero below m = 0
     for m, value in enumerate(_loopless_column(d)):
-        counts.append(value)
-        yield 0 if d * m == 2 else value - (counts[m - 2] if m >= 2 else 0)  # a single chord is always a loop
+        yield 0 if d * m == 2 else value - v2  # a single chord is always a loop
+        v2, v1 = v1, value
 
 
 def loopless_rotation_fixed(n: int) -> dict[int, int]:
@@ -370,16 +370,12 @@ def _checked_even_rows(d: int):
 
 def _odd_sector_totals(d: int):
     """Simple d-sector totals for odd d, m = 0, 1, 2, ..."""
-    values = [1, 0, d - 1]
-    get = lambda m: values[m] if m >= 0 else 0
-    yield from values
+    v6, v5, v4, v3, v2, v1 = 0, 0, 0, 1, 0, d - 1  # value(m-6)..value(m-1) at m = 3, zero below m = 0
+    yield from (v3, v2, v1)
     for m in count(3):
-        values.append(
-            ((m - 1) * d - 2) * get(m - 2)
-            + (2 * m - 7) * d * get(m - 4)
-            + (m - 6) * d * get(m - 6)
-        )
-        yield values[m]
+        value = ((m - 1) * d - 2) * v2 + (2 * m - 7) * d * v4 + (m - 6) * d * v6
+        v6, v5, v4, v3, v2, v1 = v5, v4, v3, v2, v1, value
+        yield value
 
 
 def simple_sector_counts(d: int, m_max: int) -> SectorColumn:
@@ -422,17 +418,18 @@ def simple_fixed_chain(d: int):
     if d < 1:
         raise ValueError(f"sector count must be positive, got {d}")
     seed = 1 if d > 2 else 0
-    q, p, f = [0, 0], [], []  # q(-2), q(-1); q(m) is q[m + 2]
+    q4 = q3 = q2 = q1 = p2 = p1 = p = f2 = f1 = 0  # q(m-4)..q(m-1), p(m-2)..p(m), f(m-2), f(m-1); 0 below m = 0
     for m, total in enumerate(map(sum, _checked_even_rows(d)) if d % 2 == 0 else _odd_sector_totals(d)):
-        q.append(seed if m < 2 else total - q[m])
+        q = seed if m < 2 else total - q2
         if d == 2:
-            p.append(m if m < 2 else q[m + 2] - p[m - 2] - q[m - 2])
-            f.append(1 - m if m < 2 else p[m] - f[m - 2] - q[m + 1] + p[m - 1])
+            p = m if m < 2 else q - p2 - q4
+            f = 1 - m if m < 2 else p - f2 - q1 + p1
         else:
-            f.append(0 if m == 0 else q[m + 2] - (f[m - 2] if m >= 2 else 0))
+            f = 0 if m == 0 else q - f2
             if d % 2 == 0 and m:
-                f[m] -= q[m] + q[m - 1]  # q(m - 2) + q(m - 3)
-        yield f[m]
+                f -= q2 + q3
+        q4, q3, q2, q1, p2, p1, f2, f1 = q3, q2, q1, q, p1, p, f1, f
+        yield f
 
 
 def simple_rotation_fixed(n: int) -> dict[int, int]:

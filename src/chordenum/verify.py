@@ -13,6 +13,8 @@ requests read their prefixes.  The classified triangle is built once.
 from __future__ import annotations
 
 import os
+from itertools import accumulate
+from operator import mul
 
 from . import golden, labelled, oracle, reflection, symmetry
 from .diagram import CIRCULAR, CYCLIC, DIHEDRAL, LINEAR
@@ -34,7 +36,7 @@ FAMILIES = {
     "simple-chord": (lambda n_max: labelled.simple_chord(n_max), 0, 1),
     "simple-cyclic": (lambda n_max: symmetry.simple_cyclic(n_max), 0, 2),
     "simple-dihedral": (lambda n_max: reflection.simple_dihedral(n_max), 0, 3),
-    "all": (lambda n_max: [labelled.double_factorial(2 * n - 1) for n in range(n_max + 1)], 0, None),
+    "all": (lambda n_max: list(accumulate(range(1, 2 * n_max, 2), mul, initial=1)), 0, None),  # (2n - 1)!!
 }
 
 BFILE_FAMILIES = {"003436": "loopless-chord", "003437": "loopless-dihedral"}

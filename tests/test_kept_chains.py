@@ -5,7 +5,8 @@ kernel row must be yielded once per key per process in any request order, a
 build that fails validation or is interrupted must leave nothing behind,
 callers racing on one key must wait for each other, a session of CLI
 requests must print the same bytes in any order, and each kept key must
-hold no more than two live generators.
+hold no more than two live generators, each with a window that does not
+grow with the size served.
 """
 
 import gc
@@ -23,7 +24,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from chordenum import symmetry
+from chordenum import reflection, symmetry
 from chordenum.cli import main
 from chordenum.golden import SIMPLE_TABLE
 from chordenum.reflection import loopless_axes, simple_axes
@@ -159,6 +160,62 @@ def test_each_kept_key_holds_at_most_two_live_generators(capsys):
     capsys.readouterr()
     keys = sum(len(chain.built) for chain in KEPT_CHAINS)
     assert live_generators() - before <= 2 * keys
+
+
+# the row kernels and the six sequence generators behind the kept stores
+KERNELS = {
+    function.__code__: function
+    for function in (
+        symmetry._loopless_column,
+        symmetry.loopless_fixed_chain.__wrapped__,
+        symmetry._odd_sector_totals,
+        symmetry._even_sector_rows,
+        symmetry.simple_fixed_chain.__wrapped__,
+        reflection._mirror_rows,
+        reflection.loopless_axes.__wrapped__,
+        reflection.simple_axes.__wrapped__,
+    )
+}
+
+
+def kernel_windows() -> dict:
+    """Each suspended kernel generator -> the length of the longest list, tuple or dict among its locals.
+
+    ``r`` and ``s`` in ``simple_axes`` are the current mirror rows, one cell per k, and are skipped.
+    """
+    gc.collect()
+    windows = {}
+    for obj in gc.get_objects():
+        if isinstance(obj, types.GeneratorType) and obj.gi_code in KERNELS and obj.gi_frame is not None:
+            skipped = ("r", "s") if obj.gi_code is simple_axes.__wrapped__.__code__ else ()
+            windows[obj] = max(
+                (len(value) for name, value in obj.gi_frame.f_locals.items()
+                 if isinstance(value, (list, tuple, dict)) and name not in skipped),
+                default=0,
+            )
+    return windows
+
+
+def test_no_kept_generator_grows_with_the_size_served(capsys):
+    # the stores start empty (``fresh_chains``); each generator holds a fixed window of
+    # recent values, so extending every request grows no window, except that a row
+    # kernel on a short key fills its window up to the 7 rows the deepest term reads
+    requests = ("fixed --n {}", "seq simple-dihedral --max {}", "seq loopless-dihedral --max {}")
+    for request in requests:
+        assert main(request.format(100).split()) == 0
+    before = kernel_windows()
+    for request in requests:
+        assert main(request.format(200).split()) == 0
+    capsys.readouterr()
+    after = kernel_windows()
+    assert {generator.gi_code for generator in before} == set(KERNELS)
+    grown = {
+        generator.gi_code.co_name: (window, after[generator])
+        for generator, window in before.items()
+        if after[generator] > max(window, 7)
+    }
+    assert grown == {}
+    assert max(after.values()) <= 7
 
 
 def session_requests() -> list[str]:

@@ -17,6 +17,13 @@ def test_check_line_format():
     assert not ok
 
 
+def test_all_family_is_the_double_factorial():
+    build, offset, _ = verify.FAMILIES["all"]
+    assert offset == 0
+    assert build(300) == [labelled.double_factorial(2 * n - 1) for n in range(301)]
+    assert build(0) == [1]
+
+
 def test_verify_builds_each_recurrence_once_per_run(monkeypatch, capsys, yielded_rows):
     built = []
     original = labelled.loop_parallel_triangle
