@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 verification failure (a failed ``verify`` check or
 a triangle row off its (2m-1)!! total), 2 usage error (including an output
 path that cannot be written), 3 internal error: every internal
 assertion, such as a recurrence's own integrality or validation check, the
-oracle's Burnside identity or the octahedron's loop check.
+oracle's Burnside identity or the octahedron's loop check, and running out
+of memory; 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -261,6 +262,12 @@ def main(argv=None) -> int:
     except (ArithmeticError, AssertionError) as exc:  # a bug, not a failed check
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("internal error: out of memory", file=sys.stderr)
+        return 3
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)

@@ -7,17 +7,19 @@ of its a_n, exact modulo t^(order+1); a series with a free marker z or x is a
 ``MarkerTriangle``: n! [t^n z^k x^l] as ints keyed (n, k, l).  Precondition
 violations raise ``SeriesError`` rather than truncating silently.
 
-Products and exponentials run in the ``_Egf`` kernel, on the same scale; the
-powers of s = sqrt(1-2t) are written down in closed form.  Since s' = -1/s,
-phi, psi, W and U are each one exponential and its derivatives, and a
-derivative is a left shift of the a_n: none takes a product.  A free marker
-is built in ints too, by Kronecker substitution: it takes a power of two,
-and each a_n is decoded from the packed int straight into the triangle's
-cells, on which the PDE residuals are index shifts.
+Each named series but b = 1/s, with s = sqrt(1-2t), is one pass of a
+linear recurrence pair: since s' = -1/s, A = exp(c(s-1) + (x-1)t) and
+B = A/s satisfy two first-order differential equations, so a series of
+order N takes O(N) steps of products by small ints and marker values, and
+no exponential or product of series.  A free marker is built in ints too,
+by Kronecker substitution: it takes a power of two, a product by which is a
+shift, and each a_n is decoded from the packed int straight into the
+triangle's cells, on which the PDE residuals are index shifts.
 
 A ``TruncatedSeries`` holds rational coefficients (``Fraction``s) and runs
-its product and exp on the kernel.  No named series or residual makes one,
-so ``fractions`` is imported only when the kernel returns one.
+its product and exp on the ``_Egf`` kernel, which serves it alone.  No named
+series or residual makes one, so ``fractions`` is imported only when the
+kernel returns one.
 """
 
 from __future__ import annotations
@@ -52,22 +54,11 @@ def _factorials(count: int):
 
 
 class _Egf(tuple):
-    """Scaled coefficients a_n = n! [t^n] f of a truncated series.
+    """Scaled coefficients a_n = n! [t^n] f of a truncated series, for ``TruncatedSeries``.
 
-    Two series combine up to the shorter one's order; anything else is a
-    constant, which adds to a_0 and multiplies every a_n.
+    Two series multiply up to the shorter one's order; anything else is a
+    constant, which multiplies every a_n.
     """
-
-    def __add__(self, other):
-        if isinstance(other, _Egf):
-            return _Egf(a + b for a, b in zip(self, other))
-        return _Egf((self[0] + other, *self[1:]))
-
-    def __neg__(self):
-        return _Egf(-a for a in self)
-
-    def __sub__(self, other):
-        return self + -other
 
     def __mul__(self, other):
         """The labelled product c_n = sum_i C(n, i) a_i b_(n-i)."""
@@ -149,53 +140,59 @@ MARKERS_OF = {"wz": "z", "wx": "x", "wzx": "zx"}  # the markers each series carr
 MARKER_SERIES = tuple(MARKERS_OF)
 
 
-def _sqrt_power(k: int, order: int) -> _Egf:
+def _sqrt_power(k: int, order: int) -> tuple:
     """Scaled coefficients of (1-2t)^(k/2), by the binomial theorem: a_n = a_(n-1) (2(n-1) - k).
 
     k = 1 gives -(2n-3)!!, k = -1 (2n-1)!!, k = -2 2^n n! and k = -3 (2n+1)!!.
     """
-    return _Egf(accumulate(range(order), lambda a, m: a * (2 * m - k), initial=1))
+    return tuple(accumulate(range(order), lambda a, m: a * (2 * m - k), initial=1))
 
 
-def _identity(order: int) -> _Egf:
-    """Scaled coefficients of t."""
-    return _Egf((0, 1) + (0,) * (order - 1))
+def _exp_pair(order: int, c: int, x: int) -> tuple[list, list]:
+    """Scaled coefficients of A = exp(c(s-1) + (x-1)t) and of B = A/s, where s = sqrt(1-2t).
+
+    Since s' = -1/s, A' = (x-1)A - cB and (1-2t)B' = (x - 2(x-1)t)B - cA.
+    On scaled coefficients d/dt is a left shift and t d/dt multiplies a_n by
+    n, so each is a first-order recurrence: one step per coefficient, each a
+    few products by c, x or n.  At a packed point x = 2^k is a wide int, so a
+    product by x is a shift, and x b_n is read again as x b_(n-1) at the next step.
+    """
+    k = x.bit_length() - 1
+    times_x = (lambda v: v << k) if x > 0 and x == 1 << k else x.__mul__
+    a, b = [1], [1]
+    b_before = xb_before = 0
+    for n in range(order):
+        an, bn = a[n], b[n]
+        xb = times_x(bn)
+        a.append(times_x(an) - an - c * bn)
+        b.append(2 * n * (bn - xb_before + b_before) + xb - c * an)
+        b_before, xb_before = bn, xb
+    return a, b
 
 
-def _closed_form(name: str, order: int, z: int, x: int) -> _Egf:
+def _closed_form(name: str, order: int, z: int, x: int) -> list | tuple:
     """Scaled coefficients of a named series, in ints, at the given marker values.
 
-    phi, psi, U and W divide by powers of s = sqrt(1-2t).  Since s' = -1/s,
-    e = exp(s-1) has e/s = -e' and E = exp(s-1-t) has E/s = -E' - E, so each
-    is one exponential and its derivatives.  On scaled coefficients d/dt is a
-    left shift, so the exponential is built one order longer per derivative.
+    Each but b is one pass of ``_exp_pair`` and a linear combination:
+    phi = B and psi = B + A - 2 + t at (c, x) = (1, 1), chi = 1 - t - A;
+    U = A + B + (t-2)e^(-t) at (1, 0); wz = B at (1-z, 1); and W, wx and wzx
+    are (B - cA)/(1-2t) at (1, 0), (0, x) and (1-z, x), where dividing by
+    1 - 2t is w_n = f_n + 2n w_(n-1).
     """
-    t = _identity(order)
-    one = _Egf((1,) + (0,) * order)
-    s = _sqrt_power(1, order)
-
     if name == "b":
         return _sqrt_power(-1, order)
-    if name in ("phi", "psi"):
-        e = (_sqrt_power(1, order + 1) - 1).exp()
-        phi = -_Egf(e[1:])  # e/s
-        return phi if name == "phi" else phi - 2 + t + e
+    c, x = {"U": (1, 0), "W": (1, 0), "wz": (1 - z, 1), "wx": (0, x), "wzx": (1 - z, x)}.get(name, (1, 1))
+    a, b = _exp_pair(order, c, x)
+    if name in ("phi", "wz"):
+        return b
+    if name == "psi":
+        return [b[0] + a[0] - 2, b[1] + a[1] + 1, *map(add, b[2:], a[2:])]
     if name == "chi":
-        return one - t - (s - 1).exp()
+        return [1 - a[0], -1 - a[1], *(-v for v in a[2:])]
     if name == "U":
-        E = (_sqrt_power(1, order + 1) - 1 - _identity(order + 1)).exp()
-        tail = _Egf((-1) ** (n + 1) * (n + 2) for n in range(order + 1))  # (t - 2) e^(-t)
-        return tail - _Egf(E[1:])  # E/s (1 + s) = -E'
-    if name == "W":
-        E = (_sqrt_power(1, order + 2) - 1 - _identity(order + 2)).exp()
-        return _Egf(-a - 2 * b - c for a, b, c in zip(E[2:], E[1:], E))  # (s^-3 - s^-2) E = -E'' - 2E' - E
-    if name == "wz":
-        return ((s - 1) * (1 - z)).exp() * _sqrt_power(-1, order)
-    if name == "wx":
-        return _sqrt_power(-3, order) * (t * (x - 1)).exp()
-    prefactor = _sqrt_power(-2, order) * (z - 1) + _sqrt_power(-3, order)
-    series = prefactor * ((one - s) * (z - 1) + t * (x - 1)).exp()
-    if series[0] != z:
+        return [(-1) ** (n + 1) * (n + 2) + u + v for n, (u, v) in enumerate(zip(a, b))]
+    series = list(accumulate(range(1, order + 1), lambda w, n: b[n] - c * a[n] + 2 * n * w, initial=1 - c))
+    if name == "wzx" and series[0] != z:
         raise SeriesError("classifier does not start from a single loop chord")
     return series
 
@@ -212,7 +209,7 @@ def _marker_form(name: str, order: int, z, x) -> dict:
     return _unpacked_form(name, order, z, x, width, order + 2 if z is None else 1, at_one)
 
 
-def _unpacked_form(name: str, order: int, z, x, width: int, z_slots: int, at_one: _Egf) -> dict:
+def _unpacked_form(name: str, order: int, z, x, width: int, z_slots: int, at_one: list) -> dict:
     """Build at the packed point z = 2^width, x = 2^(width z_slots) and decode each a_n into its cells.
 
     Evaluation is a ring homomorphism from Z[z, x], so the int kernel runs

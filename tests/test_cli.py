@@ -651,6 +651,40 @@ def test_a_loop_on_a_cycle_diagram_exits_3(loop_in_a_walk, capsys):
     assert captured.err == "internal error: antipodal vertices were adjacent on the cycle\n"
 
 
+def raising_main(monkeypatch, capsys, error):
+    """main on a verify request whose report raises ``error``, with the caller's int -> text limit at 4,300."""
+
+    def report(*args):
+        raise error
+
+    monkeypatch.setattr(verify, "report", report)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(4300)
+    try:
+        code = main(["verify", "--max", "1"])
+        after = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    assert after == 4300
+    return code, capsys.readouterr()
+
+
+def test_running_out_of_memory_exits_3_without_a_traceback(monkeypatch, capsys):
+    code, captured = raising_main(monkeypatch, capsys, MemoryError())
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "internal error: out of memory\n"
+
+
+def test_an_interrupt_exits_130_without_a_traceback(monkeypatch, capsys):
+    code, captured = raising_main(monkeypatch, capsys, KeyboardInterrupt())
+    assert code == 130
+    assert captured.out == ""
+    assert captured.err == "interrupted\n"
+
+
 def test_start_up_imports_only_what_every_command_runs():
     """Records need no dataclasses; json and tempfile wait for the one path that uses each."""
     probe = (

@@ -72,9 +72,11 @@ SNAPSHOT = {
     "octahedron --n 4 --list": "9cd9ddfe768187c53ea965eb7e1b12f5da581391cd97263f5c3d753871e9d661",
 }
 
-# about 4 s in all on a 2-vCPU host: verify --max 8 0.7-1.0 s, fixed --n 1000 0.55 s,
+# about 5 s in all on a 2-vCPU host: verify --max 8 0.7-1.0 s, fixed --n 1000 0.55 s,
 # each triangle --max 400 0.45-0.55 s, triangle a_nkl --max 100 0.75 s (14 MB of text),
-# seq simple-* --max 600 0.2-0.35 s
+# seq simple-* --max 600 0.2-0.35 s, the eight series 0.6 s together (phi and psi
+# --order 1000 0.2 s each); the series digests were captured from the quadratic exp
+# kernel, where phi and psi --order 1000 took about 5 s each
 EXTENDED_SNAPSHOT = {
     "verify --max 8": "e1f1df9c8ccafb4db6e6371917e74b80846c9e9b84b5dbd0758b003930de0cb6",
     "seq simple-cyclic --max 600": "e71e216babb45c06d3bbe364401a768ae34288be0397e18e0e5fc2f4eef687ce",
@@ -86,6 +88,14 @@ EXTENDED_SNAPSHOT = {
     "triangle ahat_nl --max 400": "0104b22cd35e21cbd4d12aeeb547f92b2487be7823f808671aa78f9878930178",
     "triangle a_nkl --max 100": "5ea605f046d9c8a92c4ea2601a0f06214caae41bd7810dee1e1be1a72b9a9bfa",
     "seq all --max 600": "cf3e4b52f7b200c65a05819a1323dc4a7136d1be55702b087338f79990f4d4e0",
+    "series phi --order 1000": "947f4fb9065f9b6cf5f12361485fe6aa68fe63f90ac70c91a90c83b370e18c2a",
+    "series psi --order 1000": "0c8e2fe762523cd9dfa6eec4c68a9221e8304de9fb7c250054c2c7c130a7bffd",
+    "series chi --order 600": "2a91e5090fb3022ad2346ae90a166275e298417deb6a01c2a2908333af1857fa",
+    "series U --order 600": "4c89c39d0fddae29fadd1f99c06b4c73da1e0b9976f6f6485eb240cbbd98f3e2",
+    "series W --order 600": "5e11d2718a1c0154e214d20216c31394068b242e04122a56ed06e9d7b000e697",
+    "series wz --order 400 --z 0": "8d5ff20dc70ad34b1bc76784aa89a8a57c5dd8fbdeb76deb55ed2508af38bd61",
+    "series wx --order 400 --x 0": "f589408adad9c5f4e67f4d021c8af69e4573c81a84d84181bf8f4725242ceeb9",
+    "series wzx --order 300 --z 0 --x 1": "0cee8bd20b05c6b13e15a5b4b8748c5e1c3c9a91b41a012d071f34469022f0e9",
 }
 
 CHECKED = {**SNAPSHOT, **EXTENDED_SNAPSHOT} if os.environ.get("CHORDENUM_ACCEPT_EXTENDED") == "1" else SNAPSHOT

@@ -19,6 +19,7 @@ from chordenum.series import (
     TruncatedSeries,
     _closed_form,
     _Egf,
+    _exp_pair,
     _sqrt_power,
     _unpacked_form,
     full_pde_residual,
@@ -424,19 +425,27 @@ def test_all_named_series_extract_nonnegative_integers():
         assert all(v >= 0 for v in integer_coeffs(named_series("wx", 9, x=x)))
 
 
-def test_loopless_and_simple_series_take_one_exponential_and_no_product(monkeypatch):
-    calls = {}
+def test_no_named_series_or_residual_takes_an_exponential_or_a_product(monkeypatch):
+    # each is one pass of the linear recurrence pair, under every marker assignment and with markers free
     for method in ("exp", "__mul__", "__rmul__"):
+        monkeypatch.setattr(_Egf, method, lambda *args, method=method: pytest.fail(f"_Egf.{method} called"))
+    for name in SERIES_NAMES:
+        carried = MARKERS_OF.get(name, "")
+        for values in product((None, 0, 1), repeat=len(carried)):
+            named_series(name, 30, **dict(zip(carried, values)))
+    loop_pde_residual(10)
+    full_pde_residual(10)
 
-        def counted(*args, method=method, original=getattr(_Egf, method)):
-            calls[method] += 1
-            return original(*args)
 
-        monkeypatch.setattr(_Egf, method, counted)
-    for name in ("phi", "psi", "W", "U"):
-        calls.update(exp=0, __mul__=0, __rmul__=0)
-        named_series(name, 30)
-        assert calls == {"exp": 1, "__mul__": 0, "__rmul__": 0}, name
+def test_the_recurrence_pair_matches_the_reference():
+    # A = exp(c(s-1) + (x-1)t) and B = A/s, at small values and at a packed-size pair
+    order = 20
+    t = identity(order)
+    s = reference_sqrt(plus(scaled(t, -2), 1))
+    for c, x in [*product((-1, 0, 1, 3), repeat=2), (1 - 2**16, 2**40)]:
+        a = reference_exp(plus(scaled(minus(s, 1), c), scaled(t, x - 1)))
+        b = times(a, reference_reciprocal(s))
+        assert _exp_pair(order, c, x) == (list(scaled_of(a)), list(scaled_of(b))), (c, x)
 
 
 # ---------------------------------------------------------------------------
